@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .ensembles import ENSEMBLES, distribution_from_tag, sample_matrix
 from .errors import CapacityError, InvalidArgumentError, NumericError
-from .limits import MOMENT_FAMILIES, moment_table
+from .limits import MOMENT_FAMILIES, MomentEstimate, limit_moment, moment_table
 from .rng import TAG_REPLICATE, TAG_VOLUME_MC, mix
 from .spectra import empirical_spectrum, histogram, spectral_norm
 from .volumes import (
@@ -34,11 +34,12 @@ from .volumes import (
     volume_exact,
     volume_mc,
 )
-from .words import enumerate_words, height, is_irreducible, is_noncrossing
+from .words import DEFAULT_WORD_CAP, enumerate_words, height, is_irreducible, is_noncrossing
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
 SIMULATE_BUDGET = 1 << 23  # n * replicates cap
+MATRIX_ENTRY_BUDGET = 1 << 26  # n * n cap: one dense float64 matrix stays within 512 MB
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -168,24 +169,31 @@ def _volume_json(est: VolumeEstimate) -> dict:
     return out
 
 
-def _volume_csv(est: VolumeEstimate) -> tuple[str, str]:
-    if isinstance(est.value, Fraction):
-        return str(est.value), ""
-    return f"{float(est.value):.17g}", f"{est.stderr:.17g}" if est.stderr is not None else ""
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
 
 
 def _write_artifact(config: RunConfig, rows: list[dict], csv_columns: list[str]) -> None:
+    """Write rows as JSON (exact rationals as floats) or as CSV cells.
+
+    A CSV cell shows a float to 17 significant digits, a Fraction as p/q and
+    a missing value or None as empty.
+    """
     if config.format == "json":
         payload = {
             "command": config.subcommand,
             "config": config.public_dict(),
             "results": rows,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     else:
         lines = [",".join(csv_columns)]
         for row in rows:
-            lines.append(",".join(str(row.get(col, "")) for col in csv_columns))
+            lines.append(",".join(_csv_cell(row.get(col)) for col in csv_columns))
         text = "\n".join(lines) + "\n"
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -195,6 +203,8 @@ def _write_artifact(config: RunConfig, rows: list[dict], csv_columns: list[str])
 
 
 def cmd_words(config: RunConfig) -> int:
+    if config.k > DEFAULT_WORD_CAP:
+        raise CapacityError(f"k={config.k} exceeds the word-enumeration cap {DEFAULT_WORD_CAP}")
     words = enumerate_words(config.k)
     exact_ok = config.k + 1 <= DEFAULT_DIMENSION_CAP
     method = config.method
@@ -205,85 +215,70 @@ def cmd_words(config: RunConfig) -> int:
             f"k={config.k} needs exact volumes in dimension {config.k + 1} "
             f"(cap {DEFAULT_DIMENSION_CAP}); use --method mc"
         )
-    json_rows = []
-    csv_rows = []
+    rows = []
     for index, w in enumerate(words):
-        volumes = {}
+        row = {
+            "word": str(w),
+            "height": height(w),
+            "irreducible": is_irreducible(w),
+            "noncrossing": is_noncrossing(w),
+        }
         for kind in ("toeplitz", "hankel"):
             system = build_system(w, kind)
             if method == "exact":
-                volumes[kind] = volume_exact(system)
+                est = volume_exact(system)
             else:
-                volumes[kind] = volume_mc(
+                est = volume_mc(
                     system, config.samples, mix(TAG_VOLUME_MC, config.seed, config.k, index)
                 )
-        json_rows.append({
-            "word": str(w),
-            "height": height(w),
-            "irreducible": is_irreducible(w),
-            "noncrossing": is_noncrossing(w),
-            "p_toeplitz": _volume_json(volumes["toeplitz"]),
-            "p_hankel": _volume_json(volumes["hankel"]),
-        })
-        pt, pt_se = _volume_csv(volumes["toeplitz"])
-        ph, ph_se = _volume_csv(volumes["hankel"])
-        csv_rows.append({
-            "word": str(w),
-            "height": height(w),
-            "irreducible": is_irreducible(w),
-            "noncrossing": is_noncrossing(w),
-            "p_toeplitz": pt,
-            "p_toeplitz_stderr": pt_se,
-            "p_hankel": ph,
-            "p_hankel_stderr": ph_se,
-        })
+            if config.format == "json":
+                row[f"p_{kind}"] = _volume_json(est)
+            else:
+                row[f"p_{kind}"] = est.value
+                row[f"p_{kind}_stderr"] = est.stderr
+        rows.append(row)
     columns = ["word", "height", "irreducible", "noncrossing",
                "p_toeplitz", "p_toeplitz_stderr", "p_hankel", "p_hankel_stderr"]
-    _write_artifact(config, json_rows if config.format == "json" else csv_rows, columns)
+    _write_artifact(config, rows, columns)
     return EXIT_OK
+
+
+def _moment_row(order: int, value, stderr: float | None = None) -> dict:
+    if isinstance(value, Fraction):
+        return {"order": order, "value": value,
+                "numerator": value.numerator, "denominator": value.denominator}
+    if isinstance(value, MomentEstimate):
+        value, stderr = value.value, value.stderr
+    return {"order": order, "value": value, "stderr": stderr}
 
 
 def cmd_moments(config: RunConfig) -> int:
     max_order = config.order if config.order is not None else config.max_order
     if max_order % 2 != 0 or max_order < 0:
         raise InvalidArgumentError(f"--order/--max-order must be even and >= 0, got {max_order}")
-    table = moment_table(
-        config.family,
-        max_order,
-        method=config.method,
-        mc_samples=config.samples or DEFAULT_MC_SAMPLES,
-        seed=config.seed,
-    )
-    orders = (
-        [config.order]
-        if config.order is not None
-        else list(range(0, max_order + 1))
-    )
-    json_rows = []
-    csv_rows = []
-    for order in orders:
-        if order % 2 == 1:
-            row = {"order": order, "value": 0.0, "numerator": 0, "denominator": 1}
-            csv_row = {"order": order, "value": "0", "numerator": 0, "denominator": 1,
-                       "stderr": ""}
-        else:
-            value = table.entries[order]
-            if isinstance(value, Fraction):
-                row = {"order": order, "value": float(value),
-                       "numerator": value.numerator, "denominator": value.denominator}
-                csv_row = {"order": order, "value": str(value),
-                           "numerator": value.numerator, "denominator": value.denominator,
-                           "stderr": ""}
-            else:
-                stderr = table.stderrs.get(order, 0.0)
-                row = {"order": order, "value": value, "stderr": stderr}
-                csv_row = {"order": order, "value": f"{value:.17g}", "numerator": "",
-                           "denominator": "", "stderr": f"{stderr:.17g}"}
-        json_rows.append(row)
-        csv_rows.append(csv_row)
+    options = {
+        "method": config.method,
+        "mc_samples": config.samples or DEFAULT_MC_SAMPLES,
+        "seed": config.seed,
+    }
+    if config.order is not None:
+        rows = [_moment_row(config.order, limit_moment(config.family, config.order, **options))]
+    else:
+        table = moment_table(config.family, max_order, **options)
+        rows = [_moment_row(order, table.moment(order), table.stderrs.get(order))
+                for order in range(0, max_order + 1)]
     columns = ["order", "value", "numerator", "denominator", "stderr"]
-    _write_artifact(config, json_rows if config.format == "json" else csv_rows, columns)
+    _write_artifact(config, rows, columns)
     return EXIT_OK
+
+
+def _check_matrix_budget(n: int) -> None:
+    """Refuse a matrix size before sampling if one dense n x n matrix is too large."""
+    if n * n > MATRIX_ENTRY_BUDGET:
+        raise CapacityError(
+            f"n = {n} needs a dense {n} x {n} matrix, above the budget of "
+            f"{MATRIX_ENTRY_BUDGET} entries"
+        )
 
 
 def _replicate_spectra(config: RunConfig, ensemble: str, n: int):
@@ -307,6 +302,7 @@ def cmd_simulate(config: RunConfig) -> int:
             f"n * replicates = {config.n * config.replicates} exceeds the "
             f"budget {SIMULATE_BUDGET}"
         )
+    _check_matrix_budget(config.n)
     specs = _replicate_spectra(config, config.ensemble, config.n)
     pooled = np.sort(np.concatenate([s.eigenvalues for s in specs]))
 
@@ -349,6 +345,8 @@ def cmd_norm_scan(config: RunConfig) -> int:
     sizes = config.ns
     if not sizes:
         raise InvalidArgumentError("--ns must list at least one size")
+    for n in sizes:
+        _check_matrix_budget(n)
     dist = distribution_from_tag(config.dist, config.mean)
     rows = []
     for n in sizes:
@@ -375,13 +373,9 @@ def cmd_norm_scan(config: RunConfig) -> int:
             "ratio_n_stderr": se2,
             "replicates": count,
         })
-    csv_rows = [
-        {k: (f"{v:.17g}" if isinstance(v, float) else v) for k, v in row.items()}
-        for row in rows
-    ]
     columns = ["n", "ratio_sqrt_2nlogn_mean", "ratio_sqrt_2nlogn_stderr",
                "ratio_n_mean", "ratio_n_stderr", "replicates"]
-    _write_artifact(config, rows if config.format == "json" else csv_rows, columns)
+    _write_artifact(config, rows, columns)
     return EXIT_OK
 
 

@@ -3,12 +3,15 @@
 The three ensemble limits are assembled word by word: the Markov limit
 weights each word by 2**height, the Toeplitz and Hankel limits by the
 exact (or Monte Carlo) cube cross-section volumes.  Moments and free
-cumulants of symmetric measures convert back and forth through the
-even-order recursion
+cumulants of symmetric measures are the coefficients of two power series
+tied by
 
-    m_2n = sum_{r=1}^{n} k_2r * sum_{i1+...+i2r = 2n-2r} prod_j m_ij
+    M(t) = 1 + sum_{r>=1} k_2r t^r M(t)^(2r),    M(t) = sum_n m_2n t^n,
 
-with m_0 = 1 and all odd moments zero.
+with t = z**2 and all odd moments zero.  The coefficient of t^n reads
+m_2n = k_2n + sum_{r<n} k_2r [t^(n-r)] M^(2r), and the right-hand sum
+involves moments below order 2n only, so one solver runs forward from
+cumulants or backward from moments, one exact order at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping
 
 from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
@@ -89,6 +91,27 @@ def _check_even_order(order: int) -> int:
     return order // 2
 
 
+def _check_request(family: str, order: int, method: str, word_cap: int, dim_cap: int) -> int:
+    """Validate a moment request and its caps before any work; returns k = order / 2.
+
+    Both caps grow with the order, so checking the largest order of a
+    table covers every order below it.
+    """
+    if family not in MOMENT_FAMILIES:
+        raise InvalidArgumentError(f"unknown family {family!r}; expected one of {MOMENT_FAMILIES}")
+    k = _check_even_order(order)
+    if method not in ("exact", "mc"):
+        raise InvalidArgumentError(f"unknown method {method!r}")
+    if k > word_cap:
+        raise CapacityError(f"order {order} needs k={k} words, above the cap {word_cap}")
+    if family != "markov" and method == "exact" and k + 1 > dim_cap:
+        raise CapacityError(
+            f"order {order} needs exact volumes in dimension {k + 1}, "
+            f"above the cap {dim_cap}; use method='mc'"
+        )
+    return k
+
+
 def limit_moment(
     family: str,
     order: int,
@@ -105,42 +128,27 @@ def limit_moment(
     independent per-word derived seeds and aggregate standard error
     sqrt(sum stderr_w^2).
     """
-    if family not in MOMENT_FAMILIES:
-        raise InvalidArgumentError(f"unknown family {family!r}; expected one of {MOMENT_FAMILIES}")
-    k = _check_even_order(order)
+    k = _check_request(family, order, method, word_cap, dim_cap)
     if k == 0:
         return Fraction(1)
-    if k > word_cap:
-        raise CapacityError(f"order {order} needs k={k} words, above the cap {word_cap}")
     words = enumerate_words(k, cap=word_cap)
 
     if family == "markov":
-        if method not in ("exact", "mc"):
-            raise InvalidArgumentError(f"unknown method {method!r}")
         return Fraction(sum(2 ** height(w) for w in words))
 
     if method == "exact":
-        if k + 1 > dim_cap:
-            raise CapacityError(
-                f"order {order} needs exact volumes in dimension {k + 1}, "
-                f"above the cap {dim_cap}; use method='mc'"
-            )
         return sum(
             (volume_exact(build_system(w, family), dim_cap=dim_cap).value for w in words),
             start=Fraction(0),
         )
-    if method == "mc":
-        total = 0.0
-        var = 0.0
-        for index, w in enumerate(words):
-            est = volume_mc(
-                build_system(w, family), mc_samples, mix(TAG_VOLUME_MC, seed, k, index)
-            )
-            total += float(est.value)
-            if est.stderr is not None:
-                var += est.stderr**2
-        return MomentEstimate(total, math.sqrt(var))
-    raise InvalidArgumentError(f"unknown method {method!r}")
+    total = 0.0
+    var = 0.0
+    for index, w in enumerate(words):
+        est = volume_mc(build_system(w, family), mc_samples, mix(TAG_VOLUME_MC, seed, k, index))
+        total += float(est.value)
+        if est.stderr is not None:
+            var += est.stderr**2
+    return MomentEstimate(total, math.sqrt(var))
 
 
 def reference_moments(family: str, order: int) -> Fraction:
@@ -155,62 +163,56 @@ def reference_moments(family: str, order: int) -> Fraction:
     return Fraction(double_factorial_odd(k))
 
 
-def _even_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Weak compositions of `total` into `parts` even nonnegative parts."""
-    if parts == 1:
-        if total % 2 == 0:
-            yield (total,)
-        return
-    for head in range(0, total + 1, 2):
-        for rest in _even_compositions(total - head, parts - 1):
-            yield (head,) + rest
+def _series_inputs(entries: dict, up_to: int, name: str) -> list[Fraction]:
+    """Entries of orders 2, 4, ..., up_to as exact rationals."""
+    out = []
+    for order in range(2, up_to + 1, 2):
+        if order not in entries:
+            raise InvalidArgumentError(f"missing {name} of order {order}")
+        out.append(Fraction(entries[order]))
+    return out
 
 
-def _convolution_term(moments: Mapping[int, Fraction], two_n: int, two_r: int) -> Fraction:
-    """sum over i1+...+i(2r) = 2n-2r of prod m_ij, odd parts contributing 0."""
-    total = Fraction(0)
-    for comp in _even_compositions(two_n - two_r, two_r):
-        prod = Fraction(1)
-        for part in comp:
-            prod *= moments[part]
-            if prod == 0:
-                break
-        total += prod
-    return total
+def _solve_series(
+    given: list[Fraction], moments_given: bool
+) -> tuple[list[Fraction], list[Fraction]]:
+    """Solve M(t) = 1 + sum_r k_2r t^r M(t)^(2r) for the sequence not given.
+
+    given[r - 1] is m_2r if moments_given, else k_2r.  Returns the lists
+    (m, k) indexed by half-order, with m[0] = 1 and k[0] = 0.
+    """
+    m, k = [Fraction(1)], [Fraction(0)]
+    powers: list[list[Fraction]] = [[]]  # powers[r][j] = [t^j] M(t)^(2r), r >= 1
+    for n, value in enumerate(given, start=1):
+        powers.append([Fraction(1)])
+        # one new column per power; [t^(n-r)] M^(2r) needs m_0 .. m_2(n-r) only
+        for r in range(1, n):
+            a, b = (m, m) if r == 1 else (powers[1], powers[r - 1])
+            j = n - r
+            powers[r].append(sum(a[i] * b[j - i] for i in range(j + 1)))
+        lower = sum(k[r] * powers[r][n - r] for r in range(1, n))
+        if moments_given:
+            m.append(value)
+            k.append(value - lower)
+        else:
+            k.append(value)
+            m.append(value + lower)
+    return m, k
 
 
 def cumulants_to_moments(c: CumulantTable, up_to: int) -> MomentTable:
-    """Even moments from even free cumulants via the moment recursion."""
+    """Even moments from even free cumulants, solving the series forward."""
     _check_even_order(up_to)
-    moments: dict[int, Fraction] = {0: Fraction(1)}
-    for two_n in range(2, up_to + 1, 2):
-        total = Fraction(0)
-        for two_r in range(2, two_n + 1, 2):
-            if two_r not in c.entries:
-                raise InvalidArgumentError(f"missing cumulant of order {two_r}")
-            k_val = c.entries[two_r]
-            if k_val != 0:
-                total += k_val * _convolution_term(moments, two_n, two_r)
-        moments[two_n] = total
-    return MomentTable(family=c.family, entries=moments, method="formula")
+    m, _ = _solve_series(_series_inputs(c.entries, up_to, "cumulant"), moments_given=False)
+    entries = {2 * r: value for r, value in enumerate(m)}
+    return MomentTable(family=c.family, entries=entries, method="formula")
 
 
 def moments_to_cumulants(m: MomentTable, up_to: int) -> CumulantTable:
-    """Invert the moment recursion order by order; exact rationals required."""
+    """Even free cumulants from exact even moments, solving the series backward."""
     _check_even_order(up_to)
-    cumulants: dict[int, Fraction] = {}
-    known: dict[int, Fraction] = {0: Fraction(1)}
-    for two_n in range(2, up_to + 1, 2):
-        if two_n not in m.entries:
-            raise InvalidArgumentError(f"missing moment of order {two_n}")
-        known[two_n] = Fraction(m.entries[two_n])
-    for two_n in range(2, up_to + 1, 2):
-        residue = known[two_n]
-        for two_r in range(2, two_n, 2):
-            residue -= cumulants[two_r] * _convolution_term(known, two_n, two_r)
-        # the r = n term is k_2n itself (the empty composition has product 1)
-        cumulants[two_n] = residue
-    return CumulantTable(family=m.family, entries=cumulants)
+    _, k = _solve_series(_series_inputs(m.entries, up_to, "moment"), moments_given=True)
+    return CumulantTable(family=m.family, entries={2 * r: k[r] for r in range(1, len(k))})
 
 
 @lru_cache(maxsize=None)
@@ -222,22 +224,18 @@ def irreducible_count(k: int) -> int:
 def free_cumulants(family: str, up_to: int) -> CumulantTable:
     """Known cumulant tables: semicircle, gaussian, and their Markov sum.
 
-    semicircle: k_2 = 1 and nothing else; gaussian: k_2r counts the
-    irreducible words of length 2r; markov: the sum of the two (free
-    convolution adds cumulants).
+    semicircle: k_2 = 1 and nothing else; gaussian: read off the (2r-1)!!
+    moments by the series, so k_2r counts the irreducible words of length
+    2r; markov: the sum of the two (free convolution adds cumulants).
     """
     _check_even_order(up_to)
-    entries: dict[int, Fraction] = {}
-    for two_r in range(2, up_to + 1, 2):
-        r = two_r // 2
-        if family == "semicircle":
-            entries[two_r] = Fraction(1 if r == 1 else 0)
-        elif family == "gaussian":
-            entries[two_r] = Fraction(irreducible_count(r))
-        elif family == "markov":
-            entries[two_r] = Fraction((1 if r == 1 else 0) + irreducible_count(r))
-        else:
-            raise InvalidArgumentError(f"no cumulant table for family {family!r}")
+    if family not in ("semicircle", "gaussian", "markov"):
+        raise InvalidArgumentError(f"no cumulant table for family {family!r}")
+    entries = {order: Fraction(0) for order in range(2, up_to + 1, 2)}
+    if family != "semicircle":
+        entries = moments_to_cumulants(moment_table("gaussian", up_to), up_to).entries
+    if family != "gaussian" and up_to >= 2:
+        entries[2] += 1
     return CumulantTable(family=family, entries=entries)
 
 
@@ -307,6 +305,7 @@ def moment_table(
             order: reference_moments(family, order) for order in range(0, max_order + 1, 2)
         }
         return MomentTable(family=family, entries=entries, method="formula")
+    _check_request(family, max_order, method, word_cap, dim_cap)
     table = MomentTable(family=family, method=method)
     table.entries[0] = Fraction(1)
     for order in range(2, max_order + 1, 2):

@@ -6,6 +6,8 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import hmt.cli
+import hmt.limits
 from hmt.cli import DEFAULT_SEED, EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, build_parser, main
 
 
@@ -70,6 +72,8 @@ class TestWordsCommand:
         assert code == EXIT_INVALID and "invalid" in err
         code, _, err = run(["words", "--k", "7", "--method", "exact"], capsys)
         assert code == EXIT_CAPACITY and "capacity" in err
+        code, _, err = run(["words", "--k", "9"], capsys)
+        assert code == EXIT_CAPACITY and "capacity" in err
 
 
 class TestMomentsCommand:
@@ -109,6 +113,20 @@ class TestMomentsCommand:
         payload = json.loads(out)
         row = payload["results"][0]
         assert abs(row["value"] - 8.0 / 3.0) <= 3 * row["stderr"]
+
+    def test_single_order_samples_only_its_words(self, capsys, monkeypatch):
+        calls = []
+        real = hmt.limits.volume_mc
+        monkeypatch.setattr(
+            hmt.limits, "volume_mc", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        code, out, _ = run(
+            ["moments", "--family", "toeplitz", "--order", "6", "--method", "mc",
+             "--samples", "1000"],
+            capsys,
+        )
+        assert code == EXIT_OK and len(parse_csv(out)) == 1
+        assert len(calls) == 15  # the 15 words of length 6, none of orders 2 and 4
 
     def test_json_schema_valid(self, capsys, schema):
         code, out, _ = run(
@@ -176,6 +194,34 @@ class TestSimulateCommand:
             capsys,
         )
         assert code == EXIT_CAPACITY
+
+    def test_matrix_budget_checked_before_sampling(self, capsys, monkeypatch, tmp_path):
+        class Sampled(Exception):
+            pass
+
+        calls = []
+
+        def stub(ensemble, n, *args):
+            calls.append(n)
+            raise Sampled
+
+        monkeypatch.setattr(hmt.cli, "sample_matrix", stub)
+        prefix = str(tmp_path / "x")
+        for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8193",
+                      "--replicates", "1", "--output-prefix", prefix],
+                     ["simulate", "--ensemble", "markov", "--n", "100000",
+                      "--replicates", "1", "--output-prefix", prefix],
+                     ["norm-scan", "--ns", "16,8193", "--replicates", "1"]):
+            code, _, err = run(argv, capsys)
+            assert code == EXIT_CAPACITY and "capacity" in err
+        assert calls == []
+        # n = 8192 (512 MB of float64) is within the budget and reaches the sampler
+        for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8192",
+                      "--replicates", "1", "--output-prefix", prefix],
+                     ["norm-scan", "--ns", "8192", "--replicates", "1"]):
+            with pytest.raises(Sampled):
+                main(argv)
+        assert calls == [8192, 8192]
 
     def test_toeplitz_second_moment_near_one(self, capsys, tmp_path):
         prefix = str(tmp_path / "big")

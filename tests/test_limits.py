@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hmt.limits
 from hmt.errors import CapacityError, InvalidArgumentError
 from hmt.limits import (
     DERIVED_EXACT_MOMENTS,
@@ -82,6 +83,22 @@ class TestLimitMoments:
         with pytest.raises(CapacityError):
             limit_moment("toeplitz", 12)  # needs dimension 7 > default cap
 
+    @pytest.mark.parametrize("family, max_order, method", [
+        ("hankel", 18, "exact"),   # word cap
+        ("markov", 18, "exact"),   # word cap
+        ("toeplitz", 12, "exact"),  # dimension cap
+        ("toeplitz", 18, "mc"),    # word cap, no dimension cap under mc
+    ])
+    def test_table_caps_checked_before_any_order(self, monkeypatch, family, max_order, method):
+        calls = []
+        real = hmt.limits.limit_moment
+        monkeypatch.setattr(
+            hmt.limits, "limit_moment", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+        )
+        with pytest.raises(CapacityError):
+            moment_table(family, max_order, method=method)
+        assert calls == []
+
 
 class TestReferenceMoments:
     def test_semicircle_fourth_is_two(self):
@@ -154,6 +171,25 @@ class TestCumulantConversions:
         with pytest.raises(InvalidArgumentError):
             moments_to_cumulants(moment_table("markov", 4), 8)
 
+    @staticmethod
+    def a000699(n):
+        """Irreducible pair partitions: a(1) = 1, a(m) = sum_k (2k-1) a(k) a(m-k)."""
+        a = [0, 1]
+        for m in range(2, n + 1):
+            a.append(sum((2 * k - 1) * a[k] * a[m - k] for k in range(1, m)))
+        return a
+
+    def test_gaussian_cumulants_follow_a000699(self):
+        a = self.a000699(20)
+        c = free_cumulants("gaussian", 40)
+        assert c.entries == {2 * r: a[r] for r in range(1, 21)}
+
+    def test_markov_cumulants_beyond_the_word_cap(self):
+        # order 18 needs k = 9 words, above the enumeration cap of 8
+        a = self.a000699(9)
+        c = free_cumulants("markov", 18)
+        assert c.entries == {2 * r: (r == 1) + a[r] for r in range(1, 10)}
+
     def test_cumulant_sandwich(self):
         gauss = free_cumulants("gaussian", 8)
         markov = free_cumulants("markov", 8)
@@ -176,7 +212,7 @@ class TestCumulantConversions:
     st.lists(
         st.fractions(min_value=F(-3), max_value=F(3), max_denominator=6),
         min_size=1,
-        max_size=5,
+        max_size=12,
     )
 )
 def test_conversion_roundtrip_random_cumulants(values):
