@@ -34,7 +34,15 @@ from .volumes import (
     volume_exact,
     volume_mc,
 )
-from .words import DEFAULT_WORD_CAP, enumerate_words, height, is_irreducible, is_noncrossing
+from .words import (
+    DEFAULT_WORD_CAP,
+    dihedral_orbits,
+    dihedral_representative,
+    enumerate_words,
+    height,
+    is_irreducible,
+    is_noncrossing,
+)
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
@@ -215,6 +223,13 @@ def cmd_words(config: RunConfig) -> int:
             f"k={config.k} needs exact volumes in dimension {config.k + 1} "
             f"(cap {DEFAULT_DIMENSION_CAP}); use --method mc"
         )
+    kinds = ("toeplitz", "hankel")
+    if method == "exact":
+        # exact volumes are constant on dihedral orbits: one per orbit, looked up per word
+        orbit_volumes = {
+            (rep, kind): volume_exact(build_system(rep, kind))
+            for rep, _ in dihedral_orbits(config.k) for kind in kinds
+        }
     rows = []
     for index, w in enumerate(words):
         row = {
@@ -223,13 +238,13 @@ def cmd_words(config: RunConfig) -> int:
             "irreducible": is_irreducible(w),
             "noncrossing": is_noncrossing(w),
         }
-        for kind in ("toeplitz", "hankel"):
-            system = build_system(w, kind)
+        for kind in kinds:
             if method == "exact":
-                est = volume_exact(system)
+                est = orbit_volumes[dihedral_representative(w), kind]
             else:
                 est = volume_mc(
-                    system, config.samples, mix(TAG_VOLUME_MC, config.seed, config.k, index)
+                    build_system(w, kind), config.samples,
+                    mix(TAG_VOLUME_MC, config.seed, config.k, index),
                 )
             if config.format == "json":
                 row[f"p_{kind}"] = _volume_json(est)
@@ -256,9 +271,11 @@ def cmd_moments(config: RunConfig) -> int:
     max_order = config.order if config.order is not None else config.max_order
     if max_order % 2 != 0 or max_order < 0:
         raise InvalidArgumentError(f"--order/--max-order must be even and >= 0, got {max_order}")
+    if config.method == "mc" and config.samples < 1:
+        raise InvalidArgumentError(f"--samples must be >= 1, got {config.samples}")
     options = {
         "method": config.method,
-        "mc_samples": config.samples or DEFAULT_MC_SAMPLES,
+        "mc_samples": config.samples,
         "seed": config.seed,
     }
     if config.order is not None:
@@ -345,6 +362,8 @@ def cmd_norm_scan(config: RunConfig) -> int:
     sizes = config.ns
     if not sizes:
         raise InvalidArgumentError("--ns must list at least one size")
+    if config.replicates < 1:
+        raise InvalidArgumentError(f"--replicates must be >= 1, got {config.replicates}")
     for n in sizes:
         _check_matrix_budget(n)
     dist = distribution_from_tag(config.dist, config.mean)

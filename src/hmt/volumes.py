@@ -277,8 +277,19 @@ def _normalize_row(a: tuple[int, ...], b: int):
     return (a, b)
 
 
+def _tighten(bounds: list, j: int, num: int, den: int, upper: bool) -> None:
+    """Keep the tighter of bounds[j] and num/den (den > 0), compared in integers."""
+    cur = bounds[j]
+    if cur is None or (num * cur[1] < cur[0] * den if upper else num * cur[1] > cur[0] * den):
+        bounds[j] = (num, den)
+
+
 def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
-    """Normalize, deduplicate and prune a system; None if infeasible/flat."""
+    """Normalize, deduplicate and prune a system; None if infeasible/flat.
+
+    Variable bounds are integer pairs (num, den) with den > 0; the box tests
+    run over a common denominator, so no rational arithmetic happens here.
+    """
     best: dict[tuple[int, ...], int] = {}
     for a, b in rows:
         norm = _normalize_row(a, b)
@@ -291,44 +302,42 @@ def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
             best[a] = min(best[a], b)
         else:
             best[a] = b
-    # variable bounds from singleton rows
-    lo = [None] * d
-    hi = [None] * d
-    for a, b in best.items():
-        nz = [j for j, x in enumerate(a) if x != 0]
-        if len(nz) != 1:
-            continue
-        j = nz[0]
-        bound = Fraction(b, a[j])
-        if a[j] > 0:
-            hi[j] = bound if hi[j] is None else min(hi[j], bound)
-        else:
-            lo[j] = bound if lo[j] is None else max(lo[j], bound)
-    for j in range(d):
-        if lo[j] is not None and hi[j] is not None and lo[j] >= hi[j]:
-            return _EMPTY  # empty box or zero-width slab: volume 0 either way
+    # variable bounds from singleton rows: c x_j <= b
+    lo: list[tuple[int, int] | None] = [None] * d
+    hi: list[tuple[int, int] | None] = [None] * d
+    multi = []
     out = []
     for a, b in best.items():
         nz = [j for j, x in enumerate(a) if x != 0]
         if len(nz) > 1:
-            mx = Fraction(0)
-            mn = Fraction(0)
-            bounded = True
+            multi.append((a, b, nz))
+            continue
+        out.append((a, b))
+        j = nz[0]
+        c = a[j]
+        if c > 0:
+            _tighten(hi, j, b, c, upper=True)
+        else:
+            _tighten(lo, j, -b, -c, upper=False)
+    for low, high in zip(lo, hi):
+        if low is not None and high is not None and low[0] * high[1] >= high[0] * low[1]:
+            return _EMPTY  # empty box or zero-width slab: volume 0 either way
+    for a, b, nz in multi:
+        if all(lo[j] is not None and hi[j] is not None for j in nz):
+            den = 1
             for j in nz:
-                if lo[j] is None or hi[j] is None:
-                    bounded = False
-                    break
-                if a[j] > 0:
-                    mx += a[j] * hi[j]
-                    mn += a[j] * lo[j]
-                else:
-                    mx += a[j] * lo[j]
-                    mn += a[j] * hi[j]
-            if bounded:
-                if mn > b:
-                    return _EMPTY
-                if mx <= b:
-                    continue  # implied by the box: facet carries no volume
+                den = math.lcm(den, lo[j][1], hi[j][1])
+            # extremes of a . x over the box, scaled by den
+            mx = mn = 0
+            for j in nz:
+                x = a[j]
+                (pn, pd), (qn, qd) = (hi[j], lo[j]) if x > 0 else (lo[j], hi[j])
+                mx += x * pn * (den // pd)
+                mn += x * qn * (den // qd)
+            if mn > b * den:
+                return _EMPTY
+            if mx <= b * den:
+                continue  # implied by the box: facet carries no volume
         out.append((a, b))
     out.sort()
     return tuple(out)
@@ -373,17 +382,18 @@ def _relabel(rows, variables):
 
 
 def _interval_length(rows) -> Fraction:
-    lo, hi = None, None
+    lo: list[tuple[int, int] | None] = [None]
+    hi: list[tuple[int, int] | None] = [None]
     for a, b in rows:
         c = a[0]
-        bound = Fraction(b, c)
         if c > 0:
-            hi = bound if hi is None else min(hi, bound)
+            _tighten(hi, 0, b, c, upper=True)
         else:
-            lo = bound if lo is None else max(lo, bound)
-    if lo is None or hi is None:
+            _tighten(lo, 0, -b, -c, upper=False)
+    if lo[0] is None or hi[0] is None:
         raise NumericError("unbounded interval in volume recursion")
-    return max(Fraction(0), hi - lo)
+    (ln, ld), (hn, hd) = lo[0], hi[0]
+    return Fraction(max(0, hn * ld - ln * hd), hd * ld)
 
 
 def _substitute(rows, pivot_idx, j):

@@ -9,6 +9,7 @@ limiting-moment formula in the package.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -143,6 +144,41 @@ def enumerate_words(k: int, cap: int = DEFAULT_WORD_CAP) -> list[PartitionWord]:
     return list(_words_tuple(k))
 
 
+def _relabelled(letters) -> tuple[int, ...]:
+    """Letters renumbered 0, 1, 2, ... in order of first occurrence."""
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(letter, len(ids)) for letter in letters)
+
+
+def _orbit_key(letters: tuple[int, ...]) -> tuple[int, ...]:
+    n = len(letters)
+    return min(_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n))
+
+
+def dihedral_representative(w: PartitionWord) -> PartitionWord:
+    """Least relabelled word among the 2k rotations of w and of its reversal.
+
+    It is the lexicographically first member of w's dihedral orbit, so
+    enumerate_words meets it before any other member.
+    """
+    return PartitionWord(_orbit_key(w.letters))
+
+
+@lru_cache(maxsize=None)
+def dihedral_orbits(
+    k: int, cap: int = DEFAULT_WORD_CAP
+) -> tuple[tuple[PartitionWord, int], ...]:
+    """(representative, orbit size) for each dihedral orbit of the words of length 2k.
+
+    Orbits are in order of first appearance in enumerate_words(k, cap) and
+    their sizes sum to (2k-1)!!.  The Toeplitz and Hankel volumes are
+    constant on an orbit: rotating or reversing a word relabels the closed
+    walk x_0, ..., x_2k = x_0 whose steps its letters tie together.
+    """
+    sizes = Counter(_orbit_key(w.letters) for w in enumerate_words(k, cap))
+    return tuple((PartitionWord(key), size) for key, size in sizes.items())
+
+
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:
     """True iff letters[start:stop] is itself a partition word (or empty).
 
@@ -220,14 +256,7 @@ def delete_subword(w: PartitionWord, start: int, stop: int) -> PartitionWord:
     """Remove the window [start, stop) and re-canonicalize the remainder."""
     if not _is_balanced(w.letters, start, stop):
         raise InvalidArgumentError(f"window [{start}, {stop}) is not a partition subword")
-    rest = w.letters[:start] + w.letters[stop:]
-    ids: dict[int, int] = {}
-    out = []
-    for letter in rest:
-        if letter not in ids:
-            ids[letter] = len(ids)
-        out.append(ids[letter])
-    return PartitionWord(tuple(out))
+    return PartitionWord(_relabelled(w.letters[:start] + w.letters[stop:]))
 
 
 def proper_subword_windows(w: PartitionWord) -> list[tuple[int, int]]:

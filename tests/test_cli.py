@@ -136,6 +136,14 @@ class TestMomentsCommand:
         assert code == EXIT_OK
         jsonschema.validate(json.loads(out), schema)
 
+    def test_mc_zero_samples_rejected(self, capsys):
+        for argv in (["--order", "4"], ["--max-order", "4"]):
+            code, out, _ = run(
+                ["moments", "--family", "toeplitz", *argv, "--method", "mc", "--samples", "0"],
+                capsys,
+            )
+            assert code == EXIT_INVALID and out == ""
+
     def test_odd_order_rejected(self, capsys):
         code, _, err = run(["moments", "--family", "toeplitz", "--order", "3"], capsys)
         assert code == EXIT_INVALID
@@ -265,6 +273,10 @@ class TestNormScanCommand:
     def test_bad_ns(self, capsys):
         code, _, _ = run(["norm-scan", "--ns", "16,banana"], capsys)
         assert code == EXIT_INVALID
+
+    def test_zero_replicates_rejected(self, capsys):
+        code, out, _ = run(["norm-scan", "--ns", "16", "--replicates", "0"], capsys)
+        assert code == EXIT_INVALID and out == ""
 
 
 class TestReproducibility:

@@ -19,7 +19,7 @@ from hmt.volumes import (
     volume_grid,
     volume_mc,
 )
-from hmt.words import PartitionWord, enumerate_words
+from hmt.words import PartitionWord, dihedral_orbits, dihedral_representative, enumerate_words
 
 W = PartitionWord.from_string
 
@@ -107,6 +107,30 @@ class TestVolumeExact:
         for w in enumerate_words(3):
             value = volume_exact(build_system(w, kind)).value
             assert 0 <= value <= 1
+
+
+class TestOrbitInvariance:
+    """Rotating or reversing a word relabels its walk, so the volume is unchanged."""
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_word_matches_its_representative(self, kind, k):
+        for w in enumerate_words(k):
+            rep = dihedral_representative(w)
+            assert volume_exact(build_system(w, kind)).value == volume_exact(
+                build_system(rep, kind)
+            ).value, (str(w), str(rep))
+
+    @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+    def test_first_and_last_member_at_k5(self, kind):
+        last = {}
+        for w in enumerate_words(5):
+            last[dihedral_representative(w)] = w
+        assert len(last) == len(dihedral_orbits(5)) == 79
+        for rep, _ in dihedral_orbits(5):
+            assert volume_exact(build_system(rep, kind)).value == volume_exact(
+                build_system(last[rep], kind)
+            ).value, (str(rep), str(last[rep]))
 
 
 class TestVolumeMC:

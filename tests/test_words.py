@@ -9,6 +9,8 @@ from hmt.errors import InvalidArgumentError
 from hmt.words import (
     PartitionWord,
     delete_subword,
+    dihedral_orbits,
+    dihedral_representative,
     double_factorial_odd,
     enumerate_words,
     height,
@@ -115,6 +117,40 @@ class TestHeight:
                     assert height(w) == 0
         # the unique length-2 word is the exception
         assert height(W("aa")) == 1
+
+
+class TestDihedralOrbits:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sizes_sum_to_word_count(self, k):
+        assert sum(size for _, size in dihedral_orbits(k)) == double_factorial_odd(k)
+
+    def test_orbit_counts_are_a007769(self):
+        # chord diagrams with k chords up to rotation and reflection
+        assert [len(dihedral_orbits(k)) for k in range(1, 7)] == [1, 2, 5, 17, 79, 554]
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_members_are_turns_of_their_representative(self, k):
+        orbits = dict(dihedral_orbits(k))
+        members = Counter()
+        for w in enumerate_words(k):
+            rep = dihedral_representative(w)
+            members[rep] += 1
+            n = len(w)
+            turns = {
+                tuple_canonical(t[i:] + t[:i])
+                for t in (rep.letters, rep.letters[::-1])
+                for i in range(n)
+            }
+            assert w.letters in turns, (str(w), str(rep))
+            assert rep.letters <= w.letters
+        assert members == orbits
+        # first-appearance order: each representative precedes the rest of its orbit
+        assert [rep.letters for rep in orbits] == sorted(rep.letters for rep in orbits)
+
+    def test_examples(self):
+        assert dihedral_representative(W("abab")) == W("abab")
+        assert dihedral_representative(W("abba")) == W("aabb")
+        assert dihedral_representative(W("abcbca")) == W("aabcbc")
 
 
 def tuple_canonical(letters):
