@@ -46,7 +46,6 @@ from .spectra import (
     trace_via_circuits,
 )
 from .volumes import (
-    AffineForm,
     SlabSystem,
     VolumeEstimate,
     build_system,
@@ -61,7 +60,6 @@ from .words import PartitionWord, enumerate_words, height, is_irreducible, is_no
 
 __all__ = [
     "__version__",
-    "AffineForm",
     "CapacityError",
     "CumulantTable",
     "DERIVED_EXACT_MOMENTS",

@@ -6,13 +6,15 @@ for the dependent variables and requiring them to stay in [0, 1] cuts a
 polytope out of the unit cube in the free coordinates; its volume is the
 word's weight in the limiting moment formulas.
 
-Volumes are computed three ways: exactly in rational arithmetic (recursive
-facet decomposition in the style of Lasserre/Cohen-Hickey), by seeded
-Monte Carlo, and by a midpoint grid rule kept as an independent oracle.
+Volumes are computed three ways from the same integer slab rows: exactly in
+rational arithmetic (recursive facet decomposition in the style of
+Lasserre/Cohen-Hickey), by seeded Monte Carlo, and by a midpoint grid rule
+kept as a deterministic reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,73 +33,37 @@ _MC_CHUNK = 1 << 17
 
 
 # ---------------------------------------------------------------------------
-# Affine forms and slab systems
+# Slab systems
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AffineForm:
-    """constant + sum(coeffs[v] * x_v) with exact rational coefficients."""
-
-    constant: Fraction = Fraction(0)
-    coeffs: tuple[tuple[int, Fraction], ...] = ()
-
-    @classmethod
-    def make(cls, constant=0, coeffs: Mapping[int, Fraction] | None = None) -> "AffineForm":
-        items = tuple(
-            sorted((v, Fraction(c)) for v, c in (coeffs or {}).items() if c != 0)
-        )
-        return cls(Fraction(constant), items)
-
-    @classmethod
-    def variable(cls, v: int) -> "AffineForm":
-        return cls(Fraction(0), ((v, Fraction(1)),))
-
-    def coeff_dict(self) -> dict[int, Fraction]:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        coeffs = self.coeff_dict()
-        for v, c in other.coeffs:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        return AffineForm.make(self.constant + other.constant, coeffs)
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        coeffs = self.coeff_dict()
-        for v, c in other.coeffs:
-            coeffs[v] = coeffs.get(v, Fraction(0)) - c
-        return AffineForm.make(self.constant - other.constant, coeffs)
-
-    def is_zero(self) -> bool:
-        return self.constant == 0 and not self.coeffs
-
-    def evaluate(self, assignment: Mapping[int, Fraction]) -> Fraction:
-        total = self.constant
-        for v, c in self.coeffs:
-            total += c * assignment[v]
-        return total
-
-    def variables(self) -> tuple[int, ...]:
-        return tuple(v for v, _ in self.coeffs)
+Slab = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
 class SlabSystem:
-    """Dependent-variable expressions over free cube coordinates.
+    """Dependent variables as integer slabs over the free cube coordinates.
 
-    kind is "toeplitz" or "hankel" for systems built from words ("slab" for
-    hand-built single-constraint systems).  closure, present only for the
-    Hankel kind, is an affine form that must vanish for the cross-section
-    to have full dimension.
+    slabs maps each dependent variable to a triple (a, lo, hi) meaning
+    lo <= a . x <= hi, where x lists the free coordinates in free_vars order.
+    Word systems always have lo, hi = 0, 1.  kind is "toeplitz" or "hankel"
+    for systems built from words ("slab" for hand-built systems).  closure,
+    present only for the Hankel kind, is an integer vector over free_vars
+    that must vanish for the cross-section to have full dimension.
     """
 
     kind: str
     free_vars: tuple[int, ...]
-    dependent_exprs: Mapping[int, AffineForm] = field(default_factory=dict)
-    closure: AffineForm | None = None
+    slabs: Mapping[int, Slab] = field(default_factory=dict)
+    closure: tuple[int, ...] | None = None
 
     @property
     def dimension(self) -> int:
         return len(self.free_vars)
+
+    @property
+    def flat(self) -> bool:
+        """True when a nonzero closure confines the section to a lower dimension."""
+        return self.closure is not None and any(self.closure)
 
 
 def build_system(w: PartitionWord, kind: str) -> SlabSystem:
@@ -111,36 +77,42 @@ def build_system(w: PartitionWord, kind: str) -> SlabSystem:
     Hankel: the sum equation x_i + x_{i-1} = x_m + x_{m-1} is solved for
     x_{i-1}, sweeping first occurrences right to left.  Free variables: the
     variable preceding each second occurrence, plus x_{2k}; the closure
-    form expr(x_0) - x_{2k} must additionally vanish.
+    expr(x_0) - x_{2k} must additionally vanish.
     """
     if kind not in ("toeplitz", "hankel"):
         raise InvalidArgumentError(f"kind must be 'toeplitz' or 'hankel', got {kind!r}")
     two_k = len(w)
     occ = w.occurrences()
-
     if kind == "toeplitz":
-        free = [0] + [f + 1 for f, _ in occ]
-        exprs: dict[int, AffineForm] = {}
-
-        def form_of(v: int) -> AffineForm:
-            return exprs.get(v, AffineForm.variable(v))
-
+        free = sorted([0] + [f + 1 for f, _ in occ])
         # x_{s+1} = x_s + x_f - x_{f+1}, in increasing second occurrence
-        for f, s in sorted(occ, key=lambda fs: fs[1]):
-            exprs[s + 1] = form_of(s) + form_of(f) - form_of(f + 1)
-        return SlabSystem("toeplitz", tuple(sorted(free)), exprs, None)
+        steps = [(s + 1, s, f, f + 1) for f, s in sorted(occ, key=lambda fs: fs[1])]
+    else:
+        free = sorted([s for _, s in occ] + [two_k])
+        # x_f = x_{s+1} + x_s - x_{f+1}, in decreasing first occurrence
+        steps = [(f, s + 1, s, f + 1) for f, s in sorted(occ, key=lambda fs: -fs[0])]
+    d = len(free)
+    forms = {v: tuple(int(i == j) for j in range(d)) for i, v in enumerate(free)}
+    slabs = {}
+    for target, p, q, r in steps:
+        forms[target] = tuple(x + y - z for x, y, z in zip(forms[p], forms[q], forms[r]))
+        slabs[target] = (forms[target], 0, 1)
+    closure = None
+    if kind == "hankel":
+        closure = tuple(x - y for x, y in zip(forms[0], forms[two_k]))
+    return SlabSystem(kind, tuple(free), slabs, closure)
 
-    free = [s for _, s in occ] + [two_k]
-    exprs = {}
 
-    def form_of(v: int) -> AffineForm:
-        return exprs.get(v, AffineForm.variable(v))
-
-    # x_f = x_{s+1} + x_s - x_{f+1}, in decreasing first occurrence
-    for f, s in sorted(occ, key=lambda fs: -fs[0]):
-        exprs[f] = form_of(s + 1) + form_of(s) - form_of(f + 1)
-    closure = exprs[0] - AffineForm.variable(two_k)
-    return SlabSystem("hankel", tuple(sorted(free)), exprs, closure)
+def _slab_rows(system: SlabSystem) -> list[Slab]:
+    """The system's slabs, each checked to have one coefficient per free variable."""
+    rows = list(system.slabs.values())
+    for a, _, _ in rows:
+        if len(a) != system.dimension:
+            raise InvalidArgumentError(
+                f"slab row {tuple(a)} has {len(a)} coefficients for "
+                f"{system.dimension} free variables"
+            )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -160,20 +132,20 @@ class VolumeEstimate:
         return float(self.value)
 
 
-def _nontrivial_rows(system: SlabSystem) -> tuple[list[tuple[np.ndarray, float]], dict[int, int]]:
-    """Dependent forms as (coefficient-vector, constant) over free coordinates."""
-    index = {v: i for i, v in enumerate(system.free_vars)}
-    rows = []
-    for form in system.dependent_exprs.values():
-        vec = np.zeros(len(index))
-        for v, c in form.coeffs:
-            if v not in index:
-                raise InvalidArgumentError(
-                    f"dependent form references non-free variable x_{v}"
-                )
-            vec[index[v]] += float(c)
-        rows.append((vec, float(form.constant)))
-    return rows, index
+def _hit_counter(system: SlabSystem):
+    """Function counting the points (rows of an array) that satisfy every slab."""
+    rows = _slab_rows(system)
+    mat = np.zeros((system.dimension, len(rows)))
+    for col, (a, _, _) in enumerate(rows):
+        mat[:, col] = a
+    lo = np.array([row[1] for row in rows], dtype=float)
+    hi = np.array([row[2] for row in rows], dtype=float)
+
+    def count(points: np.ndarray) -> int:
+        vals = points @ mat
+        return int(np.count_nonzero(np.all((vals >= lo) & (vals <= hi), axis=1)))
+
+    return count
 
 
 def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
@@ -184,25 +156,15 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
     """
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
-    if system.closure is not None and not system.closure.is_zero():
+    if system.flat:
         return VolumeEstimate(Fraction(0), "exact")
-    d = system.dimension
-    rows, _ = _nontrivial_rows(system)
-    if rows:
-        mat = np.stack([vec for vec, _ in rows], axis=1)
-        consts = np.array([c for _, c in rows])
+    count = _hit_counter(system)
     gen = generator(seed)
     hits = 0
     remaining = samples
     while remaining > 0:
         chunk = min(_MC_CHUNK, remaining)
-        u = gen.random((chunk, d))
-        if rows:
-            vals = u @ mat + consts
-            ok = np.all((vals >= 0.0) & (vals <= 1.0), axis=1)
-            hits += int(np.count_nonzero(ok))
-        else:
-            hits += chunk
+        hits += count(gen.random((chunk, system.dimension)))
         remaining -= chunk
     p = hits / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
@@ -221,28 +183,17 @@ def volume_grid(
         raise CapacityError(
             f"{subdivisions}^{d} = {cells} grid cells exceed the budget {budget}"
         )
-    if system.closure is not None and not system.closure.is_zero():
+    if system.flat:
         return VolumeEstimate(Fraction(0), "exact")
-    rows, _ = _nontrivial_rows(system)
-    if not rows:
-        return VolumeEstimate(1.0, "grid", samples=cells)
-    axis = (np.arange(subdivisions) + 0.5) / subdivisions
-    mat = np.stack([vec for vec, _ in rows], axis=1)
-    consts = np.array([c for _, c in rows])
+    count = _hit_counter(system)
+    # one x_0 slice of the grid at a time: cells / subdivisions points in memory
+    pts = np.empty((cells // subdivisions, d))
+    tail = np.indices((subdivisions,) * (d - 1)).reshape(d - 1, len(pts)).T
+    pts[:, 1:] = (tail + 0.5) / subdivisions
     hits = 0
-    if d == 1:
-        vals = axis[:, None] * mat[0] + consts
-        hits = int(np.count_nonzero(np.all((vals >= 0) & (vals <= 1), axis=1)))
-    else:
-        tail_axes = np.meshgrid(*([axis] * (d - 1)), indexing="ij")
-        tail = np.stack([a.ravel() for a in tail_axes], axis=1)
-        for x0 in axis:
-            pts = np.concatenate(
-                [np.full((tail.shape[0], 1), x0), tail], axis=1
-            )
-            vals = pts @ mat + consts
-            ok = np.all((vals >= 0.0) & (vals <= 1.0), axis=1)
-            hits += int(np.count_nonzero(ok))
+    for x0 in (np.arange(subdivisions) + 0.5) / subdivisions:
+        pts[:, 0] = x0
+        hits += count(pts)
     return VolumeEstimate(hits / cells, "grid", samples=cells)
 
 
@@ -261,7 +212,8 @@ def volume_grid(
 
 _EMPTY = None  # canonicalization result for an infeasible system
 
-_vol_memo: dict[tuple, Fraction] = {}
+# Bound on memoized facet sums; it holds hankel order 14's 100,637 entries.
+_MEMO_SIZE = 1 << 17
 
 
 def _normalize_row(a: tuple[int, ...], b: int):
@@ -428,18 +380,15 @@ def _volume_system(raw_rows, d: int) -> Fraction:
         rows, dc = _relabel(canon, variables)
         if not rows:
             raise NumericError("unbounded variable block in volume recursion")
-        total *= _vol_connected(rows, dc)
+        total *= _interval_length(rows) if dc == 1 else _facet_sum(rows, dc)
         if total == 0:
             return Fraction(0)
     return total
 
 
-def _vol_connected(rows, d: int) -> Fraction:
-    if d == 1:
-        return _interval_length(rows)
-    cached = _vol_memo.get(rows)
-    if cached is not None:
-        return cached
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _facet_sum(rows, d: int) -> Fraction:
+    """Volume of a connected block with d >= 2 variables."""
     total = Fraction(0)
     for idx, (a, b) in enumerate(rows):
         j = max(range(len(a)), key=lambda l: abs(a[l]))
@@ -447,9 +396,7 @@ def _vol_connected(rows, d: int) -> Fraction:
         v = _volume_system(sub, d - 1)
         if v != 0:
             total += Fraction(b, abs(a[j])) * v
-    total /= d
-    _vol_memo[rows] = total
-    return total
+    return total / d
 
 
 def volume_exact(
@@ -457,38 +404,26 @@ def volume_exact(
 ) -> VolumeEstimate:
     """Exact rational volume of the cube cross-section.
 
-    A closure form that is not identically zero forces a dimension drop and
-    an exact volume of 0.  Raises CapacityError above dim_cap free
-    variables; use volume_mc there instead.
+    A nonzero closure vector forces a dimension drop and an exact volume of
+    0.  Raises CapacityError above dim_cap free variables; use volume_mc
+    there instead.
     """
-    if system.closure is not None and not system.closure.is_zero():
+    if system.flat:
         return VolumeEstimate(Fraction(0), "exact")
     d = system.dimension
     if d > dim_cap:
         raise CapacityError(
             f"{d} free variables exceed the exact-volume cap {dim_cap}; use volume_mc"
         )
-    index = {v: i for i, v in enumerate(system.free_vars)}
     rows: list[tuple[tuple[int, ...], int]] = []
     for j in range(d):
         unit = tuple(1 if l == j else 0 for l in range(d))
         rows.append((unit, 1))
         rows.append((tuple(-x for x in unit), 0))
-    for form in system.dependent_exprs.values():
-        denom = math.lcm(
-            form.constant.denominator, *(c.denominator for _, c in form.coeffs)
-        ) if form.coeffs or form.constant.denominator != 1 else 1
-        vec = [0] * d
-        for v, c in form.coeffs:
-            if v not in index:
-                raise InvalidArgumentError(
-                    f"dependent form references non-free variable x_{v}"
-                )
-            vec[index[v]] += int(c * denom)
-        const = int(form.constant * denom)
-        # 0 <= form <= 1  ->  -form <= 0 and form <= 1, scaled by denom
-        rows.append((tuple(-x for x in vec), const))
-        rows.append((tuple(vec), denom - const))
+    for a, lo, hi in _slab_rows(system):
+        # lo <= a . x <= hi  ->  -a . x <= -lo and a . x <= hi
+        rows.append((tuple(-x for x in a), -lo))
+        rows.append((tuple(a), hi))
     value = _volume_system(rows, d)
     if not 0 <= value <= 1:
         raise NumericError(f"exact volume {value} escaped [0, 1]")
@@ -505,8 +440,7 @@ def single_slab_system(signs: Iterable[int]) -> SlabSystem:
     if not signs or any(s not in (-1, 1) for s in signs):
         raise InvalidArgumentError("signs must be a nonempty sequence of +/-1")
     n = len(signs)
-    form = AffineForm.make(0, {j: Fraction(s) for j, s in enumerate(signs)})
-    return SlabSystem("slab", tuple(range(n)), {n: form}, None)
+    return SlabSystem("slab", tuple(range(n)), {n: (signs, 0, 1)}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hmt.volumes
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.rng import mix
 from hmt.volumes import (
-    AffineForm,
     SlabSystem,
     build_system,
     eulerian_number,
@@ -24,55 +24,76 @@ from hmt.words import PartitionWord, dihedral_orbits, dihedral_representative, e
 W = PartitionWord.from_string
 
 
-def form(constant=0, **coeffs):
-    return AffineForm.make(constant, {int(k[1:]): Fraction(v) for k, v in coeffs.items()})
+def is_symmetric(w):
+    """Each letter sits at one odd and one even position."""
+    return all((f - s) % 2 for f, s in w.occurrences())
 
 
 class TestBuildSystem:
     def test_toeplitz_abab(self):
         s = build_system(W("abab"), "toeplitz")
         assert s.free_vars == (0, 1, 2)
-        assert s.dependent_exprs[3] == form(x0=1, x1=-1, x2=1)
-        assert s.dependent_exprs[4] == form(x0=1)
+        assert s.slabs[3] == ((1, -1, 1), 0, 1)
+        assert s.slabs[4] == ((1, 0, 0), 0, 1)
         assert s.closure is None
 
     def test_hankel_abab(self):
         s = build_system(W("abab"), "hankel")
         assert s.free_vars == (2, 3, 4)
-        assert s.dependent_exprs[0] == form(x2=2, x4=-1)
-        assert s.dependent_exprs[1] == form(x2=-1, x3=1, x4=1)
+        assert s.slabs[0] == ((2, 0, -1), 0, 1)
+        assert s.slabs[1] == ((-1, 1, 1), 0, 1)
         # closure = expr(x_0) - x_4; it vanishes exactly on {x_4 = x_2}
-        assert s.closure == form(x2=2, x4=-2)
-        assert not s.closure.is_zero()
+        assert s.closure == (2, 0, -2)
+        assert s.flat
 
     def test_toeplitz_aa(self):
         s = build_system(W("aa"), "toeplitz")
         assert s.free_vars == (0, 1)
-        assert s.dependent_exprs[2] == form(x0=1)
+        assert s.slabs[2] == ((1, 0), 0, 1)
 
     @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
     @pytest.mark.parametrize("k", range(1, 5))
     def test_free_dependent_partition(self, kind, k):
         for w in enumerate_words(k):
             s = build_system(w, kind)
-            dependents = set(s.dependent_exprs)
+            dependents = set(s.slabs)
             assert len(s.free_vars) == k + 1
             assert dependents.isdisjoint(s.free_vars)
             assert dependents | set(s.free_vars) == set(range(2 * k + 1))
-            free = set(s.free_vars)
-            for expr in s.dependent_exprs.values():
-                assert set(expr.variables()) <= free
+            for a, lo, hi in s.slabs.values():
+                assert type(a) is tuple and len(a) == k + 1
+                assert all(type(c) is int for c in (*a, lo, hi))
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_toeplitz_closure_telescopes(self, k):
         # the last variable's expression collapses to x_0 for every word
+        x0 = (1,) + (0,) * k
         for w in enumerate_words(k):
             s = build_system(w, "toeplitz")
-            assert s.dependent_exprs[2 * k] == form(x0=1), str(w)
+            assert s.slabs[2 * k] == (x0, 0, 1), str(w)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_hankel_closure_vanishes_on_symmetric_words(self, k):
+        vanishing = 0
+        for w in enumerate_words(k):
+            closure = build_system(w, "hankel").closure
+            assert (not any(closure)) == is_symmetric(w), str(w)
+            vanishing += not any(closure)
+        assert vanishing == math.factorial(k)
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(InvalidArgumentError):
             build_system(W("aa"), "hermite")
+
+    @pytest.mark.parametrize("row", [(1, -1), (1, -1, 1, 0), ()])
+    def test_engines_reject_rows_of_the_wrong_length(self, row):
+        system = SlabSystem("slab", (0, 1, 2), {3: (row, 0, 1)})
+        with pytest.raises(InvalidArgumentError):
+            volume_exact(system)
+        with pytest.raises(InvalidArgumentError):
+            volume_mc(system, 100, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            volume_grid(system, 4)
 
 
 class TestVolumeExact:
@@ -96,6 +117,10 @@ class TestVolumeExact:
             volume_exact(single_slab_system([1] * 7))
         # explicit higher cap admits the same system
         assert volume_exact(single_slab_system([1] * 7), dim_cap=7).value > 0
+
+    def test_memo_is_bounded(self):
+        maxsize = hmt.volumes._facet_sum.cache_info().maxsize
+        assert maxsize is not None and maxsize >= 100_637
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_toeplitz_volumes_positive(self, k):
@@ -263,17 +288,16 @@ class TestSlabIntegral:
 
 
 def _random_system(draw):
+    # each slab 0 <= a . x + c/2 <= 1 with a in [-2, 2]^d, c in [-2, 2],
+    # scaled by 2 to integers: -c <= 2a . x <= 2 - c
     d = draw(st.integers(min_value=1, max_value=3))
     n_forms = draw(st.integers(min_value=1, max_value=3))
-    forms = {}
+    slabs = {}
     for i in range(n_forms):
-        coeffs = {
-            j: Fraction(draw(st.integers(min_value=-2, max_value=2)))
-            for j in range(d)
-        }
-        constant = Fraction(draw(st.integers(min_value=-2, max_value=2)), 2)
-        forms[d + i] = AffineForm.make(constant, coeffs)
-    return SlabSystem("slab", tuple(range(d)), forms, None)
+        a = tuple(2 * draw(st.integers(min_value=-2, max_value=2)) for _ in range(d))
+        c = draw(st.integers(min_value=-2, max_value=2))
+        slabs[d + i] = (a, -c, 2 - c)
+    return SlabSystem("slab", tuple(range(d)), slabs, None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
