@@ -46,8 +46,10 @@ from .words import (
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
-SIMULATE_BUDGET = 1 << 23  # n * replicates cap
 MATRIX_ENTRY_BUDGET = 1 << 26  # n * n cap: one dense float64 matrix stays within 512 MB
+# work caps, in the units each command's cost grows with
+SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate
+NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(n^2): sampling and Lanczos matvecs
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -289,13 +291,10 @@ def cmd_moments(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _check_matrix_budget(n: int) -> None:
-    """Refuse a matrix size before sampling if one dense n x n matrix is too large."""
-    if n * n > MATRIX_ENTRY_BUDGET:
-        raise CapacityError(
-            f"n = {n} needs a dense {n} x {n} matrix, above the budget of "
-            f"{MATRIX_ENTRY_BUDGET} entries"
-        )
+def _check_budget(amount: int, budget: int, measure: str) -> None:
+    """Refuse a run before sampling if `measure` exceeds its budget."""
+    if amount > budget:
+        raise CapacityError(f"{measure} = {amount} exceeds the budget {budget}")
 
 
 def _replicate_spectra(config: RunConfig, ensemble: str, n: int):
@@ -314,12 +313,8 @@ def _replicate_spectra(config: RunConfig, ensemble: str, n: int):
 def cmd_simulate(config: RunConfig) -> int:
     if config.n < 1 or config.replicates < 1:
         raise InvalidArgumentError("--n and --replicates must be positive")
-    if config.n * config.replicates > SIMULATE_BUDGET:
-        raise CapacityError(
-            f"n * replicates = {config.n * config.replicates} exceeds the "
-            f"budget {SIMULATE_BUDGET}"
-        )
-    _check_matrix_budget(config.n)
+    _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
+    _check_budget(config.replicates * config.n**3, SIMULATE_WORK_BUDGET, "replicates * n^3")
     specs = _replicate_spectra(config, config.ensemble, config.n)
     pooled = np.sort(np.concatenate([s.eigenvalues for s in specs]))
 
@@ -362,10 +357,13 @@ def cmd_norm_scan(config: RunConfig) -> int:
     sizes = config.ns
     if not sizes:
         raise InvalidArgumentError("--ns must list at least one size")
+    if min(sizes) < 1:
+        raise InvalidArgumentError(f"--ns sizes must be >= 1, got {min(sizes)}")
     if config.replicates < 1:
         raise InvalidArgumentError(f"--replicates must be >= 1, got {config.replicates}")
-    for n in sizes:
-        _check_matrix_budget(n)
+    _check_budget(max(sizes)**2, MATRIX_ENTRY_BUDGET, "dense matrix entries max(n)^2")
+    _check_budget(config.replicates * sum(n * n for n in sizes), NORM_SCAN_WORK_BUDGET,
+                  "replicates * sum(n^2)")
     dist = distribution_from_tag(config.dist, config.mean)
     rows = []
     for n in sizes:
@@ -406,6 +404,9 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             data["ns"] = tuple(int(part) for part in data["ns"].split(",") if part)
         except ValueError as exc:
             raise InvalidArgumentError(f"bad --ns list: {exc}") from exc
+    # every artifact echoes --mean, and JSON has no NaN or infinity
+    if data.get("mean") is not None and not math.isfinite(data["mean"]):
+        raise InvalidArgumentError(f"--mean must be a finite number, got {data['mean']}")
     return RunConfig(**data)
 
 

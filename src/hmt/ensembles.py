@@ -42,7 +42,9 @@ class EntryDistribution:
             u = gen.random((2, count))
             return (u[0] - u[1]) * _SQRT6
         if self.tag == "shifted_gaussian":
-            return standard_normals(gen, count) + float(self.mean)
+            draws = standard_normals(gen, count)
+            draws += float(self.mean)
+            return draws
         raise InvalidArgumentError(f"unknown distribution tag {self.tag!r}")
 
 
@@ -59,7 +61,11 @@ def triangular() -> EntryDistribution:
 
 
 def shifted_gaussian(mean) -> EntryDistribution:
-    return EntryDistribution("shifted_gaussian", mean=Fraction(mean))
+    try:
+        exact = Fraction(mean)
+    except (ValueError, OverflowError, TypeError) as exc:  # nan, inf, non-numbers
+        raise InvalidArgumentError(f"entry mean must be a finite number, got {mean!r}") from exc
+    return EntryDistribution("shifted_gaussian", mean=exact)
 
 
 def distribution_from_tag(tag: str, mean=0) -> EntryDistribution:
@@ -110,20 +116,30 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
         idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
         matrix = stream[idx]
     else:
-        upper = dist.draw(gen, n * (n - 1) // 2)
-        matrix = np.zeros((n, n))
-        iu = np.triu_indices(n, k=1)
-        matrix[iu] = upper
-        matrix = matrix + matrix.T
+        matrix = _symmetric_from_upper(dist.draw(gen, n * (n - 1) // 2), n)
         if ensemble == "markov":
             # diagonal = negated off-diagonal row sum: rows sum to zero
-            np.fill_diagonal(matrix, 0.0)
             matrix[np.diag_indices(n)] = -matrix.sum(axis=1)
         elif ensemble == "wigner_plus_diag":
             diag = standard_normals(gen, n)
             xi = float(standard_normals(gen, 1)[0])
             matrix[np.diag_indices(n)] = np.sqrt(n) * diag + xi
     return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n, dist=dist, seed=seed)
+
+
+def _symmetric_from_upper(upper: np.ndarray, n: int) -> np.ndarray:
+    """Zero-diagonal symmetric matrix whose strict upper triangle, row-major, is `upper`.
+
+    Each stream segment is written into its row and mirrored into its
+    column of one matrix, so no n x n temporary is made.
+    """
+    matrix = np.zeros((n, n))
+    start = 0
+    for i in range(n - 1):
+        stop = start + n - 1 - i
+        matrix[i, i + 1:] = matrix[i + 1:, i] = upper[start:stop]
+        start = stop
+    return matrix
 
 
 def _check_pair(a, n: int) -> tuple[int, int]:

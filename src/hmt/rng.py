@@ -20,6 +20,7 @@ MASK64 = (1 << 64) - 1
 TAG_VOLUME_MC = 0x9E3779B97F4A7C15
 TAG_ENSEMBLE = 0xBF58476D1CE4E5B9
 TAG_REPLICATE = 0x94D049BB133111EB
+TAG_LANCZOS = 0xD6E8FEB86659FD93
 
 
 def splitmix64(x: int) -> int:
@@ -56,4 +57,5 @@ def standard_normals(gen: Generator, size) -> np.ndarray:
     keeps the argument strictly inside (0, 1) so ndtri never sees 0 or 1.
     """
     u = gen.random(size)
-    return ndtri(u + 2.0**-54)
+    u += 2.0**-54
+    return ndtri(u, out=u)

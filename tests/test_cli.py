@@ -8,7 +8,15 @@ import pytest
 
 import hmt.cli
 import hmt.limits
-from hmt.cli import DEFAULT_SEED, EXIT_CAPACITY, EXIT_INVALID, EXIT_OK, build_parser, main
+from hmt.cli import (
+    DEFAULT_SEED,
+    EXIT_CAPACITY,
+    EXIT_INVALID,
+    EXIT_NUMERIC,
+    EXIT_OK,
+    build_parser,
+    main,
+)
 
 
 @pytest.fixture(scope="module")
@@ -215,21 +223,34 @@ class TestSimulateCommand:
 
         monkeypatch.setattr(hmt.cli, "sample_matrix", stub)
         prefix = str(tmp_path / "x")
+
+        def simulate(n, replicates):
+            return ["simulate", "--ensemble", "toeplitz", "--n", str(n),
+                    "--replicates", str(replicates), "--output-prefix", prefix]
+
+        def norm_scan(ns, replicates):
+            return ["norm-scan", "--ns", ns, "--replicates", str(replicates)]
+
+        # work budgets: replicates * n^3 <= 2^40 and replicates * sum(n^2) <= 2^34
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8193",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["simulate", "--ensemble", "markov", "--n", "100000",
                       "--replicates", "1", "--output-prefix", prefix],
-                     ["norm-scan", "--ns", "16,8193", "--replicates", "1"]):
+                     ["norm-scan", "--ns", "16,8193", "--replicates", "1"],
+                     simulate(8192, 3), simulate(1024, 1025),
+                     norm_scan("8192", 257), norm_scan("4096,8192", 205)):
             code, _, err = run(argv, capsys)
             assert code == EXIT_CAPACITY and "capacity" in err
         assert calls == []
         # n = 8192 (512 MB of float64) is within the budget and reaches the sampler
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8192",
                       "--replicates", "1", "--output-prefix", prefix],
-                     ["norm-scan", "--ns", "8192", "--replicates", "1"]):
+                     ["norm-scan", "--ns", "8192", "--replicates", "1"],
+                     simulate(8192, 2), simulate(1024, 1024),
+                     norm_scan("8192", 256), norm_scan("4096,8192", 204)):
             with pytest.raises(Sampled):
                 main(argv)
-        assert calls == [8192, 8192]
+        assert calls == [8192, 8192, 8192, 1024, 8192, 4096]
 
     def test_toeplitz_second_moment_near_one(self, capsys, tmp_path):
         prefix = str(tmp_path / "big")
@@ -273,6 +294,29 @@ class TestNormScanCommand:
     def test_bad_ns(self, capsys):
         code, _, _ = run(["norm-scan", "--ns", "16,banana"], capsys)
         assert code == EXIT_INVALID
+        code, out, _ = run(["norm-scan", "--ns", "16,0"], capsys)
+        assert code == EXIT_INVALID and out == ""
+
+    @pytest.mark.parametrize("mean", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("dist", ["shifted_gaussian", "gaussian"])
+    def test_non_finite_mean_rejected(self, capsys, tmp_path, mean, dist):
+        # gaussian ignores --mean, but the artifacts would still echo it
+        for argv in (["norm-scan", "--ns", "16", "--format", "json"],
+                     ["simulate", "--ensemble", "markov", "--n", "16",
+                      "--output-prefix", str(tmp_path / "x")]):
+            code, out, err = run(argv + ["--dist", dist, f"--mean={mean}"], capsys)
+            assert code == EXIT_INVALID and out == "" and "finite" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_overflowing_mean_is_numeric_failure(self, capsys, tmp_path):
+        # Markov row sums of 1e308-mean entries overflow to -inf on the diagonal
+        for argv in (["norm-scan", "--ns", "16"],
+                     ["simulate", "--ensemble", "markov", "--n", "16",
+                      "--output-prefix", str(tmp_path / "x")]):
+            with pytest.warns(RuntimeWarning):
+                code, out, err = run(
+                    argv + ["--dist", "shifted_gaussian", "--mean", "1e308"], capsys)
+            assert code == EXIT_NUMERIC and out == "" and "non-finite" in err
 
     def test_zero_replicates_rejected(self, capsys):
         code, out, _ = run(["norm-scan", "--ns", "16", "--replicates", "0"], capsys)

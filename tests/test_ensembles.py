@@ -139,6 +139,13 @@ class TestDistributions:
         assert abs(draws.mean() - 1.0) < 0.01
         assert abs(draws.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, "one"])
+    def test_shifted_gaussian_rejects_non_finite_mean(self, mean):
+        with pytest.raises(InvalidArgumentError):
+            shifted_gaussian(mean)
+        with pytest.raises(InvalidArgumentError):
+            distribution_from_tag("shifted_gaussian", mean=mean)
+
     def test_tags(self):
         assert distribution_from_tag("rademacher") == rademacher()
         assert distribution_from_tag("shifted_gaussian", mean=2).mean == 2

@@ -5,9 +5,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
-from hmt.ensembles import gaussian, markov_vertex_pairs, rademacher, sample_matrix, triangular
-from hmt.errors import CapacityError, InvalidArgumentError
+from hmt.ensembles import (
+    ENSEMBLES,
+    gaussian,
+    markov_vertex_pairs,
+    rademacher,
+    sample_matrix,
+    shifted_gaussian,
+    triangular,
+)
+from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.rng import mix
 from hmt.spectra import (
     eigvalsh,
@@ -57,6 +66,28 @@ class TestEigvalsh:
         with pytest.raises(InvalidArgumentError):
             eigvalsh(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("solver", [eigvalsh, spectral_norm])
+    def test_rejects_asymmetry_in_far_tile(self, solver):
+        # the symmetry check runs tile by tile: (5, 290) sits in the last tile of row 0
+        rng = np.random.default_rng(300)
+        a = rng.normal(size=(300, 300))
+        a = a + a.T
+        solver(a)
+        a[5, 290] += 1e-6
+        with pytest.raises(InvalidArgumentError):
+            solver(a)
+
+    @pytest.mark.parametrize("solver", [eigvalsh, spectral_norm])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, solver, bad):
+        # NaN compares False with every guard, so it is caught before them
+        small = np.array([[bad, 0.0], [0.0, 1.0]])
+        large = np.eye(5)
+        large[1, 3] = large[3, 1] = bad
+        for a in (small, large):
+            with pytest.raises(NumericError):
+                solver(a)
+
 
 class TestEmpiricalMoment:
     def test_identity_second_moment(self):
@@ -101,6 +132,55 @@ class TestSpectralNorm:
 
     def test_degenerate_one_by_one(self):
         assert spectral_norm(np.zeros((1, 1))) == 0.0
+
+    def test_zero_and_identity(self):
+        assert spectral_norm(np.zeros((5, 5))) == 0.0
+        assert spectral_norm(3.0 * np.eye(7)) == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("ensemble", ENSEMBLES)
+    @pytest.mark.parametrize("dist", [gaussian(), rademacher()], ids=["gaussian", "rademacher"])
+    def test_matches_full_eigh(self, ensemble, dist):
+        for n in (3, 64, 300):
+            for seed in range(3):
+                a = sample_matrix(ensemble, n, dist, mix(83, n, seed)).matrix
+                eigs = eigvalsh(a)
+                want = max(eigs[-1], -eigs[0])
+                assert spectral_norm(a) == pytest.approx(want, rel=1e-12), (n, seed)
+
+    @pytest.mark.parametrize("ensemble, dist", [
+        ("markov", shifted_gaussian(1)),  # norm ~ n, far above the bulk
+        ("wigner", gaussian()),  # lambda_max ~ -lambda_min: the hard case for "LM"
+    ], ids=["markov-mean-1", "wigner"])
+    def test_matches_full_eigh_at_512(self, ensemble, dist):
+        for seed in range(4):
+            a = sample_matrix(ensemble, 512, dist, mix(89, seed)).matrix
+            eigs = eigvalsh(a)
+            want = max(eigs[-1], -eigs[0])
+            assert spectral_norm(a) == pytest.approx(want, rel=1e-12), seed
+
+    def test_same_input_same_norm(self):
+        a = sample_matrix("markov", 200, gaussian(), 7).matrix
+        assert spectral_norm(a) == spectral_norm(a.copy())
+
+    def test_residual_guard(self, monkeypatch):
+        a = sample_matrix("wigner", 64, gaussian(), 5).matrix
+        eigs, vecs = np.linalg.eigh(a)
+        top = int(np.argmax(np.abs(eigs)))
+        for value in (eigs[top] * (1 + 1e-6), np.nan):
+            def wrong_pair(*args, value=value, **kwargs):
+                return np.array([value]), vecs[:, [top]]
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrong_pair)
+            with pytest.raises(NumericError):
+                spectral_norm(a)
+
+    def test_no_convergence_is_numeric_error(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(NumericError):
+            spectral_norm(np.diag([1.0, 2.0, 3.0]))
 
 
 class TestCircuitTraces:
