@@ -46,7 +46,11 @@ from .words import (
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
-MATRIX_ENTRY_BUDGET = 1 << 26  # n * n cap: one dense float64 matrix stays within 512 MB
+# n * n cap: one dense float64 matrix stays within 512 MB.  markov and wigner
+# sampling also holds the n(n-1)/2 upper-triangle stream (256 MB at n = 8192),
+# which this cap does not count: norm-scan --ns 8192 peaks near 850 MB RSS
+# until the sampler draws the triangle row by row (ROADMAP item 5, stream copy).
+MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate
 NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(n^2): sampling and Lanczos matvecs

@@ -1,10 +1,12 @@
 """Limiting moment sequences and free-cumulant conversions.
 
-The three ensemble limits are assembled word by word: the Markov limit
-weights each word by 2**height, the Toeplitz and Hankel limits by the
-exact (or Monte Carlo) cube cross-section volumes.  Moments and free
-cumulants of symmetric measures are the coefficients of two power series
-tied by
+The Toeplitz and Hankel limits are assembled word by word, from the
+exact (or Monte Carlo) cube cross-section volumes.  The Markov limit is
+the free convolution of the semicircle and standard normal laws, so its
+moments come from the sum of their free cumulants; the word sum of
+2**height(w), which gives the same integers, is the tests' oracle for
+them.  Moments and free cumulants of symmetric measures are the
+coefficients of two power series tied by
 
     M(t) = 1 + sum_{r>=1} k_2r t^r M(t)^(2r),    M(t) = sum_n m_2n t^n,
 
@@ -34,7 +36,7 @@ from .words import (
     dihedral_orbits,
     double_factorial_odd,
     enumerate_words,
-    height,
+    height,  # no longer called here; perfbench/tracing.py wraps hmt.limits.height
     is_irreducible,
 )
 
@@ -125,7 +127,8 @@ def limit_moment(
 ) -> Fraction | MomentEstimate:
     """Limiting moment of order 2k for the toeplitz/hankel/markov family.
 
-    markov sums 2**height(w) over all words (always an exact integer);
+    markov reads the moment off the free-cumulant series of semicircle
+    plus N(0, 1) (always an exact integer, whatever the method);
     toeplitz/hankel sum exact volumes once per dihedral orbit of words,
     weighted by the orbit's size, or per-word Monte Carlo volumes with
     independent per-word derived seeds and aggregate standard error
@@ -134,26 +137,28 @@ def limit_moment(
     k = _check_request(family, order, method, word_cap, dim_cap)
     if k == 0:
         return Fraction(1)
-    if family != "markov" and method == "exact":
+    if family == "markov":
+        return _markov_moments(order)[order]
+    if method == "exact":
         # one volume per dihedral orbit: the volume is constant on each
         return sum(
             (size * volume_exact(build_system(rep, family), dim_cap=dim_cap).value
              for rep, size in dihedral_orbits(k, word_cap)),
             start=Fraction(0),
         )
-    words = enumerate_words(k, cap=word_cap)
-
-    if family == "markov":
-        return Fraction(sum(2 ** height(w) for w in words))
-
     total = 0.0
     var = 0.0
-    for index, w in enumerate(words):
+    for index, w in enumerate(enumerate_words(k, cap=word_cap)):
         est = volume_mc(build_system(w, family), mc_samples, mix(TAG_VOLUME_MC, seed, k, index))
         total += float(est.value)
         if est.stderr is not None:
             var += est.stderr**2
     return MomentEstimate(total, math.sqrt(var))
+
+
+def _markov_moments(max_order: int) -> dict[int, Fraction]:
+    """Exact Markov moments of orders 0, 2, ..., max_order from one series solve."""
+    return cumulants_to_moments(free_cumulants("markov", max_order), max_order).entries
 
 
 def reference_moments(family: str, order: int) -> Fraction:
@@ -311,6 +316,8 @@ def moment_table(
         }
         return MomentTable(family=family, entries=entries, method="formula")
     _check_request(family, max_order, method, word_cap, dim_cap)
+    if family == "markov":
+        return MomentTable(family=family, entries=_markov_moments(max_order), method="exact")
     table = MomentTable(family=family, method=method)
     table.entries[0] = Fraction(1)
     for order in range(2, max_order + 1, 2):
@@ -328,8 +335,6 @@ def moment_table(
             table.stderrs[order] = value.stderr
         else:
             table.entries[order] = value
-    if family == "markov":
-        table.method = "exact"
     return table
 
 

@@ -198,8 +198,9 @@ def height(w: PartitionWord) -> int:
     """Number of encapsulated partition subwords x.w1.x of w.
 
     Counts the letters whose two occurrences enclose a window that is empty
-    or itself a partition word.  The weight 2**height(w) builds the Markov
-    limit's moments.
+    or itself a partition word.  Summed over all words of length 2k,
+    2**height(w) gives the Markov limit's moment of order 2k; the tests use
+    that sum as the oracle for the free-cumulant route in limits.
     """
     letters = w.letters
     total = 0

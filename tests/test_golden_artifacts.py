@@ -27,6 +27,12 @@ GOLDEN = {
         "93fb951c679d0f362ca6da4ef0035269a76696c4196853575515628f0f4a7958",
     "moments --family toeplitz --order 6 --method mc --samples 5000":
         "10c0cab48a2c8166feec5abe9d71f39c23ab57a9a51cfb555b8bcf06ab9d782f",
+    # captured from the sum of 2**height(w) over all 2,027,025 words of
+    # order 16; the command now reads the moments off the cumulant series
+    "moments --family markov --max-order 16":
+        "6860e8c2fe6d196559caaf39582c869a31f3d39e4b0cbbc4f436519a96473b14",
+    "moments --family markov --max-order 16 --format json":
+        "509a0f755f53be1735046aa6a1f5079ea33d5051d3e59d0018b83b357b692442",
 }
 
 

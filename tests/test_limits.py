@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hmt.limits
+import hmt.words
 from hmt.errors import CapacityError, InvalidArgumentError
 from hmt.limits import (
     DERIVED_EXACT_MOMENTS,
@@ -97,6 +98,48 @@ class TestLimitMoments:
         )
         with pytest.raises(CapacityError):
             moment_table(family, max_order, method=method)
+        assert calls == []
+
+
+class TestMarkovSeriesRoute:
+    """Markov moments come from the free-cumulant series, with no word work."""
+
+    @pytest.fixture
+    def no_word_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the markov moment route enumerated words")
+
+        monkeypatch.setattr(hmt.limits, "enumerate_words", refuse)
+        monkeypatch.setattr(hmt.limits, "height", refuse)
+        monkeypatch.setattr(hmt.words, "height", refuse)
+
+    def test_order_sixteen_without_words(self, no_word_work):
+        table = moment_table("markov", 16)
+        assert table.method == "exact"
+        assert table.entries[16] == 7424703
+        assert limit_moment("markov", 16) == 7424703
+        assert limit_moment("markov", 16, method="mc") == 7424703
+
+    def test_table_solves_the_series_once(self, no_word_work, monkeypatch):
+        calls = []
+        real = hmt.limits.cumulants_to_moments
+        monkeypatch.setattr(
+            hmt.limits, "cumulants_to_moments", lambda *a: calls.append(a) or real(*a)
+        )
+        table = moment_table("markov", 16)
+        assert len(calls) == 1
+        assert list(table.entries) == list(range(0, 17, 2))
+
+    def test_caps_refused_before_any_series_work(self, no_word_work, monkeypatch):
+        calls = []
+        real = hmt.limits.free_cumulants
+        monkeypatch.setattr(
+            hmt.limits, "free_cumulants", lambda *a: calls.append(a) or real(*a)
+        )
+        with pytest.raises(CapacityError):
+            moment_table("markov", 18)
+        with pytest.raises(CapacityError):
+            limit_moment("markov", 20)
         assert calls == []
 
 
