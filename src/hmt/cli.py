@@ -46,10 +46,9 @@ from .words import (
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
-# n * n cap: one dense float64 matrix stays within 512 MB.  markov and wigner
-# sampling also holds the n(n-1)/2 upper-triangle stream (256 MB at n = 8192),
-# which this cap does not count: norm-scan --ns 8192 peaks near 850 MB RSS
-# until the sampler draws the triangle row by row (ROADMAP item 5, stream copy).
+# n * n cap: one dense float64 matrix stays within 512 MB.  Samplers draw the
+# matrix one stream segment at a time and hold no second n x n array, so
+# norm-scan --ns 8192 peaks near 580 MB RSS: the matrix plus the interpreter.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate

@@ -11,8 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from numpy.random import Generator, Philox
 
 from .errors import InvalidArgumentError
 from .rng import TAG_ENSEMBLE, generator, mix, standard_normals
@@ -46,6 +49,44 @@ class EntryDistribution:
             draws += float(self.mean)
             return draws
         raise InvalidArgumentError(f"unknown distribution tag {self.tag!r}")
+
+    def draw_segments(self, gen, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+        """The values of one `draw(gen, sum(sizes))` call, one segment at a time.
+
+        Both leave gen at the same stream position.  The one-uniform laws
+        consume the stream in order; triangular takes its second uniforms
+        from a copy of gen skipped ahead by sum(sizes) draws, where gen
+        resumes once the last segment is out.
+        """
+        if self.tag != "triangular":
+            for size in sizes:
+                yield self.draw(gen, size)
+            return
+        sizes = list(sizes)
+        second = _skipped(gen, sum(sizes))
+        for size in sizes:
+            first = gen.random(size)
+            first -= second.random(size)
+            first *= _SQRT6
+            yield first
+        gen.bit_generator.state = second.bit_generator.state
+
+
+def _skipped(gen, count: int) -> Generator:
+    """A Philox generator `count` draws ahead of gen, which is left as it is.
+
+    One Philox block holds four draws: the draws left in gen's block are
+    skipped one by one, then whole blocks by `advance`, then the rest.
+    """
+    bits = Philox(0)
+    bits.state = gen.bit_generator.state
+    ahead = Generator(bits)
+    buffered = 4 - bits.state["buffer_pos"]
+    if count > buffered:
+        bits.advance((count - buffered) // 4)
+        count = (count - buffered) % 4
+    ahead.random(count)
+    return ahead
 
 
 def rademacher() -> EntryDistribution:
@@ -108,15 +149,14 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     gen = generator(mix(TAG_ENSEMBLE, seed))
 
     if ensemble == "hankel":
-        stream = dist.draw(gen, 2 * n - 1)
-        idx = np.add.outer(np.arange(n), np.arange(n))
-        matrix = stream[idx]
+        # row i is stream[i:i + n]
+        matrix = sliding_window_view(dist.draw(gen, 2 * n - 1), n).copy()
     elif ensemble == "toeplitz":
+        # window i of (X_{n-1}, .., X_1, X_0, X_1, .., X_{n-1}) is row n-1-i
         stream = dist.draw(gen, n)
-        idx = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        matrix = stream[idx]
+        matrix = sliding_window_view(np.concatenate([stream[:0:-1], stream]), n)[::-1].copy()
     else:
-        matrix = _symmetric_from_upper(dist.draw(gen, n * (n - 1) // 2), n)
+        matrix = _symmetric_from_upper(dist.draw_segments(gen, range(n - 1, 0, -1)), n)
         if ensemble == "markov":
             # diagonal = negated off-diagonal row sum: rows sum to zero
             matrix[np.diag_indices(n)] = -matrix.sum(axis=1)
@@ -127,18 +167,16 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n, dist=dist, seed=seed)
 
 
-def _symmetric_from_upper(upper: np.ndarray, n: int) -> np.ndarray:
-    """Zero-diagonal symmetric matrix whose strict upper triangle, row-major, is `upper`.
+def _symmetric_from_upper(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Zero-diagonal symmetric matrix whose strict upper triangle has the given rows.
 
-    Each stream segment is written into its row and mirrored into its
-    column of one matrix, so no n x n temporary is made.
+    Each row segment is written into its row and mirrored into its column
+    of one matrix as it is drawn, so neither an n x n temporary nor the
+    n(n-1)/2 stream is held.
     """
     matrix = np.zeros((n, n))
-    start = 0
-    for i in range(n - 1):
-        stop = start + n - 1 - i
-        matrix[i, i + 1:] = matrix[i + 1:, i] = upper[start:stop]
-        start = stop
+    for i, row in enumerate(rows):
+        matrix[i, i + 1:] = matrix[i + 1:, i] = row
     return matrix
 
 

@@ -126,6 +126,21 @@ class TestDistributions:
         assert abs(draws.mean()) < 0.01
         assert abs(draws.var() - 1.0) < 0.02
 
+    @pytest.mark.parametrize("dist", [rademacher(), gaussian(), triangular(), shifted_gaussian(1)],
+                             ids=["rademacher", "gaussian", "triangular", "shifted_gaussian"])
+    def test_segments_match_one_draw(self, dist):
+        # from every position in Philox's four-draw block, totals on every residue mod 4
+        for used in range(5):
+            for sizes in ([], [1], [3, 2], [4, 1, 6], [5, 0, 4, 9], [2, 1]):
+                whole, parts = generator(31), generator(31)
+                whole.random(used)
+                parts.random(used)
+                want = dist.draw(whole, sum(sizes))
+                got = list(dist.draw_segments(parts, sizes))
+                assert [len(seg) for seg in got] == sizes
+                assert np.array_equal(np.concatenate([np.empty(0), *got]), want)
+                assert np.array_equal(parts.random(5), whole.random(5)), (used, sizes)
+
     def test_rademacher_support(self):
         draws = rademacher().draw(generator(1), 1000)
         assert set(np.unique(draws)) == {-1.0, 1.0}

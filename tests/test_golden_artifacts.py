@@ -2,14 +2,17 @@
 
 Each hash is the SHA-256 of the command's stdout at a fixed seed.  A change
 that alters a single byte of an exact value, an MC estimate or the
-formatting fails here.  Sampled matrices and `simulate` files are pinned
-the same way.  `norm-scan` values are pinned to 1e-12: its Lanczos norms
-agree with a full eigensolve to about 1e-15, not bit for bit.
+formatting fails here.  Sampled matrices and Markov `simulate` files are
+pinned the same way.  `norm-scan` values are pinned to 1e-12: its Lanczos
+norms agree with a full eigensolve to about 1e-15, not bit for bit.  So are
+Toeplitz `simulate` eigenvalues and moments, which come from two half-size
+solves and were captured from full n x n ones.
 """
 
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -231,6 +234,27 @@ def test_simulate_file_hashes(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK
     for name, digest in SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# pooled eigenvalues and moments of full n x n solves, one command per key
+SIMULATE_TOEPLITZ = json.loads(
+    (Path(__file__).parent / "data" / "toeplitz_simulate.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(SIMULATE_TOEPLITZ))
+def test_simulate_toeplitz_values(command, tmp_path, capsys):
+    code = main(command.split() + ["--output-prefix", str(tmp_path / "toeplitz")])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    want = SIMULATE_TOEPLITZ[command]
+    lines = (tmp_path / "toeplitz_eigenvalues.csv").read_text().split()
+    assert lines[0] == "eigenvalue"
+    assert [float(x) for x in lines[1:]] == pytest.approx(want["eigenvalues"], rel=1e-12)
+    rows = json.loads((tmp_path / "toeplitz_moments.json").read_text())["results"]
+    assert [row.keys() for row in rows] == [row.keys() for row in want["moments"]]
+    for got_row, want_row in zip(rows, want["moments"]):
+        for key, value in want_row.items():
+            assert got_row[key] == pytest.approx(value, rel=1e-12), (key, got_row)
 
 
 NORM_SCAN_RESULTS = {

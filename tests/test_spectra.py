@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 from hmt.ensembles import (
@@ -87,6 +88,111 @@ class TestEigvalsh:
         for a in (small, large):
             with pytest.raises(NumericError):
                 solver(a)
+
+
+LAWS = [rademacher(), gaussian(), triangular(), shifted_gaussian(1), shifted_gaussian(F(-5, 2))]
+LAW_IDS = ["rademacher", "gaussian", "triangular", "shifted_gaussian_1", "shifted_gaussian_-5/2"]
+
+
+@pytest.fixture
+def solved_sizes(monkeypatch):
+    """Sizes of the matrices handed to LAPACK, in call order."""
+    sizes = []
+    full = scipy.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return full(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    return sizes
+
+
+def assert_same_spectrum(got, a):
+    """Agreement with a full LAPACK solve to 1e-12 relative to the spectral norm."""
+    want = scipy.linalg.eigh(a, eigvals_only=True)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(np.abs(want)), 1e-300)
+
+
+class TestCentrosymmetricSplit:
+    """Symmetric centrosymmetric inputs (Toeplitz) are solved as two half-size blocks."""
+
+    @pytest.mark.parametrize("dist", LAWS, ids=LAW_IDS)
+    def test_toeplitz_matches_full_solve(self, dist, solved_sizes):
+        for n in range(1, 41):
+            a = sample_matrix("toeplitz", n, dist, mix(97, n)).matrix
+            solved_sizes.clear()
+            got = eigvalsh(a)
+            assert solved_sizes == ([(n + 1) // 2, n // 2] if n >= 2 else [1]), n
+            assert_same_spectrum(got, a)
+
+    def test_centrosymmetric_non_toeplitz(self, solved_sizes):
+        rng = np.random.default_rng(12)
+        for n in (2, 9, 30, 31):
+            a = rng.normal(size=(n, n))
+            a = a + a.T
+            a = a + a[::-1, ::-1]
+            got = eigvalsh(a)
+            assert solved_sizes[-2:] == [(n + 1) // 2, n // 2]
+            assert_same_spectrum(got, a)
+
+    @pytest.mark.parametrize("n", [1024, 2048])
+    def test_toeplitz_matches_full_solve_large(self, n, solved_sizes):
+        a = sample_matrix("toeplitz", n, gaussian(), mix(101, n)).matrix
+        got = eigvalsh(a)
+        assert solved_sizes == [n // 2, n // 2]
+        assert_same_spectrum(got, a)
+
+    @pytest.mark.parametrize("ensemble", ["hankel", "markov", "wigner", "wigner_plus_diag"])
+    def test_other_ensembles_take_full_solve(self, ensemble, solved_sizes):
+        # n = 2 is left out: a 2 x 2 Markov or Wigner matrix is centrosymmetric
+        for n in (3, 17, 64):
+            eigvalsh(sample_matrix(ensemble, n, gaussian(), mix(103, n)).matrix)
+        assert solved_sizes == [3, 17, 64]
+
+    @pytest.mark.parametrize("n, i, j", [(13, 0, 1), (13, 3, 7), (13, 5, 5), (300, 140, 155)])
+    def test_one_ulp_off_takes_full_solve(self, n, i, j, solved_sizes):
+        # all but (0, 1) leave the first and last rows centrosymmetric, so
+        # only the full comparison sees them; at n = 300 only its second
+        # block of 128 rows does
+        a = sample_matrix("toeplitz", n, gaussian(), 107).matrix
+        a[i, j] = a[j, i] = np.nextafter(a[i, j], np.inf)
+        got = eigvalsh(a)
+        assert solved_sizes == [n]
+        assert_same_spectrum(got, a)
+
+    @pytest.mark.parametrize("solver", [eigvalsh, spectral_norm])
+    def test_guards_run_before_the_split(self, solver):
+        n = 12
+        a = sample_matrix("toeplitz", n, gaussian(), 109).matrix
+        for bad in (np.nan, np.inf):
+            b = a.copy()
+            b[2, 4] = b[4, 2] = b[n - 3, n - 5] = b[n - 5, n - 3] = bad
+            with pytest.raises(NumericError):
+                solver(b)
+        # centrosymmetric but not symmetric
+        b = a.copy()
+        b[2, 4] += 1e-6
+        b[n - 3, n - 5] += 1e-6
+        assert np.array_equal(b, b[::-1, ::-1])
+        with pytest.raises(InvalidArgumentError):
+            solver(b)
+
+    @pytest.mark.parametrize("n", [10, 11])
+    def test_trace_guard_on_split(self, n, monkeypatch):
+        a = sample_matrix("toeplitz", n, gaussian(), 113).matrix
+        full = scipy.linalg.eigh
+        sizes = []
+
+        def drops_one(b, *args, **kwargs):
+            sizes.append(b.shape[0])
+            return full(b, *args, **kwargs)[1:]
+
+        monkeypatch.setattr(scipy.linalg, "eigh", drops_one)
+        with pytest.raises(NumericError, match="trace"):
+            eigvalsh(a)
+        assert sizes == [(n + 1) // 2, n // 2]
 
 
 class TestEmpiricalMoment:
