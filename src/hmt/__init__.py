@@ -21,7 +21,6 @@ from .ensembles import (
 )
 from .errors import CapacityError, HmtError, InvalidArgumentError, NumericError
 from .limits import (
-    DERIVED_EXACT_MOMENTS,
     CumulantTable,
     MomentEstimate,
     MomentTable,
@@ -31,7 +30,6 @@ from .limits import (
     limit_moment,
     moment_table,
     moments_to_cumulants,
-    recorded_moment_table,
     reference_moments,
 )
 from .spectra import (
@@ -62,7 +60,6 @@ __all__ = [
     "__version__",
     "CapacityError",
     "CumulantTable",
-    "DERIVED_EXACT_MOMENTS",
     "EmpiricalSpectrum",
     "EnsembleSample",
     "EntryDistribution",
@@ -94,7 +91,6 @@ __all__ = [
     "moment_table",
     "moments_to_cumulants",
     "rademacher",
-    "recorded_moment_table",
     "reference_moments",
     "row_sum_statistic",
     "sample_matrix",

@@ -43,15 +43,10 @@ from .words import (
 MOMENT_FAMILIES = ("toeplitz", "hankel", "markov")
 REFERENCE_FAMILIES = ("semicircle", "gaussian")
 
-# Exact high-order moments beyond the default dimension cap, produced by
-# limit_moment(..., dim_cap=7) and recorded here: order 12 alone takes 11 s
-# (hankel) and 80 s (toeplitz) from a cold memo on a 2-core x86-64 VM with
-# CPython 3.11.  The test suite re-derives order 10 exactly and brackets
-# order 12 by Monte Carlo.
-DERIVED_EXACT_MOMENTS: dict[str, dict[int, Fraction]] = {
-    "toeplitz": {10: Fraction(415), 12: Fraction(23840, 7)},
-    "hankel": {10: Fraction(2717, 36), 12: Fraction(1052, 3)},
-}
+# Largest Markov order read off the cumulant series.  Order 80 takes 0.15 s
+# and order 160 0.95 s (2-core x86-64 VM, CPython 3.11); the cost grows
+# about as order**2.5 as the integers lengthen.
+MARKOV_ORDER_CAP = 80
 
 
 @dataclass(frozen=True)
@@ -98,17 +93,24 @@ def _check_even_order(order: int) -> int:
 def _check_request(family: str, order: int, method: str, word_cap: int, dim_cap: int) -> int:
     """Validate a moment request and its caps before any work; returns k = order / 2.
 
-    Both caps grow with the order, so checking the largest order of a
-    table covers every order below it.
+    Markov orders are bounded by the series cap; toeplitz/hankel orders by
+    the word cap and, for exact volumes, the dimension cap.  Every cap grows
+    with the order, so checking the largest order of a table covers every
+    order below it.
     """
     if family not in MOMENT_FAMILIES:
         raise InvalidArgumentError(f"unknown family {family!r}; expected one of {MOMENT_FAMILIES}")
     k = _check_even_order(order)
     if method not in ("exact", "mc"):
         raise InvalidArgumentError(f"unknown method {method!r}")
-    if k > word_cap:
+    if family == "markov":
+        if order > MARKOV_ORDER_CAP:
+            raise CapacityError(
+                f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}"
+            )
+    elif k > word_cap:
         raise CapacityError(f"order {order} needs k={k} words, above the cap {word_cap}")
-    if family != "markov" and method == "exact" and k + 1 > dim_cap:
+    elif method == "exact" and k + 1 > dim_cap:
         raise CapacityError(
             f"order {order} needs exact volumes in dimension {k + 1}, "
             f"above the cap {dim_cap}; use method='mc'"
@@ -337,19 +339,3 @@ def moment_table(
             table.entries[order] = value
     return table
 
-
-def recorded_moment_table(family: str, max_order: int) -> MomentTable:
-    """Exact moments through max_order, drawing on the recorded high orders.
-
-    Orders within the live caps are computed; orders 10 and 12 for the
-    toeplitz/hankel families come from DERIVED_EXACT_MOMENTS.
-    """
-    _check_even_order(max_order)
-    live = min(max_order, 8) if family in DERIVED_EXACT_MOMENTS else max_order
-    table = moment_table(family, live)
-    for order in range(live + 2, max_order + 1, 2):
-        extra = DERIVED_EXACT_MOMENTS.get(family, {})
-        if order not in extra:
-            raise CapacityError(f"no recorded exact moment of order {order} for {family}")
-        table.entries[order] = extra[order]
-    return table

@@ -26,7 +26,7 @@ from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import generator
 from .words import PartitionWord
 
-DEFAULT_DIMENSION_CAP = 6
+DEFAULT_DIMENSION_CAP = 7
 DEFAULT_GRID_BUDGET = 1 << 26
 
 _MC_CHUNK = 1 << 17
@@ -207,12 +207,18 @@ def volume_grid(
 #     vol_d = (1/d) * sum_i  b_i * vol_{d-1}(facet_i projected) / |a_{i,j}|
 #
 # (divergence theorem with the field x/d; the projection drops one pivot
-# coordinate j with a_{i,j} != 0).  Subsystems are canonicalized,
-# deduplicated, split into independent variable blocks, and memoized.
+# coordinate j with a_{i,j} != 0).  A facet with b_i = 0 passes through
+# the origin and carries weight 0, so it is never solved: at the top level
+# that is every x_j >= 0 and every slab's lower side.  Subsystems are
+# canonicalized, deduplicated, split into independent variable blocks, and
+# memoized.
 
 _EMPTY = None  # canonicalization result for an infeasible system
 
-# Bound on memoized facet sums; it holds hankel order 14's 100,637 entries.
+# Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
+# most about 350 MB).  Tables through order 12 at the default cap leave
+# 15,283 entries (toeplitz) and 2,299 (hankel); hankel order 14 at
+# dim_cap=8 leaves 33,253.  Toeplitz order 14 overflows it.
 _MEMO_SIZE = 1 << 17
 
 
@@ -391,6 +397,8 @@ def _facet_sum(rows, d: int) -> Fraction:
     """Volume of a connected block with d >= 2 variables."""
     total = Fraction(0)
     for idx, (a, b) in enumerate(rows):
+        if b == 0:
+            continue  # the facet's term is 0 * vol: no need to solve it
         j = max(range(len(a)), key=lambda l: abs(a[l]))
         sub = _substitute(rows, idx, j)
         v = _volume_system(sub, d - 1)

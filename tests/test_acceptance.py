@@ -20,7 +20,6 @@ from hmt.limits import (
     hankel_moment_matrix_det,
     limit_moment,
     moment_table,
-    recorded_moment_table,
 )
 from hmt.rng import TAG_REPLICATE, mix
 from hmt.spectra import (
@@ -235,7 +234,7 @@ def test_criterion_9_norm_over_n_five_percent(capsys):
                f"within 5% of |m| from n ~ {n_five_percent:.0f}")
 
 
-def test_criterion_10_property_suites(capsys):
+def test_criterion_10_property_suites(capsys, order_twelve_tables):
     checks = []
 
     counts_ok = all(
@@ -294,7 +293,7 @@ def test_criterion_10_property_suites(capsys):
 
     pd_ok = True
     for family in ("toeplitz", "hankel", "markov"):
-        table = recorded_moment_table(family, 12)
+        table = order_twelve_tables[family]
         for n in range(1, 5):
             pd_ok &= hankel_moment_matrix_det(table, n) > 0
     checks.append(("moment matrices positive definite n<=4", pd_ok))

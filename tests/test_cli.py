@@ -158,7 +158,7 @@ class TestMomentsCommand:
 
     def test_capacity_exceeded(self, capsys):
         code, _, err = run(
-            ["moments", "--family", "toeplitz", "--max-order", "12"], capsys
+            ["moments", "--family", "toeplitz", "--max-order", "14"], capsys
         )
         assert code == EXIT_CAPACITY
 

@@ -26,6 +26,10 @@ GOLDEN = {
         "8707995e8d00bfdfac21c3f020b5c7603fb071a507754599c40ccb0b3f3f955e",
     "words --k 4 --method mc --samples 5000":
         "c05ccc6f767a97cca44a0357e4936c6f25dae2898c7178cd7aabc566f59cdab9",
+    "moments --family toeplitz --max-order 10":
+        "98a8da2ef0c7d1e1d06a759184991a35cbc594f346547d68e01e4b784b8e04f9",
+    "moments --family hankel --max-order 10":
+        "250fedf57ee7877e38543c1a53109f0a6f2db99c413baf8b51a38a4055705673",
     "moments --family hankel --max-order 8 --format json":
         "93fb951c679d0f362ca6da4ef0035269a76696c4196853575515628f0f4a7958",
     "moments --family toeplitz --order 6 --method mc --samples 5000":

@@ -10,7 +10,7 @@ import hmt.limits
 import hmt.words
 from hmt.errors import CapacityError, InvalidArgumentError
 from hmt.limits import (
-    DERIVED_EXACT_MOMENTS,
+    MARKOV_ORDER_CAP,
     CumulantTable,
     MomentEstimate,
     cumulants_to_moments,
@@ -20,7 +20,6 @@ from hmt.limits import (
     limit_moment,
     moment_table,
     moments_to_cumulants,
-    recorded_moment_table,
     reference_moments,
 )
 from hmt.rng import mix
@@ -80,14 +79,14 @@ class TestLimitMoments:
         with pytest.raises(InvalidArgumentError):
             limit_moment("toeplitz", 4, method="grid")
         with pytest.raises(CapacityError):
-            limit_moment("markov", 20)
+            limit_moment("markov", MARKOV_ORDER_CAP + 2)
         with pytest.raises(CapacityError):
-            limit_moment("toeplitz", 12)  # needs dimension 7 > default cap
+            limit_moment("toeplitz", 14)  # needs dimension 8 > default cap
 
     @pytest.mark.parametrize("family, max_order, method", [
         ("hankel", 18, "exact"),   # word cap
-        ("markov", 18, "exact"),   # word cap
-        ("toeplitz", 12, "exact"),  # dimension cap
+        ("markov", MARKOV_ORDER_CAP + 2, "exact"),  # series cap
+        ("toeplitz", 14, "exact"),  # dimension cap
         ("toeplitz", 18, "mc"),    # word cap, no dimension cap under mc
     ])
     def test_table_caps_checked_before_any_order(self, monkeypatch, family, max_order, method):
@@ -137,10 +136,17 @@ class TestMarkovSeriesRoute:
             hmt.limits, "free_cumulants", lambda *a: calls.append(a) or real(*a)
         )
         with pytest.raises(CapacityError):
-            moment_table("markov", 18)
+            moment_table("markov", MARKOV_ORDER_CAP + 2)
         with pytest.raises(CapacityError):
-            limit_moment("markov", 20)
+            limit_moment("markov", MARKOV_ORDER_CAP + 4)
         assert calls == []
+
+    def test_orders_beyond_the_word_cap(self, no_word_work):
+        # order 18 would need k = 9 words, above the enumeration cap of 8
+        assert limit_moment("markov", 18) == 120340958
+        table = moment_table("markov", MARKOV_ORDER_CAP)
+        assert table.entries[18] == 120340958
+        assert list(table.entries) == list(range(0, MARKOV_ORDER_CAP + 1, 2))
 
 
 class TestReferenceMoments:
@@ -200,9 +206,9 @@ class TestCumulantConversions:
         c = moments_to_cumulants(moment_table("semicircle", 10), 10)
         assert c.entries == {2: 1, 4: 0, 6: 0, 8: 0, 10: 0}
 
-    def test_roundtrip_through_order_twelve(self):
+    def test_roundtrip_through_order_twelve(self, order_twelve_tables):
         for family in ("toeplitz", "hankel", "markov"):
-            table = recorded_moment_table(family, 12)
+            table = order_twelve_tables[family]
             c = moments_to_cumulants(table, 12)
             back = cumulants_to_moments(c, 12)
             for order in range(0, 13, 2):
@@ -303,23 +309,29 @@ class TestHankelMomentMatrix:
             hankel_moment_matrix_det(moment_table("hankel", 4), 3)
 
     @pytest.mark.parametrize("family", ["toeplitz", "hankel", "markov"])
-    def test_positive_definite_through_n4(self, family):
+    def test_positive_definite_through_n4(self, family, order_twelve_tables):
         # all leading principal minors positive: legitimate moment sequences
-        table = recorded_moment_table(family, 12)
+        table = order_twelve_tables[family]
         for n in range(1, 5):
             assert hankel_moment_matrix_det(table, n) > 0, (family, n)
 
 
 class TestRecordedMoments:
+    """Live exact moments against values written down here."""
+
+    ORDER_TWELVE = {"toeplitz": F(23840, 7), "hankel": F(1052, 3)}
+
     def test_order_ten_matches_live_recomputation(self):
         # hankel order 10 is cheap to re-derive exactly (dimension 6)
-        live = limit_moment("hankel", 10)
-        assert live == DERIVED_EXACT_MOMENTS["hankel"][10] == F(2717, 36)
+        assert limit_moment("hankel", 10) == F(2717, 36)
 
     @pytest.mark.slow
     def test_toeplitz_order_ten_matches_live_recomputation(self):
-        live = limit_moment("toeplitz", 10)
-        assert live == DERIVED_EXACT_MOMENTS["toeplitz"][10] == 415
+        assert limit_moment("toeplitz", 10) == 415
+
+    @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+    def test_order_twelve_live_at_the_default_cap(self, family, order_twelve_tables):
+        assert order_twelve_tables[family].entries[12] == self.ORDER_TWELVE[family]
 
     @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
     def test_order_twelve_bracketed_by_monte_carlo(self, family):
@@ -328,9 +340,11 @@ class TestRecordedMoments:
             est = volume_mc(build_system(w, family), 4000, mix(88, index))
             total += float(est.value)
             var += (est.stderr or 0.0) ** 2
-        recorded = float(DERIVED_EXACT_MOMENTS[family][12])
-        assert abs(total - recorded) <= 5 * math.sqrt(var)
+        exact = float(self.ORDER_TWELVE[family])
+        assert abs(total - exact) <= 5 * math.sqrt(var)
 
     def test_unrecorded_order_raises(self):
-        with pytest.raises(CapacityError):
-            recorded_moment_table("toeplitz", 14)
+        # order 14 needs exact volumes in dimension 8, above the default cap
+        for family in ("toeplitz", "hankel"):
+            with pytest.raises(CapacityError):
+                moment_table(family, 14)

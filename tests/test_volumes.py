@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import hmt.volumes
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
+from hmt.limits import moment_table
 from hmt.rng import mix
 from hmt.volumes import (
     SlabSystem,
@@ -114,9 +115,17 @@ class TestVolumeExact:
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
-            volume_exact(single_slab_system([1] * 7))
+            volume_exact(single_slab_system([1] * 8))
         # explicit higher cap admits the same system
-        assert volume_exact(single_slab_system([1] * 7), dim_cap=7).value > 0
+        assert volume_exact(single_slab_system([1] * 8), dim_cap=8).value > 0
+
+    def test_zero_weight_facets_are_not_solved(self):
+        # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
+        # facets too leaves 1,771 (toeplitz) and 534 (hankel) memo entries
+        for family, entries in (("toeplitz", 915), ("hankel", 260)):
+            hmt.volumes._facet_sum.cache_clear()
+            moment_table(family, 10)
+            assert hmt.volumes._facet_sum.cache_info().currsize == entries, family
 
     def test_memo_is_bounded(self):
         maxsize = hmt.volumes._facet_sum.cache_info().maxsize
