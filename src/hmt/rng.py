@@ -45,11 +45,6 @@ def generator(seed: int) -> Generator:
     return Generator(Philox(key=seed & MASK64))
 
 
-def uniforms(gen: Generator, size) -> np.ndarray:
-    """Uniform [0, 1) draws, 53 random bits each."""
-    return gen.random(size)
-
-
 def standard_normals(gen: Generator, size) -> np.ndarray:
     """Standard normals via inverse CDF of uniform draws.
 

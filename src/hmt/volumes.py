@@ -133,17 +133,28 @@ class VolumeEstimate:
 
 
 def _hit_counter(system: SlabSystem):
-    """Function counting the points (rows of an array) that satisfy every slab."""
+    """Function counting the points (rows of an array) that satisfy every slab.
+
+    Slabs are closed: a point with a . x exactly at lo or hi is a hit.  All
+    slab values come from the one product points @ mat; the bounds are then
+    applied one slab column at a time into a single boolean mask, so no
+    N x r boolean temporaries are built.  A system without slabs counts
+    every point.
+    """
     rows = _slab_rows(system)
     mat = np.zeros((system.dimension, len(rows)))
     for col, (a, _, _) in enumerate(rows):
         mat[:, col] = a
-    lo = np.array([row[1] for row in rows], dtype=float)
-    hi = np.array([row[2] for row in rows], dtype=float)
+    bounds = [(float(lo), float(hi)) for _, lo, hi in rows]
 
     def count(points: np.ndarray) -> int:
         vals = points @ mat
-        return int(np.count_nonzero(np.all((vals >= lo) & (vals <= hi), axis=1)))
+        inside = np.ones(len(points), dtype=bool)
+        for col, (lo, hi) in enumerate(bounds):
+            column = vals[:, col]
+            inside &= column >= lo
+            inside &= column <= hi
+        return int(np.count_nonzero(inside))
 
     return count
 

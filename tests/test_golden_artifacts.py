@@ -34,6 +34,14 @@ GOLDEN = {
         "93fb951c679d0f362ca6da4ef0035269a76696c4196853575515628f0f4a7958",
     "moments --family toeplitz --order 6 --method mc --samples 5000":
         "10c0cab48a2c8166feec5abe9d71f39c23ab57a9a51cfb555b8bcf06ab9d782f",
+    # 6-dimensional Toeplitz systems, the 120 non-flat Hankel systems of
+    # k = 5, and the Hankel MC route of limit_moment
+    "words --k 5 --method mc --samples 2000":
+        "9c5bc2a7fc2f2f0e3e66f80f7a40bbf3e6cf648be276e1eacef9d80547df27a2",
+    "words --k 5 --method mc --samples 2000 --format json":
+        "0405c86df9a16b90c0793bcdd7200d1a2e28581659a8aa2d7dd920add232ce6b",
+    "moments --family hankel --order 8 --method mc --samples 5000":
+        "112a615ca3c882a0f30d63b9ac709f4000986654a3a8702617fdf8938c1c3bab",
     # captured from the sum of 2**height(w) over all 2,027,025 words of
     # order 16; the command now reads the moments off the cumulant series
     "moments --family markov --max-order 16":

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -167,6 +168,12 @@ class TestOrbitInvariance:
             ).value, (str(rep), str(last[rep]))
 
 
+# a hand-built system whose slab bounds are not the word bounds 0 and 1
+GENERAL_SLABS = SlabSystem(
+    "slab", (0, 1, 2), {3: ((4, -2, 0), -1, 3), 4: ((2, 2, -4), 0, 2)}, None
+)
+
+
 class TestVolumeMC:
     def test_toeplitz_abab_brackets_exact(self):
         est = volume_mc(build_system(W("abab"), "toeplitz"), 1_000_000, seed=20)
@@ -192,6 +199,14 @@ class TestVolumeMC:
     def test_rejects_zero_samples(self):
         with pytest.raises(InvalidArgumentError):
             volume_mc(build_system(W("aa"), "toeplitz"), 0, seed=1)
+
+    def test_two_chunk_value_pinned(self):
+        system = build_system(W("abab"), "toeplitz")
+        est = volume_mc(system, hmt.volumes._MC_CHUNK + 3, seed=20)
+        assert est.value == 0.6666641235933626
+
+    def test_non_word_bounds_value_pinned(self):
+        assert volume_mc(GENERAL_SLABS, 50_000, seed=7).value == 0.35916
 
     def test_coverage_over_seeds(self):
         # unbiasedness: the exact value lies inside 3 sigma nearly always
@@ -226,6 +241,10 @@ class TestVolumeGrid:
     def test_budget(self):
         with pytest.raises(CapacityError):
             volume_grid(build_system(W("abcabc"), "toeplitz"), 100, budget=10_000)
+
+    def test_values_pinned(self):
+        assert volume_grid(build_system(W("abab"), "toeplitz"), 64).value == 0.666748046875
+        assert volume_grid(GENERAL_SLABS, 24).value == 0.3680555555555556
 
 
 class TestEulerian:
@@ -320,3 +339,45 @@ def test_exact_volume_cross_checked_by_mc_and_grid(data):
     assert abs(float(exact.value) - mc.value) <= tol
     grid = volume_grid(system, 24)
     assert abs(float(exact.value) - grid.value) <= 0.1
+
+
+def _count(system, points):
+    return hmt.volumes._hit_counter(system)(np.array(points, dtype=float))
+
+
+class TestHitCounter:
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 2)])
+    def test_one_dimensional_slab_is_closed(self, lo, hi):
+        system = SlabSystem("slab", (0,), {1: ((1,), lo, hi)}, None)
+        assert _count(system, [[lo], [hi]]) == 2
+        assert _count(system, [[np.nextafter(lo, -np.inf)]]) == 0
+        assert _count(system, [[np.nextafter(hi, np.inf)]]) == 0
+
+    def test_two_dimensional_slab_is_closed(self):
+        system = SlabSystem("slab", (0, 1), {2: ((1, 1), 0, 1)}, None)
+        on_lo = [[0.0, 0.0]]
+        on_hi = [[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]
+        assert _count(system, on_lo + on_hi) == 4
+        below = np.nextafter(0.0, -np.inf)
+        above = np.nextafter(1.0, np.inf)
+        outside = [[below, 0.0], [0.0, below], [above, 0.0], [0.0, above]]
+        assert _count(system, outside) == 0
+
+    def test_no_slabs_counts_every_point(self):
+        system = SlabSystem("slab", (0, 1), {}, None)
+        assert _count(system, np.full((7, 2), 0.5)) == 7
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_hit_count_matches_per_point_predicate(data):
+    # grid points k/8: every a . x is exact in any summation order, and
+    # many of them fall exactly on a slab bound
+    system = _random_system(data.draw)
+    rng = np.random.default_rng(data.draw(st.integers(0, 10**6)))
+    points = rng.integers(0, 9, size=(200, system.dimension)) / 8
+    expected = sum(
+        all(lo <= sum(c * x for c, x in zip(a, p)) <= hi for a, lo, hi in system.slabs.values())
+        for p in points.tolist()
+    )
+    assert _count(system, points) == expected
