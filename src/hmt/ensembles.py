@@ -23,6 +23,10 @@ from .rng import TAG_ENSEMBLE, generator, mix, standard_normals
 ENSEMBLES = ("hankel", "toeplitz", "markov", "wigner", "wigner_plus_diag")
 
 _SQRT6 = np.sqrt(6.0)
+# values per `draw` call in draw_segments: 2^16 float64s, 512 KB
+_CHUNK = 1 << 16
+# side of the square tiles in which _symmetric_from_upper mirrors the triangle
+_TILE = 64
 
 
 @dataclass(frozen=True)
@@ -53,23 +57,35 @@ class EntryDistribution:
     def draw_segments(self, gen, sizes: Iterable[int]) -> Iterator[np.ndarray]:
         """The values of one `draw(gen, sum(sizes))` call, one segment at a time.
 
-        Both leave gen at the same stream position.  The one-uniform laws
-        consume the stream in order; triangular takes its second uniforms
-        from a copy of gen skipped ahead by sum(sizes) draws, where gen
+        Both leave gen at the same stream position.  Consecutive segments are
+        drawn together, about _CHUNK values per `draw` call, and yielded as
+        slices of that chunk; a segment longer than _CHUNK is a chunk of its
+        own.  The one-uniform laws consume the stream in order; triangular
+        takes its second uniforms from a copy of gen skipped ahead by
+        sum(sizes) draws, which advances in step with gen, and where gen
         resumes once the last segment is out.
         """
-        if self.tag != "triangular":
-            for size in sizes:
-                yield self.draw(gen, size)
-            return
         sizes = list(sizes)
-        second = _skipped(gen, sum(sizes))
-        for size in sizes:
-            first = gen.random(size)
-            first -= second.random(size)
-            first *= _SQRT6
-            yield first
-        gen.bit_generator.state = second.bit_generator.state
+        second = _skipped(gen, sum(sizes)) if self.tag == "triangular" else None
+        start = 0
+        while start < len(sizes):
+            stop, total = start + 1, sizes[start]
+            while stop < len(sizes) and total + sizes[stop] <= _CHUNK:
+                total += sizes[stop]
+                stop += 1
+            if second is None:
+                chunk = self.draw(gen, total)
+            else:
+                chunk = gen.random(total)
+                chunk -= second.random(total)
+                chunk *= _SQRT6
+            offset = 0
+            for size in sizes[start:stop]:
+                yield chunk[offset:offset + size]
+                offset += size
+            start = stop
+        if second is not None:
+            gen.bit_generator.state = second.bit_generator.state
 
 
 def _skipped(gen, count: int) -> Generator:
@@ -170,13 +186,22 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
 def _symmetric_from_upper(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
     """Zero-diagonal symmetric matrix whose strict upper triangle has the given rows.
 
-    Each row segment is written into its row and mirrored into its column
-    of one matrix as it is drawn, so neither an n x n temporary nor the
-    n(n-1)/2 stream is held.
+    Each row segment is written into its own row as it is drawn, so every
+    write is contiguous.  The strict upper triangle is then mirrored into
+    the lower one _TILE x _TILE tiles at a time, each tile from its
+    transposed partner, which stays in cache.  Neither an n x n temporary
+    nor the n(n-1)/2 stream is held.
     """
     matrix = np.zeros((n, n))
     for i, row in enumerate(rows):
-        matrix[i, i + 1:] = matrix[i + 1:, i] = row
+        matrix[i, i + 1:] = row
+    t = _TILE
+    for i in range(0, n, t):
+        diagonal = matrix[i:i + t, i:i + t]
+        lower = np.tril_indices(diagonal.shape[0], -1)
+        diagonal[lower] = diagonal.T[lower]
+        for j in range(i + t, n, t):
+            matrix[j:j + t, i:i + t] = matrix[i:i + t, j:j + t].T
     return matrix
 
 
@@ -231,11 +256,3 @@ def row_sum_statistic(sample: EnsembleSample) -> float:
     np.fill_diagonal(x, 0.0)
     row_sums = x.sum(axis=1)
     return float(np.sum(row_sums**2)) / sample.n**2
-
-
-def matrix_to_csv(sample: EnsembleSample, path) -> None:
-    """Row-major CSV dump of the full symmetric matrix, 17 significant digits."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in sample.matrix:
-            fh.write(",".join(f"{x:.17g}" for x in row))
-            fh.write("\n")

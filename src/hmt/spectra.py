@@ -17,8 +17,10 @@ the first and the reversed last row rules out at once for Hankel, Markov
 and Wigner matrices; every other input takes the full solve.
 The spectral norm needs one eigenvalue, the largest in magnitude, so it
 comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
-matrix-vector products rather than an O(n^3) tridiagonalization.  Full
-`eigh` stays its test oracle.  The circuit-trace expansion over paths is
+matrix-vector products rather than an O(n^3) tridiagonalization.  Each
+product is a BLAS `dsymv` that reads one triangle of the matrix, half the
+bytes a general `gemv` reads; the residual guard on the returned pair
+multiplies by the full matrix.  Full `eigh` stays its test oracle.  The circuit-trace expansion over paths is
 kept as an exact rational oracle against direct matrix powers.
 """
 
@@ -37,7 +39,7 @@ from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import TAG_LANCZOS, generator, mix
 
 _SYMMETRY_RTOL = 1e-12
-_SYMMETRY_TILE = 128
+_SYMMETRY_TILE = 64
 _TRACE_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
 
@@ -56,12 +58,14 @@ class EmpiricalSpectrum:
     seed: int = 0
 
 
-def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
-    """The matrix as a float array, once it is square, finite and symmetric.
+def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
+    """The matrix as a float array and its largest |a_ij|, once it is square,
+    finite and symmetric.
 
     Symmetry is checked to 1e-12 relative to max(1, max |a_ij|), one
-    128 x 128 tile against its mirror tile at a time, so no n x n temporary
-    is made.  Non-finite entries raise NumericError.
+    _SYMMETRY_TILE x _SYMMETRY_TILE tile against its mirror tile at a time,
+    through one reused tile buffer, so no n x n temporary is made.
+    Non-finite entries raise NumericError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -69,21 +73,28 @@ def _checked_symmetric(matrix: np.ndarray) -> np.ndarray:
     lo, hi = float(a.min()), float(a.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError("matrix has non-finite entries")
-    tol = _SYMMETRY_RTOL * max(1.0, -lo, hi)
+    top = max(-lo, hi)
+    tol = _SYMMETRY_RTOL * max(1.0, top)
     n, t = a.shape[0], _SYMMETRY_TILE
+    buf = np.empty((min(n, t), min(n, t)))
     for i in range(0, n, t):
         for j in range(i, n, t):
-            if float(np.abs(a[i:i + t, j:j + t] - a[j:j + t, i:i + t].T).max()) > tol:
+            tile = a[i:i + t, j:j + t]
+            diff = buf[:tile.shape[0], :tile.shape[1]]
+            np.subtract(tile, a[j:j + t, i:i + t].T, out=diff)
+            np.abs(diff, out=diff)
+            if float(diff.max()) > tol:
                 raise InvalidArgumentError(
                     "matrix is not symmetric within 1e-12 relative tolerance")
-    return a
+    return a, top
 
 
 def _is_centrosymmetric(a: np.ndarray) -> bool:
     """a == a[::-1, ::-1] exactly, for n >= 2.
 
     Row i must equal row n-1-i reversed.  The first row is compared alone,
-    then the top half 128 rows at a time, so no n x n temporary is made.
+    then the top half _SYMMETRY_TILE rows at a time, so no n x n temporary
+    is made.
     """
     n, t = a.shape[0], _SYMMETRY_TILE
     if n < 2 or not np.array_equal(a[0], a[-1, ::-1]):
@@ -102,15 +113,16 @@ def _centrosymmetric_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n % 2 == 0:
         return a_top + bj, q
     p = np.empty((m + 1, m + 1))
-    p[:m, :m] = a_top + bj
+    np.add(a_top, bj, out=p[:m, :m])
     p[:m, m] = p[m, :m] = math.sqrt(2.0) * a[:m, m]
     p[m, m] = a[m, m]
     return p, q
 
 
-def _solve(a: np.ndarray) -> np.ndarray:
+def _solve(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     try:
-        return scipy.linalg.eigh(a, eigvals_only=True, driver="ev", check_finite=False)
+        return scipy.linalg.eigh(a, eigvals_only=True, driver="ev", overwrite_a=overwrite,
+                                 check_finite=False)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from exc
 
@@ -120,9 +132,12 @@ def _eigh(a: np.ndarray) -> np.ndarray:
 
     A centrosymmetric matrix is solved as its two half-size blocks; the
     guard compares their pooled eigenvalues with the full matrix's trace.
+    The blocks are fresh and exactly symmetric, so LAPACK works in place on
+    their transposes, which are Fortran-ordered, instead of on copies.
     """
     if _is_centrosymmetric(a):
-        eigs = np.concatenate([_solve(block) for block in _centrosymmetric_blocks(a)])
+        eigs = np.concatenate([_solve(block.T, overwrite=True)
+                               for block in _centrosymmetric_blocks(a)])
     else:
         eigs = _solve(a)
     fro = float(np.linalg.norm(a))
@@ -141,16 +156,7 @@ def eigvalsh(matrix: np.ndarray) -> np.ndarray:
     tolerance, and the eigenvalue sum must reproduce the trace to
     1e-10 * Frobenius norm.
     """
-    return _eigh(_checked_symmetric(matrix))
-
-
-def empirical_moment(matrix: np.ndarray, r: int) -> float:
-    """r-th moment of the spectral measure of A/sqrt(n): n^-(r/2+1) tr A^r."""
-    if r < 1:
-        raise InvalidArgumentError(f"moment order must be >= 1, got {r}")
-    eigs = eigvalsh(matrix)
-    n = eigs.shape[0]
-    return float(np.sum(eigs**r)) * n ** (-(r / 2.0 + 1.0))
+    return _eigh(_checked_symmetric(matrix)[0])
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -159,22 +165,30 @@ def spectral_norm(matrix: np.ndarray) -> float:
     For n >= 3 it is |lambda| of ARPACK's largest-magnitude Lanczos pair
     (v, lambda), started from a fixed vector, so equal inputs give equal
     norms; it agrees with full `eigh` to about 1e-15 relative, not bit for
-    bit.  The input guards are those of `eigvalsh`; the result must satisfy
-    ||A v - lambda v|| <= 1e-10 * ||A||_F.  Smaller matrices use `eigh`.
+    bit.  Each Lanczos matrix-vector product is a BLAS `dsymv` that reads
+    one triangle of a Fortran-ordered view (`a.T` for C-ordered input; any
+    other layout is copied once).  The input guards are those of
+    `eigvalsh`, and the result must satisfy ||A v - lambda v|| <= 1e-10 *
+    ||A||_F with the full matrix.  Smaller matrices use `eigh`.
     """
-    a = _checked_symmetric(matrix)
+    a, top = _checked_symmetric(matrix)
     n = a.shape[0]
     if n < 3:
         eigs = _eigh(a)
         return float(max(eigs[-1], -eigs[0]))
-    if not a.any():
+    if top == 0.0:
         return 0.0  # A v0 = 0: Lanczos has no Krylov space to build
-    from scipy.sparse.linalg import ArpackError, eigsh
+    from scipy.linalg.blas import dsymv
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
+    # a symmetric matrix is its own transpose, so a.T is a Fortran-ordered
+    # view of it; dsymv reads f's lower triangle, a's upper one for C order
+    f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, f, x, lower=1), dtype=float)
     gen = generator(mix(TAG_LANCZOS, n))
     v0 = gen.random(n) - 0.5
     try:
-        vals, vecs = eigsh(a, k=1, which="LM", v0=v0, rng=gen)
+        vals, vecs = eigsh(op, k=1, which="LM", v0=v0, rng=gen)
     except ArpackError as exc:
         raise NumericError(f"Lanczos norm solve failed: {exc}") from exc
     lam, v = float(vals[0]), vecs[:, 0]
@@ -365,27 +379,6 @@ def histogram(
     return Histogram(
         bin_left=edges[:-1], bin_right=edges[1:], count=counts, density=density
     )
-
-
-def smoothed_mode_count(hist: Histogram, bandwidth_bins: float = 2.0) -> int:
-    """Strict local maxima of the Gaussian-smoothed density.
-
-    The kernel bandwidth is bandwidth_bins bin widths (default 2), the
-    reproducible finite-sample proxy for counting modes of the underlying
-    density.
-    """
-    dens = hist.density
-    m = dens.shape[0]
-    idx = np.arange(m)
-    kernel = np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / bandwidth_bins) ** 2)
-    smooth = kernel @ dens / kernel.sum(axis=1)
-    modes = 0
-    for i in range(m):
-        left = smooth[i - 1] if i > 0 else -np.inf
-        right = smooth[i + 1] if i < m - 1 else -np.inf
-        if smooth[i] > left and smooth[i] > right:
-            modes += 1
-    return modes
 
 
 def kolmogorov_distance(

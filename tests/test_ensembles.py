@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from hmt.ensembles import (
+    _CHUNK,
     EntryDistribution,
     distribution_from_tag,
     gaussian,
     markov_q,
     markov_vertex_pairs,
-    matrix_to_csv,
     rademacher,
     row_sum_statistic,
     sample_matrix,
@@ -129,9 +129,13 @@ class TestDistributions:
     @pytest.mark.parametrize("dist", [rademacher(), gaussian(), triangular(), shifted_gaussian(1)],
                              ids=["rademacher", "gaussian", "triangular", "shifted_gaussian"])
     def test_segments_match_one_draw(self, dist):
-        # from every position in Philox's four-draw block, totals on every residue mod 4
+        # from every position in Philox's four-draw block, totals on every
+        # residue mod 4; the last two lists span several chunks: one has
+        # segments longer than a chunk, the other is the strict upper
+        # triangle of n = 1030
         for used in range(5):
-            for sizes in ([], [1], [3, 2], [4, 1, 6], [5, 0, 4, 9], [2, 1]):
+            for sizes in ([], [1], [3, 2], [4, 1, 6], [5, 0, 4, 9], [2, 1],
+                          [_CHUNK - 1, 2, _CHUNK, 0, _CHUNK + 3, 5], list(range(1029, 0, -1))):
                 whole, parts = generator(31), generator(31)
                 whole.random(used)
                 parts.random(used)
@@ -140,6 +144,25 @@ class TestDistributions:
                 assert [len(seg) for seg in got] == sizes
                 assert np.array_equal(np.concatenate([np.empty(0), *got]), want)
                 assert np.array_equal(parts.random(5), whole.random(5)), (used, sizes)
+
+    def test_segments_drawn_in_chunks(self):
+        # rows of several segments share one draw of at most _CHUNK values;
+        # only a segment longer than _CHUNK is drawn alone, and whole
+        @dataclass(frozen=True)
+        class Counting(EntryDistribution):
+            counts: list = None
+
+            def draw(self, gen, count):
+                self.counts.append(count)
+                return super().draw(gen, count)
+
+        dist = Counting("gaussian", counts=[])
+        sizes = [7, _CHUNK + 1, *range(4095, 0, -1)]
+        list(dist.draw_segments(generator(3), sizes))
+        assert dist.counts[:2] == [7, _CHUNK + 1]
+        assert sum(dist.counts) == sum(sizes)
+        # a chunk closes only when the next row, at most 4095 long, would overflow it
+        assert all(_CHUNK - 4095 < count <= _CHUNK for count in dist.counts[2:-1])
 
     def test_rademacher_support(self):
         draws = rademacher().draw(generator(1), 1000)
@@ -229,16 +252,3 @@ class TestRowSumStatistic:
         with pytest.raises(InvalidArgumentError):
             row_sum_statistic(sample_matrix("toeplitz", 8, gaussian(), seed=1))
 
-
-class TestCsvDump:
-    def test_roundtrip(self, tmp_path):
-        sample = sample_matrix("hankel", 5, gaussian(), seed=30)
-        path = tmp_path / "matrix.csv"
-        matrix_to_csv(sample, path)
-        text = path.read_text()
-        assert text.endswith("\n") and "\r" not in text
-        rows = [
-            [float(cell) for cell in line.split(",")]
-            for line in text.strip().split("\n")
-        ]
-        assert np.array_equal(np.array(rows), sample.matrix)

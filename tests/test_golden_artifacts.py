@@ -219,6 +219,26 @@ MATRIX_SHA256 = {
         "d66f84ebb2b5ec377b7ffdaaaf41c0f999f47ae1d2c0fb124257df60d5019dac",
     ("wigner_plus_diag", "shifted_gaussian_-5/2", 256):
         "4d62967788231cefc56826ac9f8391f21e168e4fcf8a3fd3951dc61cbac57c47",
+    # n = 1030 is not a multiple of the 64-wide mirror tiles, and its
+    # 529,935-entry triangle is drawn in several 2^16-value chunks
+    ("markov", "rademacher", 1030):
+        "18369bba5a33ca3ab33e9878d6f6360e2f66fb32421c8569b01da01228f8d3eb",
+    ("markov", "gaussian", 1030):
+        "18e1e515e1653539dbeb105b0842b029df9866c9e7dd3e1af31e7a0a942c8b28",
+    ("markov", "triangular", 1030):
+        "c21c1e981045cb4e02ead89e97f59a05afe03cbca401af2936c3d8893c1edaa8",
+    ("wigner", "rademacher", 1030):
+        "80b30a82368105518e137f17f0c1721bf8ae09267b6f036df2e3af0d643fd851",
+    ("wigner", "gaussian", 1030):
+        "b02a9c0fbe722b9ce13e08bc6db229c5abfb272cf28ba7202085daeccaed9da6",
+    ("wigner", "triangular", 1030):
+        "2d43a81d4e9c16fdad67954f2203adf6a11382ef82fb719a286e039895e6ad39",
+    ("wigner_plus_diag", "rademacher", 1030):
+        "2d4842815a4421c32b3f29fb2d7f26aef7d93e25ff13cee9471a326d06ebee42",
+    ("wigner_plus_diag", "gaussian", 1030):
+        "f6e8b741ad177c8c4113a9be59a1d57df5844cc89aa2f37f8b3f0382a4a35f9c",
+    ("wigner_plus_diag", "triangular", 1030):
+        "9956ed4422d7385cbab3ebcee86823ea706cf62839206d199702ba4226a6e45c",
 }
 
 

@@ -21,12 +21,10 @@ from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.rng import mix
 from hmt.spectra import (
     eigvalsh,
-    empirical_moment,
     empirical_spectrum,
     exact_trace_power,
     histogram,
     kolmogorov_distance,
-    smoothed_mode_count,
     spectral_norm,
     trace_via_circuits,
 )
@@ -60,6 +58,25 @@ class TestEigvalsh:
             fro = np.linalg.norm(a)
             assert abs(eigs.sum() - np.trace(a)) <= 1e-10 * max(fro, 1.0)
             assert abs((eigs**2).sum() - fro**2) <= 1e-10 * fro**2
+
+    def test_power_sums_match_trace_powers(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(20, 20))
+        a = a + a.T
+        eigs = eigvalsh(a)
+        for r in (1, 2, 3, 4):
+            want = np.trace(np.linalg.matrix_power(a, r))
+            assert np.sum(eigs**r) == pytest.approx(want, rel=1e-9)
+
+    def test_permutation_conjugation_invariance(self):
+        # eigenvalue multisets agree; LAPACK reproduces them to last-ulp level
+        rng = np.random.default_rng(8)
+        a = rng.normal(size=(30, 30))
+        a = a + a.T
+        perm = rng.permutation(30)
+        b = a[np.ix_(perm, perm)]
+        for r in (2, 3, 4):
+            assert np.sum(eigvalsh(a)**r) == pytest.approx(np.sum(eigvalsh(b)**r), rel=1e-12)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
@@ -154,8 +171,8 @@ class TestCentrosymmetricSplit:
     @pytest.mark.parametrize("n, i, j", [(13, 0, 1), (13, 3, 7), (13, 5, 5), (300, 140, 155)])
     def test_one_ulp_off_takes_full_solve(self, n, i, j, solved_sizes):
         # all but (0, 1) leave the first and last rows centrosymmetric, so
-        # only the full comparison sees them; at n = 300 only its second
-        # block of 128 rows does
+        # only the full comparison sees them; at n = 300 only its third
+        # block of 64 rows does
         a = sample_matrix("toeplitz", n, gaussian(), 107).matrix
         a[i, j] = a[j, i] = np.nextafter(a[i, j], np.inf)
         got = eigvalsh(a)
@@ -195,38 +212,14 @@ class TestCentrosymmetricSplit:
         assert sizes == [(n + 1) // 2, n // 2]
 
 
-class TestEmpiricalMoment:
-    def test_identity_second_moment(self):
-        for n in (3, 10, 50):
-            assert empirical_moment(np.eye(n), 2) == pytest.approx(1.0 / n)
-
-    def test_zero_matrix(self):
-        assert empirical_moment(np.zeros((4, 4)), 3) == 0.0
-
-    def test_matches_trace_powers(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(20, 20))
-        a = a + a.T
-        n = 20
-        for r in (1, 2, 3, 4):
-            want = np.trace(np.linalg.matrix_power(a, r)) * n ** (-(r / 2 + 1))
-            assert empirical_moment(a, r) == pytest.approx(want, rel=1e-9)
-
-    def test_permutation_conjugation_invariance(self):
-        # eigenvalue multisets agree; LAPACK reproduces them to last-ulp level
-        rng = np.random.default_rng(8)
-        a = rng.normal(size=(30, 30))
-        a = a + a.T
-        perm = rng.permutation(30)
-        b = a[np.ix_(perm, perm)]
-        for r in (2, 3, 4):
-            assert empirical_moment(a, r) == pytest.approx(
-                empirical_moment(b, r), rel=1e-12
-            )
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(InvalidArgumentError):
-            empirical_moment(np.eye(2), 0)
+    @pytest.mark.parametrize("ensemble, n", [("toeplitz", 40), ("toeplitz", 41), ("hankel", 40)])
+    def test_argument_left_unchanged(self, ensemble, n, solved_sizes):
+        # the half-size blocks are solved in place; the caller's matrix never is
+        a = sample_matrix(ensemble, n, gaussian(), mix(127, n)).matrix
+        before = a.tobytes()
+        eigvalsh(a)
+        assert solved_sizes == ([(n + 1) // 2, n // 2] if ensemble == "toeplitz" else [n])
+        assert a.tobytes() == before
 
 
 class TestSpectralNorm:
@@ -263,6 +256,19 @@ class TestSpectralNorm:
             eigs = eigvalsh(a)
             want = max(eigs[-1], -eigs[0])
             assert spectral_norm(a) == pytest.approx(want, rel=1e-12), seed
+
+    def test_memory_layouts_agree(self):
+        # C order is read through its transpose, any other layout is copied once
+        big = sample_matrix("wigner", 600, gaussian(), 131).matrix
+        strided = big[::2, ::2]
+        assert not (strided.flags.c_contiguous or strided.flags.f_contiguous)
+        c_order = np.ascontiguousarray(strided)
+        eigs = scipy.linalg.eigh(c_order, eigvals_only=True)
+        want = max(eigs[-1], -eigs[0])
+        norms = [spectral_norm(a) for a in (c_order, np.asfortranarray(c_order), strided)]
+        for got in norms:
+            assert got == pytest.approx(norms[0], rel=1e-14)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_same_input_same_norm(self):
         a = sample_matrix("markov", 200, gaussian(), 7).matrix
@@ -362,6 +368,16 @@ class TestHistogram:
         lines = path.read_text().split("\n")
         assert lines[0] == "bin_left,bin_right,count,density"
         assert len(lines) == 6 and lines[-1] == ""
+
+
+def smoothed_mode_count(hist, bandwidth_bins=2.0):
+    """Strict local maxima of the density smoothed by a Gaussian kernel
+    bandwidth_bins bins wide: a reproducible finite-sample mode count."""
+    dens = hist.density
+    idx = np.arange(dens.shape[0])
+    kernel = np.exp(-0.5 * ((idx[:, None] - idx[None, :]) / bandwidth_bins) ** 2)
+    smooth = np.concatenate([[-np.inf], kernel @ dens / kernel.sum(axis=1), [-np.inf]])
+    return int(np.sum((smooth[1:-1] > smooth[:-2]) & (smooth[1:-1] > smooth[2:])))
 
 
 class TestModeCount:
