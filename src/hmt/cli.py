@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -191,26 +192,31 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_artifact(config: RunConfig, rows: list[dict], csv_columns: list[str]) -> None:
+def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[str],
+                    fmt: str | None = None, path: str | None = None) -> None:
     """Write rows as JSON (exact rationals as floats) or as CSV cells.
 
-    A CSV cell shows a float to 17 significant digits, a Fraction as p/q and
-    a missing value or None as empty.
+    The format and the path default to --format and --output; with no path
+    the text goes to stdout.  A CSV cell shows a float to 17 significant
+    digits, a Fraction as p/q and a missing value or None as empty.  Rows
+    may come from a generator, so that a long table never holds one dict
+    per row.
     """
-    if config.format == "json":
+    fmt = fmt or config.format
+    path = path or config.output
+    if fmt == "json":
         payload = {
             "command": config.subcommand,
             "config": config.public_dict(),
-            "results": rows,
+            "results": list(rows),
         }
         text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
     else:
         lines = [",".join(csv_columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(col)) for col in csv_columns))
+        lines += [",".join([_csv_cell(row.get(col)) for col in csv_columns]) for row in rows]
         text = "\n".join(lines) + "\n"
-    if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="\n") as fh:
+    if path:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -219,7 +225,6 @@ def _write_artifact(config: RunConfig, rows: list[dict], csv_columns: list[str])
 def cmd_words(config: RunConfig) -> int:
     if config.k > DEFAULT_WORD_CAP:
         raise CapacityError(f"k={config.k} exceeds the word-enumeration cap {DEFAULT_WORD_CAP}")
-    words = enumerate_words(config.k)
     exact_ok = config.k + 1 <= DEFAULT_DIMENSION_CAP
     method = config.method
     if method == "auto":
@@ -229,6 +234,9 @@ def cmd_words(config: RunConfig) -> int:
             f"k={config.k} needs exact volumes in dimension {config.k + 1} "
             f"(cap {DEFAULT_DIMENSION_CAP}); use --method mc"
         )
+    if method == "mc" and config.samples < 1:
+        raise InvalidArgumentError(f"--samples must be >= 1, got {config.samples}")
+    words = enumerate_words(config.k)
     kinds = ("toeplitz", "hankel")
     if method == "exact":
         # exact volumes are constant on dihedral orbits: one per orbit, looked up per word
@@ -301,49 +309,54 @@ def _check_budget(amount: int, budget: int, measure: str) -> None:
         raise CapacityError(f"{measure} = {amount} exceeds the budget {budget}")
 
 
-def _replicate_spectra(config: RunConfig, ensemble: str, n: int):
-    dist = distribution_from_tag(config.dist, config.mean)
-
-    def one(rep: int):
-        sample = sample_matrix(ensemble, n, dist, mix(TAG_REPLICATE, config.seed, rep))
-        return empirical_spectrum(sample, scale=config.scale or "sqrt_n")
-
+def _replicates(config: RunConfig, one) -> list:
+    """[one(rep) for rep in range(--replicates)], on --threads worker threads."""
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             return list(pool.map(one, range(config.replicates)))
     return [one(rep) for rep in range(config.replicates)]
 
 
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Mean of replicate values and its standard error (0 for one replicate)."""
+    count = len(values)
+    stderr = float(values.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
+    return float(values.mean()), stderr
+
+
 def cmd_simulate(config: RunConfig) -> int:
     if config.n < 1 or config.replicates < 1:
         raise InvalidArgumentError("--n and --replicates must be positive")
+    if config.bins < 1:
+        raise InvalidArgumentError(f"--bins must be >= 1, got {config.bins}")
+    if config.max_order % 2 != 0 or config.max_order < 0:
+        raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
     _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
     _check_budget(config.replicates * config.n**3, SIMULATE_WORK_BUDGET, "replicates * n^3")
-    specs = _replicate_spectra(config, config.ensemble, config.n)
-    pooled = np.sort(np.concatenate([s.eigenvalues for s in specs]))
+    dist = distribution_from_tag(config.dist, config.mean)
 
+    def one(rep: int) -> np.ndarray:
+        sample = sample_matrix(config.ensemble, config.n, dist,
+                               mix(TAG_REPLICATE, config.seed, rep))
+        return empirical_spectrum(sample, scale=config.scale).eigenvalues
+
+    spectra = _replicates(config, one)
+    pooled = np.sort(np.concatenate(spectra))
     prefix = config.output_prefix
-    with open(f"{prefix}_eigenvalues.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("eigenvalue\n")
-        for value in pooled:
-            fh.write(f"{value:.17g}\n")
-
+    # Python floats (tolist) format like numpy's, and faster
+    _write_artifact(config, ({"eigenvalue": v} for v in pooled.tolist()), ["eigenvalue"],
+                    "csv", f"{prefix}_eigenvalues.csv")
     hist = histogram(pooled, config.bins)
-    hist.to_csv(f"{prefix}_histogram.csv")
-
+    columns = ["bin_left", "bin_right", "count", "density"]
+    bins = zip(hist.bin_left.tolist(), hist.bin_right.tolist(),
+               hist.count.tolist(), hist.density.tolist())
+    _write_artifact(config, [dict(zip(columns, b)) for b in bins], columns,
+                    "csv", f"{prefix}_histogram.csv")
     rows = []
     for order in range(2, config.max_order + 1, 2):
-        per_rep = np.array([float(np.mean(s.eigenvalues**order)) for s in specs])
-        mean = float(per_rep.mean())
-        stderr = float(per_rep.std(ddof=1) / math.sqrt(len(per_rep))) if len(per_rep) > 1 else 0.0
+        mean, stderr = _mean_stderr(np.array([float(np.mean(e**order)) for e in spectra]))
         rows.append({"order": order, "mean": mean, "stderr": stderr})
-    payload = {
-        "command": "simulate",
-        "config": config.public_dict(),
-        "results": rows,
-    }
-    with open(f"{prefix}_moments.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_artifact(config, rows, ["order", "mean", "stderr"], "json", f"{prefix}_moments.json")
 
     sys.stdout.write(
         f"simulate {config.ensemble} n={config.n} replicates={config.replicates} "
@@ -375,25 +388,12 @@ def cmd_norm_scan(config: RunConfig) -> int:
             sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, config.seed, n, rep))
             return spectral_norm(sample.matrix)
 
-        if config.threads > 1:
-            with ThreadPoolExecutor(max_workers=config.threads) as pool:
-                norms = np.array(list(pool.map(one, range(config.replicates))))
-        else:
-            norms = np.array([one(rep) for rep in range(config.replicates)])
+        norms = np.array(_replicates(config, one))
         denom = math.sqrt(2 * n * math.log(n)) if n > 1 else 1.0
-        r1 = norms / denom
-        r2 = norms / n
-        count = len(norms)
-        se1 = float(r1.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        se2 = float(r2.std(ddof=1) / math.sqrt(count)) if count > 1 else 0.0
-        rows.append({
-            "n": n,
-            "ratio_sqrt_2nlogn_mean": float(r1.mean()),
-            "ratio_sqrt_2nlogn_stderr": se1,
-            "ratio_n_mean": float(r2.mean()),
-            "ratio_n_stderr": se2,
-            "replicates": count,
-        })
+        row = {"n": n, "replicates": len(norms)}
+        for name, ratios in (("ratio_sqrt_2nlogn", norms / denom), ("ratio_n", norms / n)):
+            row[f"{name}_mean"], row[f"{name}_stderr"] = _mean_stderr(ratios)
+        rows.append(row)
     columns = ["n", "ratio_sqrt_2nlogn_mean", "ratio_sqrt_2nlogn_stderr",
                "ratio_n_mean", "ratio_n_stderr", "replicates"]
     _write_artifact(config, rows, columns)

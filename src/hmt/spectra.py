@@ -103,20 +103,22 @@ def _is_centrosymmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(a[i:i + t], rotated[i:i + t]) for i in range(0, (n + 1) // 2, t))
 
 
-def _centrosymmetric_blocks(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two symmetric blocks whose spectra together make up a's."""
+def _centrosymmetric_block(a: np.ndarray, plus: bool) -> np.ndarray:
+    """A + BJ (bordered for odd n) or A - BJ: the two symmetric blocks whose
+    spectra together make up a's."""
     n = a.shape[0]
     m = n // 2
     a_top = a[:m, :m]
     bj = a[:m, n - m:][:, ::-1]
-    q = a_top - bj
+    if not plus:
+        return a_top - bj
     if n % 2 == 0:
-        return a_top + bj, q
+        return a_top + bj
     p = np.empty((m + 1, m + 1))
     np.add(a_top, bj, out=p[:m, :m])
     p[:m, m] = p[m, :m] = math.sqrt(2.0) * a[:m, m]
     p[m, m] = a[m, m]
-    return p, q
+    return p
 
 
 def _solve(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -133,11 +135,12 @@ def _eigh(a: np.ndarray) -> np.ndarray:
     A centrosymmetric matrix is solved as its two half-size blocks; the
     guard compares their pooled eigenvalues with the full matrix's trace.
     The blocks are fresh and exactly symmetric, so LAPACK works in place on
-    their transposes, which are Fortran-ordered, instead of on copies.
+    their transposes, which are Fortran-ordered, instead of on copies.  Each
+    block is made, solved and freed before the next, so one is held at a time.
     """
     if _is_centrosymmetric(a):
-        eigs = np.concatenate([_solve(block.T, overwrite=True)
-                               for block in _centrosymmetric_blocks(a)])
+        eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus).T, overwrite=True)
+                               for plus in (True, False)])
     else:
         eigs = _solve(a)
     fro = float(np.linalg.norm(a))
@@ -347,18 +350,6 @@ class Histogram:
     bin_right: np.ndarray
     count: np.ndarray
     density: np.ndarray
-
-    @property
-    def width(self) -> float:
-        return float(self.bin_right[0] - self.bin_left[0])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("bin_left,bin_right,count,density\n")
-            for left, right, cnt, dens in zip(
-                self.bin_left, self.bin_right, self.count, self.density
-            ):
-                fh.write(f"{left:.17g},{right:.17g},{int(cnt)},{dens:.17g}\n")
 
 
 def histogram(

@@ -1,11 +1,14 @@
 """CLI subcommands: artifacts, schema validity, reproducibility, exit codes."""
 
+import importlib.util
 import json
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hmt
 import hmt.cli
 import hmt.limits
 from hmt.cli import (
@@ -82,6 +85,23 @@ class TestWordsCommand:
         assert code == EXIT_CAPACITY and "capacity" in err
         code, _, err = run(["words", "--k", "9"], capsys)
         assert code == EXIT_CAPACITY and "capacity" in err
+
+    def test_caps_checked_before_enumerating(self, capsys, monkeypatch):
+        # auto resolves to exact volumes at k = 5, which draw no samples
+        code, _, _ = run(["words", "--k", "5", "--samples", "0"], capsys)
+        assert code == EXIT_OK
+
+        def stub(k):
+            raise AssertionError(f"enumerated the words of k = {k}")
+
+        monkeypatch.setattr(hmt.cli, "enumerate_words", stub)
+        # k = 8 has 2,027,025 words; auto resolves to mc from k = 7 on
+        for argv, want in ((["--k", "7", "--method", "exact"], EXIT_CAPACITY),
+                           (["--k", "8", "--method", "exact"], EXIT_CAPACITY),
+                           (["--k", "7", "--method", "mc", "--samples", "0"], EXIT_INVALID),
+                           (["--k", "7", "--samples", "0"], EXIT_INVALID)):
+            code, out, _ = run(["words", *argv], capsys)
+            assert (code, out) == (want, ""), argv
 
 
 class TestMomentsCommand:
@@ -241,7 +261,13 @@ class TestSimulateCommand:
                      norm_scan("8192", 257), norm_scan("4096,8192", 205)):
             code, _, err = run(argv, capsys)
             assert code == EXIT_CAPACITY and "capacity" in err
+        # histogram bins and the moment order are checked before sampling too
+        for flags in (["--bins", "0"], ["--bins", "-3"], ["--max-order", "7"],
+                      ["--max-order", "-2"]):
+            code, _, err = run(simulate(16, 1) + flags, capsys)
+            assert code == EXIT_INVALID and "invalid" in err, flags
         assert calls == []
+        assert list(tmp_path.iterdir()) == []
         # n = 8192 (512 MB of float64) is within the budget and reaches the sampler
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8192",
                       "--replicates", "1", "--output-prefix", prefix],
@@ -379,6 +405,24 @@ class TestReproducibility:
             capsys,
         )
         assert out1 != out2
+
+
+class TestTracerWiring:
+    def test_traced_names_resolve(self):
+        # perfbench/tracing.py wraps each function where its callers look it
+        # up; a name moved or dropped here would crash a traced benchmark run
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        missing = []
+        for attr_path, _ in tracing.TRACED:
+            owner = hmt
+            for part in attr_path.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(attr_path)
+        assert missing == []
 
 
 class TestParser:

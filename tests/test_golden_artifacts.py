@@ -2,9 +2,10 @@
 
 Each hash is the SHA-256 of the command's stdout at a fixed seed.  A change
 that alters a single byte of an exact value, an MC estimate or the
-formatting fails here.  Sampled matrices and Markov `simulate` files are
-pinned the same way.  `norm-scan` values are pinned to 1e-12: its Lanczos
-norms agree with a full eigensolve to about 1e-15, not bit for bit.  So are
+formatting fails here.  Sampled matrices, Markov `simulate` files, and
+threaded Hankel `simulate` files and stdout are pinned the same way.
+`norm-scan` values are pinned to 1e-12: its Lanczos norms agree with a
+full eigensolve to about 1e-15, not bit for bit.  So are
 Toeplitz `simulate` eigenvalues and moments, which come from two half-size
 solves and were captured from full n x n ones.
 """
@@ -266,6 +267,32 @@ def test_simulate_file_hashes(tmp_path, monkeypatch, capsys):
     assert code == EXIT_OK
     for name, digest in SIMULATE_SHA256.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# full n x n solves (Hankel is not centrosymmetric) on four threads; stdout
+# echoes the prefix and the moments
+SIMULATE_HANKEL_SHA256 = {
+    "stdout":
+        "2ede1ac535ac2f288c91f285a26552312e71accfa998c6744cf8ae07f484a4c0",
+    "hankel_eigenvalues.csv":
+        "9883d0603f0486ceb0177cd3844b12a82f3fd72f855e719d4f55309dc971ff91",
+    "hankel_histogram.csv":
+        "75cea439027493251b9bd2074cb9293bad2914d59255e3c198e5f645e3362551",
+    "hankel_moments.json":
+        "b95558d305770dceebe2112d16437d89909c0f272dd02bc42a26bbc15f590e57",
+}
+
+
+def test_simulate_hankel_threaded_hashes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = main("simulate --ensemble hankel --n 48 --replicates 6 --dist triangular "
+                "--threads 4 --output-prefix hankel".split())
+    out = capsys.readouterr().out
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_HANKEL_SHA256["stdout"]
+    for name, digest in SIMULATE_HANKEL_SHA256.items():
+        if name != "stdout":
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 # pooled eigenvalues and moments of full n x n solves, one command per key
