@@ -2,8 +2,11 @@
 
 Every run is reproducible: all randomness flows from the --seed flag
 through documented stream derivation, identical invocations write
-byte-identical artifacts, and JSON outputs follow the schema shipped in
-hmt/schemas/artifact.schema.json.
+byte-identical artifacts for a fixed BLAS thread count, and JSON outputs
+follow the schema shipped in hmt/schemas/artifact.schema.json.  Another
+BLAS thread count (OPENBLAS_NUM_THREADS) can move `simulate` and
+`norm-scan` outputs in the last digits, since the threaded BLAS then
+rounds differently; eigenvalues and norms agree to about 1e-14 relative.
 
 Exit codes: 0 success, 2 invalid arguments, 3 capacity/budget exceeded,
 4 numerical failure.
@@ -50,7 +53,7 @@ DEFAULT_MC_SAMPLES = 100_000
 # n * n cap: one dense float64 matrix stays within 512 MB.  Samplers draw the
 # matrix 2^16 entries at a time and hold no second n x n array, and Lanczos
 # reads it in place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks
-# at 581 MB RSS, the matrix plus the interpreter (13 s on a 2-core VM).
+# at 581 MB RSS, the matrix plus the interpreter (11 s on a 2-core VM).
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate

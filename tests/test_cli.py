@@ -2,10 +2,14 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import hmt
@@ -392,6 +396,27 @@ class TestReproducibility:
             assert code == EXIT_OK
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
+
+    def test_simulate_blas_thread_count_agrees_to_rounding(self, tmp_path):
+        # bytes are fixed only for a fixed BLAS thread count: at n = 256 the
+        # blocked LAPACK reduction rounds differently on one and on two threads
+        src = str(Path(hmt.__file__).resolve().parents[1])
+        spectra = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            prefix = tmp_path / f"blas{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from hmt.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "simulate", "--ensemble", "hankel", "--n", "256", "--replicates", "2",
+                 "--output-prefix", str(prefix)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            spectra.append(np.loadtxt(f"{prefix}_eigenvalues.csv", skiprows=1))
+        assert spectra[0].shape == spectra[1].shape == (2 * 256,)
+        assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12 * np.max(np.abs(spectra[0]))
 
     def test_seed_changes_output(self, capsys):
         _, out1, _ = run(

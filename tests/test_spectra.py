@@ -307,6 +307,42 @@ class TestSpectralNorm:
             spectral_norm(np.diag([1.0, 2.0, 3.0]))
 
 
+@pytest.fixture
+def no_numpy_norm(monkeypatch):
+    """numpy.linalg.norm raises: the guards must use scipy's BLAS, not numpy's."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy.linalg.norm called on the eigensolver path")
+
+    monkeypatch.setattr(np.linalg, "norm", forbidden)
+
+
+class TestGuardsInScipyBlas:
+    """numpy and scipy load separate OpenBLAS copies; numpy's threads spin
+    after a threaded numpy BLAS call and slow the next LAPACK solve."""
+
+    def test_solvers_avoid_numpy_norm(self, solved_sizes, no_numpy_norm):
+        # numpy's own LAPACK is the oracle; scipy.linalg.eigh is spied on
+        for ensemble, n, solved in (("hankel", 40, [40]), ("toeplitz", 41, [21, 20])):
+            a = sample_matrix(ensemble, n, gaussian(), mix(137, n)).matrix
+            solved_sizes.clear()
+            got = eigvalsh(a)
+            assert solved_sizes == solved
+            want = np.linalg.eigvalsh(a)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        markov = sample_matrix("markov", 64, gaussian(), mix(137, 64)).matrix
+        want = np.max(np.abs(np.linalg.eigvalsh(markov)))
+        assert spectral_norm(markov) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("ensemble", ["hankel", "toeplitz"])
+    def test_strided_view_matches_contiguous_copy(self, ensemble, no_numpy_norm):
+        # every other row and column of a Hankel (Toeplitz) matrix is one again
+        view = sample_matrix(ensemble, 120, gaussian(), 139).matrix[::2, ::2]
+        assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+        got = eigvalsh(view)
+        want = eigvalsh(np.ascontiguousarray(view))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestCircuitTraces:
     def test_toeplitz_small_power(self):
         entries = {0: F(2), 1: F(-1), 2: F(1, 2)}
