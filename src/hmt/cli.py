@@ -411,6 +411,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             data["ns"] = tuple(int(part) for part in data["ns"].split(",") if part)
         except ValueError as exc:
             raise InvalidArgumentError(f"bad --ns list: {exc}") from exc
+    if data["threads"] < 1:
+        raise InvalidArgumentError(f"--threads must be >= 1, got {data['threads']}")
     # every artifact echoes --mean, and JSON has no NaN or infinity
     if data.get("mean") is not None and not math.isfinite(data["mean"]):
         raise InvalidArgumentError(f"--mean must be a finite number, got {data['mean']}")

@@ -223,6 +223,15 @@ def volume_grid(
 # that is every x_j >= 0 and every slab's lower side.  Subsystems are
 # canonicalized, deduplicated, split into independent variable blocks, and
 # memoized.
+#
+# Rows are normalized (divided by gcd(a, b)) in two places only: once at
+# the top level in volume_exact, since a hand-built slab such as
+# (2a, -c, 2 - c) can have gcd > 1, and in _substitute for the rows it
+# combines with the pivot.  Every other row is normalized already: a row
+# that _substitute passes through loses a zero column, which keeps its
+# gcd, and the projection onto a block drops only zero columns.  A combined
+# row whose coefficients all cancel stays as it is, for _canonical to drop
+# (0 <= b) or to judge infeasible (b < 0).
 
 _EMPTY = None  # canonicalization result for an infeasible system
 
@@ -233,17 +242,15 @@ _EMPTY = None  # canonicalization result for an infeasible system
 _MEMO_SIZE = 1 << 17
 
 
-def _normalize_row(a: tuple[int, ...], b: int):
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    if g == 0:
-        return "drop" if b >= 0 else "empty"
-    g = math.gcd(g, abs(b))
-    if g > 1:
-        a = tuple(x // g for x in a)
-        b = b // g
-    return (a, b)
+def _normalize_row(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
+    """The row divided by gcd(a, b); an all-zero a is returned as it is."""
+    g = math.gcd(*a)
+    if g:
+        g = math.gcd(g, b)
+        if g > 1:
+            a = tuple(x // g for x in a)
+            b //= g
+    return a, b
 
 
 def _tighten(bounds: list, j: int, num: int, den: int, upper: bool) -> None:
@@ -254,22 +261,19 @@ def _tighten(bounds: list, j: int, num: int, den: int, upper: bool) -> None:
 
 
 def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
-    """Normalize, deduplicate and prune a system; None if infeasible/flat.
+    """Deduplicate and prune a system of normalized rows; None if infeasible/flat.
 
-    Variable bounds are integer pairs (num, den) with den > 0; the box tests
-    run over a common denominator, so no rational arithmetic happens here.
+    Returns (rows, lo, hi): the surviving rows as (a, b, support) triples,
+    support listing the variables with a_j != 0, and the box lo[j] <= x_j <=
+    hi[j] that the singleton rows set.  An all-zero row is dropped when
+    0 <= b holds and makes the system infeasible otherwise.  Bounds are
+    integer pairs (num, den) with den > 0, or None; the box tests run over a
+    common denominator, so no rational arithmetic happens here.
     """
     best: dict[tuple[int, ...], int] = {}
     for a, b in rows:
-        norm = _normalize_row(a, b)
-        if norm == "drop":
-            continue
-        if norm == "empty":
-            return _EMPTY
-        a, b = norm
-        if a in best:
-            best[a] = min(best[a], b)
-        else:
+        cur = best.get(a)
+        if cur is None or b < cur:
             best[a] = b
     # variable bounds from singleton rows: c x_j <= b
     lo: list[tuple[int, int] | None] = [None] * d
@@ -277,13 +281,17 @@ def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
     multi = []
     out = []
     for a, b in best.items():
-        nz = [j for j, x in enumerate(a) if x != 0]
-        if len(nz) > 1:
-            multi.append((a, b, nz))
+        zeros = a.count(0)
+        if zeros == d:
+            if b < 0:
+                return _EMPTY
             continue
-        out.append((a, b))
-        j = nz[0]
-        c = a[j]
+        if zeros < d - 1:
+            multi.append((a, b))
+            continue
+        c = sum(a)  # the one nonzero coefficient
+        j = a.index(c)
+        out.append((a, b, (j,)))
         if c > 0:
             _tighten(hi, j, b, c, upper=True)
         else:
@@ -291,7 +299,8 @@ def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
     for low, high in zip(lo, hi):
         if low is not None and high is not None and low[0] * high[1] >= high[0] * low[1]:
             return _EMPTY  # empty box or zero-width slab: volume 0 either way
-    for a, b, nz in multi:
+    for a, b in multi:
+        nz = tuple(j for j, x in enumerate(a) if x)
         if all(lo[j] is not None and hi[j] is not None for j in nz):
             den = 1
             for j in nz:
@@ -307,13 +316,16 @@ def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
                 return _EMPTY
             if mx <= b * den:
                 continue  # implied by the box: facet carries no volume
-        out.append((a, b))
-    out.sort()
-    return tuple(out)
+        out.append((a, b, nz))
+    return out, lo, hi
 
 
 def _components(rows, d):
-    """Partition variables into blocks linked by shared multi-variable rows."""
+    """Blocks of variables linked by shared multi-variable rows, with their rows.
+
+    rows are _canonical's (a, b, support) triples.  Each block is a pair
+    (variables, rows); blocks come in order of their least variable.
+    """
     parent = list(range(d))
 
     def find(x):
@@ -322,67 +334,57 @@ def _components(rows, d):
             x = parent[x]
         return x
 
-    for a, _ in rows:
-        nz = [j for j, x in enumerate(a) if x != 0]
+    for _, _, nz in rows:
         for j in nz[1:]:
             ra, rb = find(nz[0]), find(j)
             if ra != rb:
                 parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for j in range(d):
-        groups.setdefault(find(j), []).append(j)
-    return list(groups.values())
+    root = [find(j) for j in range(d)]
+    blocks: dict[int, tuple[list[int], list]] = {}
+    for j, r in enumerate(root):
+        blocks.setdefault(r, ([], []))[0].append(j)
+    for row in rows:
+        blocks[root[row[2][0]]][1].append(row)
+    return blocks.values()
 
 
 def _relabel(rows, variables):
-    """Project rows onto the given variables with a signature-sorted order."""
-    sigs = []
-    for j in variables:
-        sig = tuple(sorted((a[j], b) for a, b in rows if a[j] != 0))
-        sigs.append((sig, j))
-    sigs.sort()
+    """Memo key of a block: its rows projected onto its variables, sorted.
+
+    The variables are ordered by the sorted (a_j, b) pairs of the rows that
+    involve them, ties broken by their old index.
+    """
+    sigs = sorted(
+        (tuple(sorted((a[j], b) for a, b, _ in rows if a[j])), j) for j in variables
+    )
     order = [j for _, j in sigs]
-    out = []
-    for a, b in rows:
-        if any(a[j] != 0 for j in order):
-            out.append((tuple(a[j] for j in order), b))
-    out.sort()
-    return tuple(out), len(order)
-
-
-def _interval_length(rows) -> Fraction:
-    lo: list[tuple[int, int] | None] = [None]
-    hi: list[tuple[int, int] | None] = [None]
-    for a, b in rows:
-        c = a[0]
-        if c > 0:
-            _tighten(hi, 0, b, c, upper=True)
-        else:
-            _tighten(lo, 0, -b, -c, upper=False)
-    if lo[0] is None or hi[0] is None:
-        raise NumericError("unbounded interval in volume recursion")
-    (ln, ld), (hn, hd) = lo[0], hi[0]
-    return Fraction(max(0, hn * ld - ln * hd), hd * ld)
+    return tuple(sorted((tuple(a[j] for j in order), b) for a, b, _ in rows)), len(order)
 
 
 def _substitute(rows, pivot_idx, j):
-    """Eliminate variable j using row pivot_idx as an equality."""
+    """Eliminate variable j using row pivot_idx as an equality.
+
+    Only the rows that combine with the pivot (a_j != 0) are normalized; a
+    row with a_j = 0 keeps its gcd when column j is dropped.
+    """
     c, e = rows[pivot_idx]
     cj = c[j]
+    # cj * row - a_j * pivot, negated when cj < 0 to keep the inequality
+    s, sign = (cj, 1) if cj > 0 else (-cj, -1)
+    c_rest = c[:j] + c[j + 1 :]
     out = []
     for idx, (a, b) in enumerate(rows):
         if idx == pivot_idx:
             continue
+        rest = a[:j] + a[j + 1 :]
         aj = a[j]
         if aj == 0:
-            out.append((a[:j] + a[j + 1 :], b))
+            out.append((rest, b))
             continue
-        new_a = tuple(cj * a[l] - aj * c[l] for l in range(len(a)) if l != j)
-        new_b = cj * b - aj * e
-        if cj < 0:
-            new_a = tuple(-x for x in new_a)
-            new_b = -new_b
-        out.append((new_a, new_b))
+        m = sign * aj
+        out.append(
+            _normalize_row(tuple(s * x - m * y for x, y in zip(rest, c_rest)), s * b - m * e)
+        )
     return out
 
 
@@ -390,16 +392,20 @@ def _volume_system(raw_rows, d: int) -> Fraction:
     canon = _canonical(raw_rows, d)
     if canon is _EMPTY:
         return Fraction(0)
-    if d == 0:
-        return Fraction(1)
+    rows, lo, hi = canon
     total = Fraction(1)
-    for variables in _components(canon, d):
-        rows, dc = _relabel(canon, variables)
-        if not rows:
-            raise NumericError("unbounded variable block in volume recursion")
-        total *= _interval_length(rows) if dc == 1 else _facet_sum(rows, dc)
-        if total == 0:
-            return Fraction(0)
+    for variables, block in _components(rows, d):
+        if len(variables) > 1:
+            total *= _facet_sum(*_relabel(block, variables))
+            if total == 0:
+                return Fraction(0)
+            continue
+        # a lone variable's rows are all singletons: its interval is the box
+        j = variables[0]
+        if lo[j] is None or hi[j] is None:
+            raise NumericError("unbounded interval in volume recursion")
+        (ln, ld), (hn, hd) = lo[j], hi[j]
+        total *= Fraction(hn * ld - ln * hd, hd * ld)
     return total
 
 
@@ -441,8 +447,8 @@ def volume_exact(
         rows.append((tuple(-x for x in unit), 0))
     for a, lo, hi in _slab_rows(system):
         # lo <= a . x <= hi  ->  -a . x <= -lo and a . x <= hi
-        rows.append((tuple(-x for x in a), -lo))
-        rows.append((tuple(a), hi))
+        rows.append(_normalize_row(tuple(-x for x in a), -lo))
+        rows.append(_normalize_row(tuple(a), hi))
     value = _volume_system(rows, d)
     if not 0 <= value <= 1:
         raise NumericError(f"exact volume {value} escaped [0, 1]")

@@ -9,7 +9,6 @@ limiting-moment formula in the package.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -150,9 +149,10 @@ def _relabelled(letters) -> tuple[int, ...]:
     return tuple(ids.setdefault(letter, len(ids)) for letter in letters)
 
 
-def _orbit_key(letters: tuple[int, ...]) -> tuple[int, ...]:
+def _orbit(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The dihedral orbit: relabelled rotations of the word and of its reversal."""
     n = len(letters)
-    return min(_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n))
+    return {_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n)}
 
 
 def dihedral_representative(w: PartitionWord) -> PartitionWord:
@@ -161,7 +161,7 @@ def dihedral_representative(w: PartitionWord) -> PartitionWord:
     It is the lexicographically first member of w's dihedral orbit, so
     enumerate_words meets it before any other member.
     """
-    return PartitionWord(_orbit_key(w.letters))
+    return PartitionWord(min(_orbit(w.letters)))
 
 
 @lru_cache(maxsize=None)
@@ -170,13 +170,28 @@ def dihedral_orbits(
 ) -> tuple[tuple[PartitionWord, int], ...]:
     """(representative, orbit size) for each dihedral orbit of the words of length 2k.
 
-    Orbits are in order of first appearance in enumerate_words(k, cap) and
-    their sizes sum to (2k-1)!!.  The Toeplitz and Hankel volumes are
-    constant on an orbit: rotating or reversing a word relabels the closed
-    walk x_0, ..., x_2k = x_0 whose steps its letters tie together.
+    One pass over enumerate_words(k, cap) in lexicographic order: a word not
+    yet met as a member of an earlier orbit is the least member of its own,
+    so it is the representative (as dihedral_representative gives it); its
+    2k rotations and those of its reversal, relabelled, are its orbit, whose
+    other members are set aside until the pass reaches them.  Orbits are in
+    order of first appearance and their sizes sum to (2k-1)!!.  The Toeplitz
+    and Hankel volumes are constant on an orbit: rotating or reversing a
+    word relabels the closed walk x_0, ..., x_2k = x_0 whose steps its
+    letters tie together.
     """
-    sizes = Counter(_orbit_key(w.letters) for w in enumerate_words(k, cap))
-    return tuple((PartitionWord(key), size) for key, size in sizes.items())
+    pending: set[tuple[int, ...]] = set()
+    out = []
+    for w in enumerate_words(k, cap):
+        t = w.letters
+        if t in pending:
+            pending.remove(t)
+            continue
+        orbit = _orbit(t)
+        out.append((w, len(orbit)))
+        orbit.remove(t)
+        pending |= orbit
+    return tuple(out)
 
 
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:

@@ -465,6 +465,22 @@ class TestParser:
         args = parser.parse_args(["words", "--k", "1"])
         assert args.seed == DEFAULT_SEED
 
+    @pytest.mark.parametrize("argv", [
+        ["norm-scan", "--ns", "5", "--replicates", "2", "--threads", "-1"],
+        ["moments", "--family", "hankel", "--order", "4", "--method", "mc",
+         "--samples", "10", "--threads", "-3"],
+        ["simulate", "--ensemble", "hankel", "--n", "3", "--replicates", "2",
+         "--threads", "0"],
+        ["words", "--k", "2", "--threads", "0"],
+    ])
+    def test_threads_below_one_rejected(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        flag = "--output-prefix" if argv[0] == "simulate" else "--output"
+        code, out, err = run(argv + [flag, str(target)], capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("hmt: invalid argument:") and "--threads" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--family", "circulant"])

@@ -341,6 +341,41 @@ def test_exact_volume_cross_checked_by_mc_and_grid(data):
     assert abs(float(exact.value) - grid.value) <= 0.1
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_substituted_rows_are_normalized(data):
+    # rows that reach a substitution have gcd(a, b) = 1, so the rows it
+    # returns do too, apart from all-zero rows left for _canonical to judge
+    system = _random_system(data.draw)
+    returned = []
+    substitute = hmt.volumes._substitute
+
+    def recording(rows, pivot_idx, j):
+        out = substitute(rows, pivot_idx, j)
+        returned.extend(out)
+        return out
+
+    hmt.volumes._facet_sum.cache_clear()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hmt.volumes, "_substitute", recording)
+        volume_exact(system)
+    for a, b in returned:
+        assert not any(a) or math.gcd(*a, b) == 1, (a, b)
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+def test_scaled_word_slabs_keep_the_exact_volume(kind):
+    # (2a, 2 lo, 2 hi) is the same slab: volume_exact normalizes it first
+    for w in enumerate_words(4):
+        system = build_system(w, kind)
+        doubled = {
+            v: (tuple(2 * x for x in a), 2 * lo, 2 * hi)
+            for v, (a, lo, hi) in system.slabs.items()
+        }
+        scaled = SlabSystem(kind, system.free_vars, doubled, system.closure)
+        assert volume_exact(scaled) == volume_exact(system), str(w)
+
+
 def _count(system, points):
     return hmt.volumes._hit_counter(system)(np.array(points, dtype=float))
 
