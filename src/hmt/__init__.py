@@ -4,21 +4,18 @@ The package computes the exact limiting moment sequences of the three
 structured ensembles through pair-partition words and cube cross-section
 volumes, converts between moments and free cumulants, and verifies the
 limits by simulating the ensembles with seeded, reproducible samplers.
+
+The exact layers (words, volumes, limits) are plain Python, and importing
+the package loads neither numpy nor scipy.  The samplers (hmt.ensembles)
+and spectral statistics (hmt.spectra) need both; they, and the names the
+package exports from them, load on first access.  The Monte Carlo and
+grid volume estimators load numpy when they run.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .ensembles import (
-    EnsembleSample,
-    EntryDistribution,
-    gaussian,
-    markov_q,
-    rademacher,
-    row_sum_statistic,
-    sample_matrix,
-    shifted_gaussian,
-    triangular,
-)
 from .errors import CapacityError, HmtError, InvalidArgumentError, NumericError
 from .limits import (
     CumulantTable,
@@ -31,15 +28,6 @@ from .limits import (
     moment_table,
     moments_to_cumulants,
     reference_moments,
-)
-from .spectra import (
-    EmpiricalSpectrum,
-    empirical_spectrum,
-    eigvalsh,
-    histogram,
-    kolmogorov_distance,
-    spectral_norm,
-    trace_via_circuits,
 )
 from .volumes import (
     SlabSystem,
@@ -101,3 +89,38 @@ __all__ = [
     "volume_grid",
     "volume_mc",
 ]
+
+# numpy/scipy-backed exports, imported from their module on first access
+_LAZY = {
+    "ensembles": (
+        "EnsembleSample",
+        "EntryDistribution",
+        "gaussian",
+        "markov_q",
+        "rademacher",
+        "row_sum_statistic",
+        "sample_matrix",
+        "shifted_gaussian",
+        "triangular",
+    ),
+    "spectra": (
+        "EmpiricalSpectrum",
+        "empirical_spectrum",
+        "eigvalsh",
+        "histogram",
+        "kolmogorov_distance",
+        "spectral_norm",
+        "trace_via_circuits",
+    ),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _LAZY_OWNER:
+        value = getattr(importlib.import_module(f".{_LAZY_OWNER[name]}", __name__), name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

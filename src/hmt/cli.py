@@ -8,6 +8,12 @@ BLAS thread count (OPENBLAS_NUM_THREADS) can move `simulate` and
 `norm-scan` outputs in the last digits, since the threaded BLAS then
 rounds differently; eigenvalues and norms agree to about 1e-14 relative.
 
+Only the commands that need numbers from numpy load it: `simulate` and
+`norm-scan` load numpy and scipy (samplers, eigensolvers) when they start,
+and `words`/`moments` with `--method mc` load numpy for the Monte Carlo
+volumes.  Argument parsing, `--version`, exact `words` tables and exact
+`moments` (including every refusal) run in plain Python.
+
 Exit codes: 0 success, 2 invalid arguments, 3 capacity/budget exceeded,
 4 numerical failure.
 """
@@ -15,22 +21,19 @@ Exit codes: 0 success, 2 invalid arguments, 3 capacity/budget exceeded,
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import sys
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .ensembles import ENSEMBLES, distribution_from_tag, sample_matrix
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .limits import MOMENT_FAMILIES, MomentEstimate, limit_moment, moment_table
-from .rng import TAG_REPLICATE, TAG_VOLUME_MC, mix
-from .spectra import empirical_spectrum, histogram, spectral_norm
+from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_REPLICATE, TAG_VOLUME_MC, mix
 from .volumes import (
     DEFAULT_DIMENSION_CAP,
     VolumeEstimate,
@@ -48,12 +51,47 @@ from .words import (
     is_noncrossing,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
+# Names from the numpy/scipy modules, bound as module globals on first
+# access (module __getattr__) or when simulate or norm-scan starts
+# (_load_numeric).  A name bound earlier, by a test or a tracer, is kept.
+_NUMERIC = {
+    "distribution_from_tag": "ensembles",
+    "sample_matrix": "ensembles",
+    "empirical_spectrum": "spectra",
+    "histogram": "spectra",
+    "spectral_norm": "spectra",
+}
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC:
+        module = importlib.import_module(f".{_NUMERIC[name]}", __package__)
+        value = globals()[name] = getattr(module, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _load_numeric() -> None:
+    module = sys.modules[__name__]
+    for name in _NUMERIC:
+        getattr(module, name)
+
+
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
-# n * n cap: one dense float64 matrix stays within 512 MB.  Samplers draw the
-# matrix 2^16 entries at a time and hold no second n x n array, and Lanczos
-# reads it in place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks
-# at 581 MB RSS, the matrix plus the interpreter (11 s on a 2-core VM).
+# n * n cap on the sampled matrix: at most 512 MB of float64.  Samplers draw
+# it 2^16 entries at a time and hold no second n x n array, and Lanczos reads
+# it in place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at
+# 581 MB RSS, the matrix plus the interpreter (11 s on a 2-core VM).
+# `simulate` holds more per replicate in flight (--threads of them): the full
+# solve (Hankel, Markov, Wigner) gives LAPACK a copy of the C-ordered matrix,
+# 2 n^2 entries, and the Toeplitz split holds the matrix and one half-size
+# block, n^2 + n^2/4.  At n = 4096, `--replicates 1` peaks at 320 MB RSS for
+# hankel (61 MB interpreter + 2 x 128 MB) and 223 MB for toeplitz (61 + 128
+# + 32 MB); at n = 8192 a replicate needs about 1 GB or 640 MB.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate
@@ -147,8 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--ensemble", choices=ENSEMBLES, required=True)
     p_sim.add_argument("--n", type=int, required=True, help="matrix size")
     p_sim.add_argument("--replicates", type=int, default=20)
-    p_sim.add_argument("--dist", choices=("rademacher", "gaussian", "triangular",
-                                          "shifted_gaussian"), default="gaussian")
+    p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     p_sim.add_argument("--mean", type=float, default=0.0,
                        help="entry mean (shifted_gaussian only)")
     p_sim.add_argument("--bins", type=int, default=60, help="histogram bins")
@@ -167,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_norm.add_argument("--ns", type=str, default="256,1024,4096",
                         help="comma-separated matrix sizes")
     p_norm.add_argument("--replicates", type=int, default=3)
-    p_norm.add_argument("--dist", choices=("rademacher", "gaussian", "triangular",
-                                           "shifted_gaussian"), default="gaussian")
+    p_norm.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
     p_norm.add_argument("--mean", type=float, default=0.0,
                         help="entry mean (shifted_gaussian only)")
     add_common(p_norm)
@@ -315,6 +351,8 @@ def _check_budget(amount: int, budget: int, measure: str) -> None:
 def _replicates(config: RunConfig, one) -> list:
     """[one(rep) for rep in range(--replicates)], on --threads worker threads."""
     if config.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             return list(pool.map(one, range(config.replicates)))
     return [one(rep) for rep in range(config.replicates)]
@@ -336,6 +374,9 @@ def cmd_simulate(config: RunConfig) -> int:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
     _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
     _check_budget(config.replicates * config.n**3, SIMULATE_WORK_BUDGET, "replicates * n^3")
+    import numpy as np
+
+    _load_numeric()
     dist = distribution_from_tag(config.dist, config.mean)
 
     def one(rep: int) -> np.ndarray:
@@ -384,6 +425,9 @@ def cmd_norm_scan(config: RunConfig) -> int:
     _check_budget(max(sizes)**2, MATRIX_ENTRY_BUDGET, "dense matrix entries max(n)^2")
     _check_budget(config.replicates * sum(n * n for n in sizes), NORM_SCAN_WORK_BUDGET,
                   "replicates * sum(n^2)")
+    import numpy as np
+
+    _load_numeric()
     dist = distribution_from_tag(config.dist, config.mean)
     rows = []
     for n in sizes:

@@ -18,9 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
 
 from .errors import InvalidArgumentError
-from .rng import TAG_ENSEMBLE, generator, mix, standard_normals
-
-ENSEMBLES = ("hankel", "toeplitz", "markov", "wigner", "wigner_plus_diag")
+from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_ENSEMBLE, generator, mix, standard_normals
 
 _SQRT6 = np.sqrt(6.0)
 # values per `draw` call in draw_segments: 2^16 float64s, 512 KB
@@ -126,16 +124,14 @@ def shifted_gaussian(mean) -> EntryDistribution:
 
 
 def distribution_from_tag(tag: str, mean=0) -> EntryDistribution:
-    factory = {
-        "rademacher": rademacher,
-        "gaussian": gaussian,
-        "triangular": triangular,
-    }
-    if tag in factory:
-        return factory[tag]()
+    """The entry law named by a tag in DISTRIBUTIONS; mean is read by shifted_gaussian only."""
     if tag == "shifted_gaussian":
         return shifted_gaussian(mean)
-    raise InvalidArgumentError(f"unknown distribution tag {tag!r}")
+    if tag in DISTRIBUTIONS:
+        return EntryDistribution(tag)
+    raise InvalidArgumentError(
+        f"unknown distribution tag {tag!r}; expected one of {DISTRIBUTIONS}"
+    )
 
 
 @dataclass(frozen=True)

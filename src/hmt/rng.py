@@ -8,11 +8,20 @@ distinct purposes use distinct domain tags so streams never collide.
 
 Normals are produced by inverse-CDF transform of uniform draws (one draw
 per variate, no rejection), which keeps the stream consumption count fixed.
+
+The stream keys (mix, splitmix64, the tags) and the ensemble and entry-law
+names are plain Python; numpy.random and scipy.special load the first time
+`generator` or `standard_normals` runs, so the exact commands never load
+them.
 """
 
-import numpy as np
-from numpy.random import Generator, Philox
-from scipy.special import ndtri
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.random import Generator
 
 MASK64 = (1 << 64) - 1
 
@@ -21,6 +30,11 @@ TAG_VOLUME_MC = 0x9E3779B97F4A7C15
 TAG_ENSEMBLE = 0xBF58476D1CE4E5B9
 TAG_REPLICATE = 0x94D049BB133111EB
 TAG_LANCZOS = 0xD6E8FEB86659FD93
+
+# Names the samplers accept: ensembles for hmt.ensembles.sample_matrix, entry
+# laws for hmt.ensembles.distribution_from_tag, and the CLI's choices for both.
+ENSEMBLES = ("hankel", "toeplitz", "markov", "wigner", "wigner_plus_diag")
+DISTRIBUTIONS = ("rademacher", "gaussian", "triangular", "shifted_gaussian")
 
 
 def splitmix64(x: int) -> int:
@@ -42,6 +56,8 @@ def mix(*values: int) -> int:
 
 def generator(seed: int) -> Generator:
     """Counter-based generator for the given 64-bit key."""
+    from numpy.random import Generator, Philox
+
     return Generator(Philox(key=seed & MASK64))
 
 
@@ -51,6 +67,8 @@ def standard_normals(gen: Generator, size) -> np.ndarray:
     gen.random() yields multiples of 2^-53 in [0, 1); recentering by 2^-54
     keeps the argument strictly inside (0, 1) so ndtri never sees 0 or 1.
     """
+    from scipy.special import ndtri
+
     u = gen.random(size)
     u += 2.0**-54
     return ndtri(u, out=u)

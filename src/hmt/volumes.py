@@ -9,7 +9,9 @@ word's weight in the limiting moment formulas.
 Volumes are computed three ways from the same integer slab rows: exactly in
 rational arithmetic (recursive facet decomposition in the style of
 Lasserre/Cohen-Hickey), by seeded Monte Carlo, and by a midpoint grid rule
-kept as a deterministic reference.
+kept as a deterministic reference.  The exact path is plain Python; numpy
+loads the first time a float estimator (volume_mc, volume_grid,
+slab_volume_integral) runs.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import generator
 from .words import PartitionWord
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_DIMENSION_CAP = 7
 DEFAULT_GRID_BUDGET = 1 << 26
@@ -141,6 +144,8 @@ def _hit_counter(system: SlabSystem):
     N x r boolean temporaries are built.  A system without slabs counts
     every point.
     """
+    import numpy as np
+
     rows = _slab_rows(system)
     mat = np.zeros((system.dimension, len(rows)))
     for col, (a, _, _) in enumerate(rows):
@@ -196,6 +201,8 @@ def volume_grid(
         )
     if system.flat:
         return VolumeEstimate(Fraction(0), "exact")
+    import numpy as np
+
     count = _hit_counter(system)
     # one x_0 slice of the grid at a time: cells / subdivisions points in memory
     pts = np.empty((cells // subdivisions, d))
@@ -502,7 +509,9 @@ _GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _gauss_panel(order: int):
     if order not in _GL_NODES:
-        x, w = np.polynomial.legendre.leggauss(order)
+        from numpy.polynomial.legendre import leggauss
+
+        x, w = leggauss(order)
         _GL_NODES[order] = (x, w)
     return _GL_NODES[order]
 
@@ -531,6 +540,8 @@ def slab_volume_integral(
             f"tolerance {tol} needs {panels} panels (cap {max_panels}); "
             f"achievable tolerance ~ {2 * achieved:.3g}"
         )
+    import numpy as np
+
     order = 12 if n <= 2 else 32
     nodes, weights = _gauss_panel(order)
     half = math.pi / 2.0

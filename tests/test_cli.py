@@ -481,6 +481,26 @@ class TestParser:
         assert err.startswith("hmt: invalid argument:") and "--threads" in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_sampler_choices_from_one_source(self):
+        # --ensemble and both --dist flags offer rng's names, and the
+        # samplers accept every one of them
+        from hmt.ensembles import distribution_from_tag, sample_matrix
+        from hmt.rng import DISTRIBUTIONS, ENSEMBLES
+
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        choices = {(command, action.dest): tuple(action.choices)
+                   for command in ("simulate", "norm-scan")
+                   for action in subparsers[command]._actions
+                   if action.dest in ("ensemble", "dist")}
+        assert choices == {("simulate", "ensemble"): ENSEMBLES,
+                           ("simulate", "dist"): DISTRIBUTIONS,
+                           ("norm-scan", "dist"): DISTRIBUTIONS}
+        for tag in DISTRIBUTIONS:
+            dist = distribution_from_tag(tag, mean=1)
+            assert dist.tag == tag
+            for ensemble in ENSEMBLES:
+                assert sample_matrix(ensemble, 3, dist, 1).matrix.shape == (3, 3)
+
     def test_unknown_family_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--family", "circulant"])
