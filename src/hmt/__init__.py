@@ -8,8 +8,8 @@ limits by simulating the ensembles with seeded, reproducible samplers.
 The exact layers (words, volumes, limits) are plain Python, and importing
 the package loads neither numpy nor scipy.  The samplers (hmt.ensembles)
 and spectral statistics (hmt.spectra) need both; they, and the names the
-package exports from them, load on first access.  The Monte Carlo and
-grid volume estimators load numpy when they run.
+package exports from them, load on first access.  The Monte Carlo volume
+estimator loads numpy when it runs.
 """
 
 import importlib
@@ -37,7 +37,6 @@ from .volumes import (
     single_slab_system,
     slab_volume_integral,
     volume_exact,
-    volume_grid,
     volume_mc,
 )
 from .words import PartitionWord, enumerate_words, height, is_irreducible, is_noncrossing
@@ -86,7 +85,6 @@ __all__ = [
     "trace_via_circuits",
     "triangular",
     "volume_exact",
-    "volume_grid",
     "volume_mc",
 ]
 

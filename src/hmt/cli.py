@@ -95,6 +95,7 @@ DEFAULT_MC_SAMPLES = 100_000
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate
+HISTOGRAM_BIN_BUDGET = 1 << 20  # --bins: the histogram holds bins + 1 edges and bins counts
 NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(n^2): sampling and Lanczos matvecs
 
 EXIT_OK = 0
@@ -249,7 +250,8 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
             "config": config.public_dict(),
             "results": list(rows),
         }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=float) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, default=float,
+                          allow_nan=False) + "\n"
     else:
         lines = [",".join(csv_columns)]
         lines += [",".join([_csv_cell(row.get(col)) for col in csv_columns]) for row in rows]
@@ -374,6 +376,7 @@ def cmd_simulate(config: RunConfig) -> int:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
     _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
     _check_budget(config.replicates * config.n**3, SIMULATE_WORK_BUDGET, "replicates * n^3")
+    _check_budget(config.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
     import numpy as np
 
     _load_numeric()
@@ -385,6 +388,17 @@ def cmd_simulate(config: RunConfig) -> int:
         return empirical_spectrum(sample, scale=config.scale).eigenvalues
 
     spectra = _replicates(config, one)
+    rows = []
+    # e**order overflows for a high enough order; refuse before writing any file
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in range(2, config.max_order + 1, 2):
+            mean, stderr = _mean_stderr(np.array([float(np.mean(e**order)) for e in spectra]))
+            if not (math.isfinite(mean) and math.isfinite(stderr)):
+                raise NumericError(
+                    f"empirical moment m_{order} is not finite (mean {mean}, stderr "
+                    f"{stderr}); lower --max-order"
+                )
+            rows.append({"order": order, "mean": mean, "stderr": stderr})
     pooled = np.sort(np.concatenate(spectra))
     prefix = config.output_prefix
     # Python floats (tolist) format like numpy's, and faster
@@ -396,10 +410,6 @@ def cmd_simulate(config: RunConfig) -> int:
                hist.count.tolist(), hist.density.tolist())
     _write_artifact(config, [dict(zip(columns, b)) for b in bins], columns,
                     "csv", f"{prefix}_histogram.csv")
-    rows = []
-    for order in range(2, config.max_order + 1, 2):
-        mean, stderr = _mean_stderr(np.array([float(np.mean(e**order)) for e in spectra]))
-        rows.append({"order": order, "mean": mean, "stderr": stderr})
     _write_artifact(config, rows, ["order", "mean", "stderr"], "json", f"{prefix}_moments.json")
 
     sys.stdout.write(

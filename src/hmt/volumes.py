@@ -6,12 +6,12 @@ for the dependent variables and requiring them to stay in [0, 1] cuts a
 polytope out of the unit cube in the free coordinates; its volume is the
 word's weight in the limiting moment formulas.
 
-Volumes are computed three ways from the same integer slab rows: exactly in
+Volumes are computed two ways from the same integer slab rows: exactly in
 rational arithmetic (recursive facet decomposition in the style of
-Lasserre/Cohen-Hickey), by seeded Monte Carlo, and by a midpoint grid rule
-kept as a deterministic reference.  The exact path is plain Python; numpy
-loads the first time a float estimator (volume_mc, volume_grid,
-slab_volume_integral) runs.
+Lasserre/Cohen-Hickey), and by seeded Monte Carlo.  The exact path is plain
+Python; numpy loads the first time a float estimator (volume_mc,
+slab_volume_integral) runs.  The tests check the exact volumes against
+Qhull on each word's walk polytope, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_DIMENSION_CAP = 7
-DEFAULT_GRID_BUDGET = 1 << 26
 
 _MC_CHUNK = 1 << 17
 
@@ -127,7 +126,7 @@ class VolumeEstimate:
     """A volume in [0, 1]: exact rational, or an estimate with its error."""
 
     value: Fraction | float
-    method: str  # "exact" | "mc" | "grid"
+    method: str  # "exact" | "mc"
     stderr: float | None = None
     samples: int | None = None
 
@@ -185,34 +184,6 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
     p = hits / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return VolumeEstimate(p, "mc", stderr=stderr, samples=samples)
-
-
-def volume_grid(
-    system: SlabSystem, subdivisions: int, budget: int = DEFAULT_GRID_BUDGET
-) -> VolumeEstimate:
-    """Midpoint-rule volume on a uniform grid; error O(1/subdivisions)."""
-    if subdivisions < 1:
-        raise InvalidArgumentError(f"subdivisions must be >= 1, got {subdivisions}")
-    d = system.dimension
-    cells = subdivisions**d
-    if cells > budget:
-        raise CapacityError(
-            f"{subdivisions}^{d} = {cells} grid cells exceed the budget {budget}"
-        )
-    if system.flat:
-        return VolumeEstimate(Fraction(0), "exact")
-    import numpy as np
-
-    count = _hit_counter(system)
-    # one x_0 slice of the grid at a time: cells / subdivisions points in memory
-    pts = np.empty((cells // subdivisions, d))
-    tail = np.indices((subdivisions,) * (d - 1)).reshape(d - 1, len(pts)).T
-    pts[:, 1:] = (tail + 0.5) / subdivisions
-    hits = 0
-    for x0 in (np.arange(subdivisions) + 0.5) / subdivisions:
-        pts[:, 0] = x0
-        hits += count(pts)
-    return VolumeEstimate(hits / cells, "grid", samples=cells)
 
 
 # ---------------------------------------------------------------------------

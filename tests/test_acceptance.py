@@ -234,6 +234,7 @@ def test_criterion_9_norm_over_n_five_percent(capsys):
                f"within 5% of |m| from n ~ {n_five_percent:.0f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_property_suites(capsys, order_twelve_tables):
     checks = []
 

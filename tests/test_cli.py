@@ -1,6 +1,5 @@
 """CLI subcommands: artifacts, schema validity, reproducibility, exit codes."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -21,6 +20,7 @@ from hmt.cli import (
     EXIT_INVALID,
     EXIT_NUMERIC,
     EXIT_OK,
+    HISTOGRAM_BIN_BUDGET,
     build_parser,
     main,
 )
@@ -262,6 +262,7 @@ class TestSimulateCommand:
                       "--replicates", "1", "--output-prefix", prefix],
                      ["norm-scan", "--ns", "16,8193", "--replicates", "1"],
                      simulate(8192, 3), simulate(1024, 1025),
+                     simulate(16, 1) + ["--bins", str(HISTOGRAM_BIN_BUDGET + 1)],
                      norm_scan("8192", 257), norm_scan("4096,8192", 205)):
             code, _, err = run(argv, capsys)
             assert code == EXIT_CAPACITY and "capacity" in err
@@ -281,6 +282,16 @@ class TestSimulateCommand:
             with pytest.raises(Sampled):
                 main(argv)
         assert calls == [8192, 8192, 8192, 1024, 8192, 4096]
+
+    def test_overflowing_moment_writes_no_file(self, capsys, tmp_path):
+        # 2^1600 overflows a double: the moments would hold inf, which JSON cannot
+        code, _, err = run(
+            ["simulate", "--ensemble", "wigner", "--n", "8", "--replicates", "2",
+             "--max-order", "1600", "--bins", "10", "--output-prefix", str(tmp_path / "x")],
+            capsys,
+        )
+        assert code == EXIT_NUMERIC and "not finite" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_toeplitz_second_moment_near_one(self, capsys, tmp_path):
         prefix = str(tmp_path / "big")
@@ -430,24 +441,6 @@ class TestReproducibility:
             capsys,
         )
         assert out1 != out2
-
-
-class TestTracerWiring:
-    def test_traced_names_resolve(self):
-        # perfbench/tracing.py wraps each function where its callers look it
-        # up; a name moved or dropped here would crash a traced benchmark run
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
-        missing = []
-        for attr_path, _ in tracing.TRACED:
-            owner = hmt
-            for part in attr_path.split("."):
-                owner = getattr(owner, part, None)
-            if not callable(owner):
-                missing.append(attr_path)
-        assert missing == []
 
 
 class TestParser:

@@ -206,6 +206,7 @@ class TestCumulantConversions:
         c = moments_to_cumulants(moment_table("semicircle", 10), 10)
         assert c.entries == {2: 1, 4: 0, 6: 0, 8: 0, 10: 0}
 
+    @pytest.mark.slow
     def test_roundtrip_through_order_twelve(self, order_twelve_tables):
         for family in ("toeplitz", "hankel", "markov"):
             table = order_twelve_tables[family]
@@ -308,6 +309,7 @@ class TestHankelMomentMatrix:
         with pytest.raises(InvalidArgumentError):
             hankel_moment_matrix_det(moment_table("hankel", 4), 3)
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("family", ["toeplitz", "hankel", "markov"])
     def test_positive_definite_through_n4(self, family, order_twelve_tables):
         # all leading principal minors positive: legitimate moment sequences
@@ -329,6 +331,7 @@ class TestRecordedMoments:
     def test_toeplitz_order_ten_matches_live_recomputation(self):
         assert limit_moment("toeplitz", 10) == 415
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
     def test_order_twelve_live_at_the_default_cap(self, family, order_twelve_tables):
         assert order_twelve_tables[family].entries[12] == self.ORDER_TWELVE[family]

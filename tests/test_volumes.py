@@ -1,4 +1,4 @@
-"""Slab systems, exact/Monte-Carlo/grid volumes, Eulerian identities."""
+"""Slab systems, exact and Monte Carlo volumes, Eulerian identities."""
 
 import math
 from fractions import Fraction
@@ -18,10 +18,11 @@ from hmt.volumes import (
     single_slab_system,
     slab_volume_integral,
     volume_exact,
-    volume_grid,
     volume_mc,
 )
 from hmt.words import PartitionWord, dihedral_orbits, dihedral_representative, enumerate_words
+
+from test_walk_oracle import polytope_volume
 
 W = PartitionWord.from_string
 
@@ -94,8 +95,6 @@ class TestBuildSystem:
             volume_exact(system)
         with pytest.raises(InvalidArgumentError):
             volume_mc(system, 100, seed=1)
-        with pytest.raises(InvalidArgumentError):
-            volume_grid(system, 4)
 
 
 class TestVolumeExact:
@@ -111,8 +110,6 @@ class TestVolumeExact:
     def test_toeplitz_aabb_is_one(self):
         est = volume_exact(build_system(W("aabb"), "toeplitz"))
         assert est.value == 1
-        grid = volume_grid(build_system(W("aabb"), "toeplitz"), 16)
-        assert grid.value == 1.0
 
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
@@ -220,33 +217,6 @@ class TestVolumeMC:
         assert hits >= 95
 
 
-class TestVolumeGrid:
-    def test_toeplitz_abab_brackets(self):
-        est = volume_grid(build_system(W("abab"), "toeplitz"), 64)
-        assert abs(est.value - 2.0 / 3.0) <= 0.02
-
-    def test_toeplitz_aa_exact_one(self):
-        assert volume_grid(build_system(W("aa"), "toeplitz"), 4).value == 1.0
-
-    def test_toeplitz_aabb_exact_one(self):
-        assert volume_grid(build_system(W("aabb"), "toeplitz"), 32).value == 1.0
-
-    def test_error_shrinks_with_resolution(self):
-        system = build_system(W("abab"), "toeplitz")
-        exact = 2.0 / 3.0
-        err8 = abs(volume_grid(system, 8).value - exact)
-        err64 = abs(volume_grid(system, 64).value - exact)
-        assert err64 <= err8 + 1e-12
-
-    def test_budget(self):
-        with pytest.raises(CapacityError):
-            volume_grid(build_system(W("abcabc"), "toeplitz"), 100, budget=10_000)
-
-    def test_values_pinned(self):
-        assert volume_grid(build_system(W("abab"), "toeplitz"), 64).value == 0.666748046875
-        assert volume_grid(GENERAL_SLABS, 24).value == 0.3680555555555556
-
-
 class TestEulerian:
     def test_a32_is_four(self):
         assert eulerian_number(3, 2) == 4
@@ -288,16 +258,6 @@ class TestEulerian:
 
 
 class TestSlabIntegral:
-    def test_3_2_matches_two_thirds(self):
-        assert abs(slab_volume_integral(3, 2) - 4.0 / 6.0) < 1e-6
-
-    def test_1_1_is_one(self):
-        assert abs(slab_volume_integral(1, 1) - 1.0) < 1e-6
-
-    def test_5_3_matches_recurrence(self):
-        want = eulerian_number(5, 3) / math.factorial(5)
-        assert abs(slab_volume_integral(5, 3) - want) < 1e-6
-
     @pytest.mark.parametrize("n", range(1, 7))
     def test_matches_recurrence_all(self, n):
         for m in range(1, n + 1):
@@ -330,15 +290,17 @@ def _random_system(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
-def test_exact_volume_cross_checked_by_mc_and_grid(data):
+def test_exact_volume_cross_checked_by_mc_and_qhull(data):
     system = _random_system(data.draw)
     exact = volume_exact(system)
     assert 0 <= exact.value <= 1
     mc = volume_mc(system, 40_000, seed=mix(7, data.draw(st.integers(0, 10**6))))
     tol = 4 * (mc.stderr or 0.0) + 0.01
     assert abs(float(exact.value) - mc.value) <= tol
-    grid = volume_grid(system, 24)
-    assert abs(float(exact.value) - grid.value) <= 0.1
+    d = system.dimension
+    cube = [(tuple(int(i == j) for i in range(d)), 0, 1) for j in range(d)]
+    qhull, _ = polytope_volume(cube + list(system.slabs.values()))
+    assert abs(float(exact.value) - qhull) <= 1e-9
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

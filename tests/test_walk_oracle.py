@@ -1,31 +1,38 @@
-"""Toeplitz and Hankel limit moments against a continuous-walk Monte Carlo.
+"""Toeplitz and Hankel word volumes against an exact Qhull oracle.
 
-The exact, Monte Carlo and grid volumes of the package all read the linear
+The exact and Monte Carlo volumes of the package both read the linear
 system that ``build_system`` writes down.  This oracle shares none of that
-code: it enumerates pair partitions itself and samples the walk
-x_0, x_1, ..., x_2k that a word describes.  x_0 ~ U[0, 1], and each letter
-draws one shared quantity for its two positions:
+code: it enumerates pair partitions itself, writes down the walk
+x_0, x_1, ..., x_2k that a word describes, and hands the polytope to Qhull
+(scipy.spatial, Barber-Dobkin-Huhdanpaa 1996).  The walk coordinates are
+x_0 plus one shared quantity per letter:
 
-- Toeplitz: a step e ~ U[-1, 1], taken forward at the letter's first
+- Toeplitz: a step e in [-1, 1], taken forward at the letter's first
   position and backward at its second, so the walk closes by itself;
-- Hankel: a pair sum s ~ U[0, 2], with x_{t+1} = s - x_t at both
-  positions.  The walk closes identically only for symmetric words (each
-  letter at one even and one odd position); every other word has volume 0.
+- Hankel: a pair sum s in [0, 2], with x_{t+1} = s - x_t at both
+  positions.  The closure x_2k = x_0 holds identically only on symmetric
+  words (each letter at one even and one odd position); on every other
+  word it cuts the polytope down to a hyperplane, so the volume is 0.
 
-A word's volume is the probability that the whole walk stays in [0, 1],
-times 2^k: each letter's draw has density 1/2 against the unit-length
-coordinate it replaces.
+A word's volume is the volume of {every x_t in [0, 1]} in these
+coordinates: the map to the free coordinates of ``build_system`` is
+integer and unimodular.  A Chebyshev centre from HiGHS (scipy.optimize)
+tells a full-dimensional polytope from a flat one; Qhull's halfspace
+intersection and convex hull give the volume of the former.
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
-from hmt import limit_moment
+from hmt import PartitionWord, build_system, limit_moment, volume_exact
 
-SAMPLES = 200_000
-SEED = 20030730
+# a polytope whose largest inscribed ball is smaller than this is flat
+FLAT_RADIUS = 1e-9
 
 
 def pair_partitions(k: int):
@@ -55,47 +62,94 @@ def is_symmetric(word) -> bool:
     return True
 
 
-def walk_moment(kind: str, k: int, samples: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of the order-2k moment, with its standard error."""
-    gen = np.random.default_rng(seed)
-    total = variance = 0.0
-    for word in pair_partitions(k):
-        if kind == "hankel" and not is_symmetric(word):
+def polytope_volume(rows) -> tuple[float, float]:
+    """Volume and Chebyshev radius of {y : lo <= a . y <= hi for each (a, lo, hi)}.
+
+    The polytope must be bounded.  Rows with a = 0 only test 0 in [lo, hi].
+    """
+    normals, offsets = [], []
+    for a, lo, hi in rows:
+        if not any(a):
+            if not lo <= 0 <= hi:
+                return 0.0, 0.0
             continue
-        x = gen.random(samples)
+        normals += [a, [-x for x in a]]
+        offsets += [hi, -lo]
+    A = np.array(normals, dtype=float)
+    b = np.array(offsets, dtype=float)
+    d = A.shape[1]
+    if d == 1:
+        column = A[:, 0]
+        top = min(b[column > 0] / column[column > 0])
+        bottom = max(b[column < 0] / column[column < 0])
+        length = max(top - bottom, 0.0)
+        return length, length / 2
+    # largest ball inside: maximize r subject to a . y + |a| r <= b
+    norms = np.linalg.norm(A, axis=1, keepdims=True)
+    cost = np.zeros(d + 1)
+    cost[-1] = -1.0
+    lp = linprog(cost, A_ub=np.hstack([A, norms]), b_ub=b,
+                 bounds=[(None, None)] * d + [(0, None)], method="highs")
+    if lp.status == 2:  # infeasible: empty polytope
+        return 0.0, 0.0
+    assert lp.status == 0, lp.message
+    centre, radius = lp.x[:d], lp.x[-1]
+    if radius < FLAT_RADIUS:
+        return 0.0, radius
+    vertices = HalfspaceIntersection(np.hstack([A, -b[:, None]]), centre).intersections
+    # Q0 (no pre-merging of coplanar facets) takes a third of the default time
+    # in d = 6.  Where roundoff would bend the hull, Qhull raises QhullError
+    # instead of returning a volume; no polytope checked here does that.
+    return ConvexHull(vertices, qhull_options="Q0").volume, radius
+
+
+def walk_rows(kind: str, word) -> list:
+    """The word's polytope in walk coordinates (x_0, one e or s per letter), as rows."""
+    k = len(word) // 2
+    unit = [[int(i == j) for i in range(k + 1)] for j in range(k + 1)]
+    x = unit[0]
+    rows = [(x, 0, 1)]
+    seen = set()
+    for letter in word:
+        v = unit[letter + 1]
         if kind == "toeplitz":
-            draws = gen.uniform(-1.0, 1.0, (k, samples))
+            x = [p - q for p, q in zip(x, v)] if letter in seen else [p + q for p, q in zip(x, v)]
         else:
-            draws = gen.uniform(0.0, 2.0, (k, samples))
-        inside = np.ones(samples, dtype=bool)
-        seen = set()
-        for letter in word:
-            if kind == "toeplitz":
-                x = x - draws[letter] if letter in seen else x + draws[letter]
-            else:
-                x = draws[letter] - x
-            seen.add(letter)
-            inside &= (x >= 0.0) & (x <= 1.0)
-        p = float(inside.mean())
-        total += p
-        variance += p * (1.0 - p) / samples
-    return 2**k * total, 2**k * variance**0.5
+            x = [q - p for p, q in zip(x, v)]
+        if letter not in seen:
+            rows.append((v, -1, 1) if kind == "toeplitz" else (v, 0, 2))
+        seen.add(letter)
+        rows.append((x, 0, 1))
+    if kind == "hankel":
+        rows.append(([p - q for p, q in zip(x, unit[0])], 0, 0))  # x_2k = x_0
+    return rows
 
 
-@pytest.mark.parametrize(
-    "kind,order,expected",
-    [
-        ("toeplitz", 6, Fraction(11)),
-        ("toeplitz", 8, Fraction(908, 15)),
-        ("hankel", 8, Fraction(281, 15)),
-    ],
-)
-def test_exact_moment_within_four_standard_errors(kind, order, expected):
-    exact = limit_moment(kind, order)
-    assert exact == expected
-    estimate, stderr = walk_moment(kind, order // 2, SAMPLES, SEED)
-    assert 0 < stderr < 0.005 * float(exact)  # tight enough to tell words apart
-    assert abs(estimate - float(exact)) <= 4 * stderr, (estimate, stderr, exact)
+@functools.cache
+def qhull_volume(kind: str, word) -> tuple[float, float]:
+    return polytope_volume(walk_rows(kind, word))
+
+
+def exact_volume(kind: str, word) -> Fraction:
+    return volume_exact(build_system(PartitionWord(word), kind)).value
+
+
+def relabelled(word) -> tuple[int, ...]:
+    ids: dict[int, int] = {}
+    return tuple(ids.setdefault(letter, len(ids)) for letter in word)
+
+
+@functools.cache
+def dihedral_classes(k: int) -> dict:
+    """Each word's least rotation or reversal, mapped to the number of words it stands for."""
+    sizes: dict = {}
+    for word in pair_partitions(k):
+        images = []
+        for w in (word, word[::-1]):
+            images += [relabelled(w[t:] + w[:t]) for t in range(len(w))]
+        rep = min(images)
+        sizes[rep] = sizes.get(rep, 0) + 1
+    return sizes
 
 
 def test_walk_counts_words():
@@ -103,3 +157,48 @@ def test_walk_counts_words():
     assert [sum(is_symmetric(w) for w in pair_partitions(k)) for k in range(1, 6)] == [
         1, 2, 6, 24, 120,
     ]
+
+
+def test_dihedral_classes_count_orbits():
+    # OEIS A007769; the class sizes add up to (2k-1)!!
+    assert [len(dihedral_classes(k)) for k in range(1, 6)] == [1, 2, 5, 17, 79]
+    assert sum(dihedral_classes(5).values()) == 945
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_every_word_volume_matches_qhull(kind, k):
+    for word in pair_partitions(k):
+        volume, _ = qhull_volume(kind, word)
+        assert abs(volume - float(exact_volume(kind, word))) <= 1e-12, (kind, word)
+
+
+def test_symmetric_hankel_words_at_k5_match_qhull():
+    for word in filter(is_symmetric, pair_partitions(5)):
+        volume, _ = qhull_volume("hankel", word)
+        assert abs(volume - float(exact_volume("hankel", word))) <= 1e-12, word
+
+
+@pytest.mark.parametrize("k", range(1, 5))
+def test_hankel_volume_vanishes_off_symmetric_words(k):
+    # the paper's p_H(w) = 0 off symmetric words: the walk cannot close in full dimension
+    for word in pair_partitions(k):
+        volume, radius = qhull_volume("hankel", word)
+        if is_symmetric(word):
+            assert radius > 0.1, word
+        else:
+            assert radius == 0.0 and volume == 0.0, word
+
+
+@pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
+@pytest.mark.parametrize("k", range(1, 5))
+def test_word_sums_are_the_limit_moments(kind, k):
+    total = sum(qhull_volume(kind, word)[0] for word in pair_partitions(k))
+    assert abs(total - float(limit_moment(kind, 2 * k))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind,expected", [("toeplitz", Fraction(415)),
+                                           ("hankel", Fraction(2717, 36))])
+def test_order_ten_through_dihedral_classes(kind, expected):
+    total = sum(size * qhull_volume(kind, rep)[0] for rep, size in dihedral_classes(5).items())
+    assert abs(total - float(expected)) <= 1e-9
