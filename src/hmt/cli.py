@@ -32,19 +32,12 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import CapacityError, InvalidArgumentError, NumericError
-from .limits import MOMENT_FAMILIES, MomentEstimate, limit_moment, moment_table
+from .limits import MOMENT_FAMILIES, MomentEstimate, check_request, limit_moment, moment_table
 from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_REPLICATE, TAG_VOLUME_MC, mix
-from .volumes import (
-    DEFAULT_DIMENSION_CAP,
-    VolumeEstimate,
-    build_system,
-    volume_exact,
-    volume_mc,
-)
+from .volumes import VolumeEstimate, build_system, volume_exact, volume_mc
 from .words import (
-    DEFAULT_WORD_CAP,
+    dihedral_labels,
     dihedral_orbits,
-    dihedral_representative,
     enumerate_words,
     height,
     is_irreducible,
@@ -93,10 +86,18 @@ DEFAULT_MC_SAMPLES = 100_000
 # hankel (61 MB interpreter + 2 x 128 MB) and 223 MB for toeplitz (61 + 128
 # + 32 MB); at n = 8192 a replicate needs about 1 GB or 640 MB.
 MATRIX_ENTRY_BUDGET = 1 << 26
-# work caps, in the units each command's cost grows with
-SIMULATE_WORK_BUDGET = 1 << 40  # replicates * n^3: one full eigensolve per replicate
+# work caps, in the units each command's cost grows with.  A replicate is
+# charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
+# takes 0.34-0.38 ms at n = 1, as a solve at n = 128 does at 114 ps per n^3;
+# a norm-scan replicate, with ARPACK's fixed iterations, 0.17 ms at n = 1 and
+# 6-9 ms at n = 256, as a scan at n = 362 does at 49 ns per n^2.
+SIMULATE_WORK_BUDGET = 1 << 40  # replicates * max(n^3, 2^21): one full eigensolve per replicate
+SIMULATE_REPLICATE_FLOOR = 1 << 21
+NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(max(n^2, 2^17)): sampling and Lanczos matvecs
+NORM_SCAN_REPLICATE_FLOOR = 1 << 17
+EIGENVALUE_BUDGET = 1 << 20  # replicates * n pooled eigenvalues: 2.3 s, 211 MB to sort and write
+SIMULATE_ORDER_CAP = 1 << 11  # --max-order: a pass over them per even order, 2 min at both caps
 HISTOGRAM_BIN_BUDGET = 1 << 20  # --bins: the histogram holds bins + 1 edges and bins counts
-NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(n^2): sampling and Lanczos matvecs
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -264,27 +265,14 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
 
 
 def cmd_words(config: RunConfig) -> int:
-    if config.k > DEFAULT_WORD_CAP:
-        raise CapacityError(f"k={config.k} exceeds the word-enumeration cap {DEFAULT_WORD_CAP}")
-    exact_ok = config.k + 1 <= DEFAULT_DIMENSION_CAP
-    method = config.method
-    if method == "auto":
-        method = "exact" if exact_ok else "mc"
-    if method == "exact" and not exact_ok:
-        raise CapacityError(
-            f"k={config.k} needs exact volumes in dimension {config.k + 1} "
-            f"(cap {DEFAULT_DIMENSION_CAP}); use --method mc"
-        )
-    if method == "mc" and config.samples < 1:
-        raise InvalidArgumentError(f"--samples must be >= 1, got {config.samples}")
-    words = enumerate_words(config.k)
     kinds = ("toeplitz", "hankel")
+    k, method = check_request(kinds, 2 * config.k, config.method, config.samples)
+    words = enumerate_words(k)
     if method == "exact":
-        # exact volumes are constant on dihedral orbits: one per orbit, looked up per word
-        orbit_volumes = {
-            (rep, kind): volume_exact(build_system(rep, kind))
-            for rep, _ in dihedral_orbits(config.k) for kind in kinds
-        }
+        # exact volumes are constant on dihedral orbits: one per orbit, read by each word's label
+        orbit_volumes = [{kind: volume_exact(build_system(rep, kind)) for kind in kinds}
+                         for rep, _ in dihedral_orbits(k)]
+        labels = dihedral_labels(k)
     rows = []
     for index, w in enumerate(words):
         row = {
@@ -295,11 +283,11 @@ def cmd_words(config: RunConfig) -> int:
         }
         for kind in kinds:
             if method == "exact":
-                est = orbit_volumes[dihedral_representative(w), kind]
+                est = orbit_volumes[labels[index]][kind]
             else:
                 est = volume_mc(
                     build_system(w, kind), config.samples,
-                    mix(TAG_VOLUME_MC, config.seed, config.k, index),
+                    mix(TAG_VOLUME_MC, config.seed, k, index),
                 )
             if config.format == "json":
                 row[f"p_{kind}"] = _volume_json(est)
@@ -323,22 +311,14 @@ def _moment_row(order: int, value, stderr: float | None = None) -> dict:
 
 
 def cmd_moments(config: RunConfig) -> int:
-    max_order = config.order if config.order is not None else config.max_order
-    if max_order % 2 != 0 or max_order < 0:
-        raise InvalidArgumentError(f"--order/--max-order must be even and >= 0, got {max_order}")
-    if config.method == "mc" and config.samples < 1:
-        raise InvalidArgumentError(f"--samples must be >= 1, got {config.samples}")
-    options = {
-        "method": config.method,
-        "mc_samples": config.samples,
-        "seed": config.seed,
-    }
+    # limit_moment and moment_table refuse the request (check_request) before any work
+    options = {"method": config.method, "mc_samples": config.samples, "seed": config.seed}
     if config.order is not None:
         rows = [_moment_row(config.order, limit_moment(config.family, config.order, **options))]
     else:
-        table = moment_table(config.family, max_order, **options)
+        table = moment_table(config.family, config.max_order, **options)
         rows = [_moment_row(order, table.moment(order), table.stderrs.get(order))
-                for order in range(0, max_order + 1)]
+                for order in range(0, config.max_order + 1)]
     columns = ["order", "value", "numerator", "denominator", "stderr"]
     _write_artifact(config, rows, columns)
     return EXIT_OK
@@ -375,7 +355,11 @@ def cmd_simulate(config: RunConfig) -> int:
     if config.max_order % 2 != 0 or config.max_order < 0:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
     _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
-    _check_budget(config.replicates * config.n**3, SIMULATE_WORK_BUDGET, "replicates * n^3")
+    _check_budget(config.replicates * max(config.n**3, SIMULATE_REPLICATE_FLOOR),
+                  SIMULATE_WORK_BUDGET, "replicates * max(n^3, 2^21)")
+    _check_budget(config.replicates * config.n, EIGENVALUE_BUDGET,
+                  "pooled eigenvalues replicates * n")
+    _check_budget(config.max_order, SIMULATE_ORDER_CAP, "--max-order")
     _check_budget(config.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
     import numpy as np
 
@@ -433,8 +417,8 @@ def cmd_norm_scan(config: RunConfig) -> int:
     if config.replicates < 1:
         raise InvalidArgumentError(f"--replicates must be >= 1, got {config.replicates}")
     _check_budget(max(sizes)**2, MATRIX_ENTRY_BUDGET, "dense matrix entries max(n)^2")
-    _check_budget(config.replicates * sum(n * n for n in sizes), NORM_SCAN_WORK_BUDGET,
-                  "replicates * sum(n^2)")
+    _check_budget(config.replicates * sum(max(n * n, NORM_SCAN_REPLICATE_FLOOR) for n in sizes),
+                  NORM_SCAN_WORK_BUDGET, "replicates * sum(max(n^2, 2^17))")
     import numpy as np
 
     _load_numeric()

@@ -48,6 +48,10 @@ REFERENCE_FAMILIES = ("semicircle", "gaussian")
 # about as order**2.5 as the integers lengthen.
 MARKOV_ORDER_CAP = 80
 
+# Monte Carlo draws (uniform coordinates) per word-route request: about six
+# minutes at the 5e7/s volume_mc reaches for k = 5..7 (2-core x86-64 VM).
+MC_DRAW_BUDGET = 1 << 34
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -90,32 +94,45 @@ def _check_even_order(order: int) -> int:
     return order // 2
 
 
-def _check_request(family: str, order: int, method: str, word_cap: int, dim_cap: int) -> int:
-    """Validate a moment request and its caps before any work; returns k = order / 2.
+def check_request(families: tuple[str, ...], order: int, method: str,
+                  samples: int) -> tuple[int, str]:
+    """Decide whether a word-route request may run, before any word is enumerated.
 
-    Markov orders are bounded by the series cap; toeplitz/hankel orders by
-    the word cap and, for exact volumes, the dimension cap.  Every cap grows
-    with the order, so checking the largest order of a table covers every
-    order below it.
+    families are the families whose word volumes it reads (a `words` table
+    reads toeplitz and hankel).  Returns (k, method), k = order / 2, with
+    "auto" resolved: exact volumes iff k + 1 <= the dimension cap.  Invalid
+    arguments are refused first, then the Markov series cap, the word cap,
+    and the dimension cap (exact) or MC_DRAW_BUDGET (mc).  Every cap grows
+    with the order, so the largest order of a table covers the orders below
+    it, whose draws add under a tenth.
     """
-    if family not in MOMENT_FAMILIES:
-        raise InvalidArgumentError(f"unknown family {family!r}; expected one of {MOMENT_FAMILIES}")
+    for family in families:
+        if family not in MOMENT_FAMILIES:
+            raise InvalidArgumentError(f"unknown family {family!r}; expected {MOMENT_FAMILIES}")
     k = _check_even_order(order)
+    if method == "auto":
+        method = "exact" if k + 1 <= DEFAULT_DIMENSION_CAP else "mc"
     if method not in ("exact", "mc"):
         raise InvalidArgumentError(f"unknown method {method!r}")
-    if family == "markov":
+    if method == "mc" and samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    if "markov" in families:
         if order > MARKOV_ORDER_CAP:
-            raise CapacityError(
-                f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}"
-            )
-    elif k > word_cap:
-        raise CapacityError(f"order {order} needs k={k} words, above the cap {word_cap}")
-    elif method == "exact" and k + 1 > dim_cap:
-        raise CapacityError(
-            f"order {order} needs exact volumes in dimension {k + 1}, "
-            f"above the cap {dim_cap}; use method='mc'"
-        )
-    return k
+            raise CapacityError(f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}")
+    elif k > DEFAULT_WORD_CAP:
+        raise CapacityError(f"order {order} needs k={k} words, above the cap {DEFAULT_WORD_CAP}")
+    elif method == "exact" and k + 1 > DEFAULT_DIMENSION_CAP:
+        raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
+                            f"the cap {DEFAULT_DIMENSION_CAP}; use method mc")
+    elif method == "mc":
+        # a Hankel word draws only if each letter takes one odd and one even
+        # position (k! words); any other has a nonzero closure and volume 0
+        words = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
+                    for f in families)
+        if words * samples * (k + 1) > MC_DRAW_BUDGET:
+            raise CapacityError(f"order {order} needs {words * samples * (k + 1)} Monte Carlo "
+                                f"draws, above the budget {MC_DRAW_BUDGET}; use fewer samples")
+    return k, method
 
 
 def limit_moment(
@@ -124,8 +141,6 @@ def limit_moment(
     method: str = "exact",
     mc_samples: int = 100_000,
     seed: int = 0,
-    word_cap: int = DEFAULT_WORD_CAP,
-    dim_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> Fraction | MomentEstimate:
     """Limiting moment of order 2k for the toeplitz/hankel/markov family.
 
@@ -134,9 +149,9 @@ def limit_moment(
     toeplitz/hankel sum exact volumes once per dihedral orbit of words,
     weighted by the orbit's size, or per-word Monte Carlo volumes with
     independent per-word derived seeds and aggregate standard error
-    sqrt(sum stderr_w^2).
+    sqrt(sum stderr_w^2).  check_request vets the request first.
     """
-    k = _check_request(family, order, method, word_cap, dim_cap)
+    k, method = check_request((family,), order, method, mc_samples)
     if k == 0:
         return Fraction(1)
     if family == "markov":
@@ -144,13 +159,13 @@ def limit_moment(
     if method == "exact":
         # one volume per dihedral orbit: the volume is constant on each
         return sum(
-            (size * volume_exact(build_system(rep, family), dim_cap=dim_cap).value
-             for rep, size in dihedral_orbits(k, word_cap)),
+            (size * volume_exact(build_system(rep, family)).value
+             for rep, size in dihedral_orbits(k)),
             start=Fraction(0),
         )
     total = 0.0
     var = 0.0
-    for index, w in enumerate(enumerate_words(k, cap=word_cap)):
+    for index, w in enumerate(enumerate_words(k)):
         est = volume_mc(build_system(w, family), mc_samples, mix(TAG_VOLUME_MC, seed, k, index))
         total += float(est.value)
         if est.stderr is not None:
@@ -307,35 +322,27 @@ def moment_table(
     method: str = "exact",
     mc_samples: int = 100_000,
     seed: int = 0,
-    word_cap: int = DEFAULT_WORD_CAP,
-    dim_cap: int = DEFAULT_DIMENSION_CAP,
 ) -> MomentTable:
-    """Moments of one family through max_order (even orders; order 0 is 1)."""
+    """Moments of one family through max_order (even orders; order 0 is 1).
+
+    check_request vets the table at its largest order, before any work.
+    """
     _check_even_order(max_order)
     if family in REFERENCE_FAMILIES:
         entries = {
             order: reference_moments(family, order) for order in range(0, max_order + 1, 2)
         }
         return MomentTable(family=family, entries=entries, method="formula")
-    _check_request(family, max_order, method, word_cap, dim_cap)
+    _, method = check_request((family,), max_order, method, mc_samples)
     if family == "markov":
         return MomentTable(family=family, entries=_markov_moments(max_order), method="exact")
     table = MomentTable(family=family, method=method)
     table.entries[0] = Fraction(1)
     for order in range(2, max_order + 1, 2):
-        value = limit_moment(
-            family,
-            order,
-            method=method,
-            mc_samples=mc_samples,
-            seed=seed,
-            word_cap=word_cap,
-            dim_cap=dim_cap,
-        )
+        value = limit_moment(family, order, method=method, mc_samples=mc_samples, seed=seed)
         if isinstance(value, MomentEstimate):
             table.entries[order] = value.value
             table.stderrs[order] = value.stderr
         else:
             table.entries[order] = value
     return table
-

@@ -165,33 +165,41 @@ def dihedral_representative(w: PartitionWord) -> PartitionWord:
 
 
 @lru_cache(maxsize=None)
-def dihedral_orbits(
-    k: int, cap: int = DEFAULT_WORD_CAP
-) -> tuple[tuple[PartitionWord, int], ...]:
+def _dihedral_pass(k: int) -> tuple[tuple[tuple[PartitionWord, int], ...], tuple[int, ...]]:
+    """dihedral_orbits(k) and dihedral_labels(k) from one lexicographic pass over the words.
+
+    A word not yet met in an earlier orbit is the least member of its own, so
+    it is the representative (as dihedral_representative gives it); its 2k
+    rotations and those of its reversal, relabelled, are its orbit, whose
+    other members wait, with the orbit's index, until the pass reaches them.
+    """
+    pending: dict[tuple[int, ...], int] = {}
+    orbits, labels = [], []
+    for w in enumerate_words(k):
+        label = pending.pop(w.letters, len(orbits))
+        if label == len(orbits):
+            orbit = _orbit(w.letters)
+            orbits.append((w, len(orbit)))
+            orbit.remove(w.letters)
+            pending.update(dict.fromkeys(orbit, label))
+        labels.append(label)
+    return tuple(orbits), tuple(labels)
+
+
+def dihedral_orbits(k: int) -> tuple[tuple[PartitionWord, int], ...]:
     """(representative, orbit size) for each dihedral orbit of the words of length 2k.
 
-    One pass over enumerate_words(k, cap) in lexicographic order: a word not
-    yet met as a member of an earlier orbit is the least member of its own,
-    so it is the representative (as dihedral_representative gives it); its
-    2k rotations and those of its reversal, relabelled, are its orbit, whose
-    other members are set aside until the pass reaches them.  Orbits are in
-    order of first appearance and their sizes sum to (2k-1)!!.  The Toeplitz
-    and Hankel volumes are constant on an orbit: rotating or reversing a
-    word relabels the closed walk x_0, ..., x_2k = x_0 whose steps its
-    letters tie together.
+    Orbits are in order of first appearance and their sizes sum to (2k-1)!!.
+    The Toeplitz and Hankel volumes are constant on an orbit: rotating or
+    reversing a word relabels the closed walk x_0, ..., x_2k = x_0 whose
+    steps its letters tie together.
     """
-    pending: set[tuple[int, ...]] = set()
-    out = []
-    for w in enumerate_words(k, cap):
-        t = w.letters
-        if t in pending:
-            pending.remove(t)
-            continue
-        orbit = _orbit(t)
-        out.append((w, len(orbit)))
-        orbit.remove(t)
-        pending |= orbit
-    return tuple(out)
+    return _dihedral_pass(k)[0]
+
+
+def dihedral_labels(k: int) -> tuple[int, ...]:
+    """Each word's index in dihedral_orbits(k), in enumerate_words(k) order."""
+    return _dihedral_pass(k)[1]
 
 
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:

@@ -16,14 +16,17 @@ import hmt.cli
 import hmt.limits
 from hmt.cli import (
     DEFAULT_SEED,
+    EIGENVALUE_BUDGET,
     EXIT_CAPACITY,
     EXIT_INVALID,
     EXIT_NUMERIC,
     EXIT_OK,
     HISTOGRAM_BIN_BUDGET,
+    SIMULATE_ORDER_CAP,
     build_parser,
     main,
 )
+from hmt.limits import MC_DRAW_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -95,17 +98,45 @@ class TestWordsCommand:
         code, _, _ = run(["words", "--k", "5", "--samples", "0"], capsys)
         assert code == EXIT_OK
 
-        def stub(k):
-            raise AssertionError(f"enumerated the words of k = {k}")
+        class Enumerated(Exception):
+            pass
 
-        monkeypatch.setattr(hmt.cli, "enumerate_words", stub)
+        def stub(k):
+            raise Enumerated(k)
+
+        for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
+                             (hmt.limits, "dihedral_orbits")):
+            monkeypatch.setattr(module, name, stub)
+        # Monte Carlo draws: sampled words * samples * (k + 1), where Hankel
+        # samples only its k! words whose letters take one odd and one even place
+        words_k7 = MC_DRAW_BUDGET // ((135135 + 5040) * 8)
+        toeplitz_m14 = MC_DRAW_BUDGET // (135135 * 8)
+        hankel_m16 = MC_DRAW_BUDGET // (40320 * 9)
         # k = 8 has 2,027,025 words; auto resolves to mc from k = 7 on
         for argv, want in ((["--k", "7", "--method", "exact"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "exact"], EXIT_CAPACITY),
                            (["--k", "7", "--method", "mc", "--samples", "0"], EXIT_INVALID),
-                           (["--k", "7", "--samples", "0"], EXIT_INVALID)):
+                           (["--k", "7", "--samples", "0"], EXIT_INVALID),
+                           (["--k", "7"], EXIT_CAPACITY),
+                           (["--k", "8", "--method", "mc"], EXIT_CAPACITY),
+                           (["--k", "7", "--samples", str(words_k7 + 1)], EXIT_CAPACITY)):
             code, out, _ = run(["words", *argv], capsys)
             assert (code, out) == (want, ""), argv
+        for argv in (["--family", "toeplitz", "--order", "14"],
+                     ["--family", "toeplitz", "--max-order", "14"],
+                     ["--family", "toeplitz", "--order", "14", "--samples",
+                      str(toeplitz_m14 + 1)],
+                     ["--family", "hankel", "--order", "16", "--samples", str(hankel_m16 + 1)]):
+            code, out, _ = run(["moments", *argv, "--method", "mc"], capsys)
+            assert (code, out) == (EXIT_CAPACITY, ""), argv
+        # the most samples within the budget reach the enumerator
+        for argv in (["words", "--k", "7", "--samples", str(words_k7)],
+                     ["moments", "--family", "toeplitz", "--order", "14", "--method", "mc",
+                      "--samples", str(toeplitz_m14)],
+                     ["moments", "--family", "hankel", "--order", "16", "--method", "mc",
+                      "--samples", str(hankel_m16)]):
+            with pytest.raises(Enumerated):
+                main(argv)
 
 
 class TestMomentsCommand:
@@ -159,6 +190,20 @@ class TestMomentsCommand:
         )
         assert code == EXIT_OK and len(parse_csv(out)) == 1
         assert len(calls) == 15  # the 15 words of length 6, none of orders 2 and 4
+
+    def test_word_table_sums_to_the_mc_moment(self, capsys):
+        # both commands key each word's Monte Carlo stream by (seed, k, word index)
+        flags = ["--method", "mc", "--samples", "5000", "--seed", "7"]
+        code, out, _ = run(["words", "--k", "4", *flags], capsys)
+        assert code == EXIT_OK
+        rows = parse_csv(out)
+        for family, want in (("toeplitz", 60.598800000000033), ("hankel", 18.744800000000001)):
+            total = 0.0
+            for row in rows:
+                total += float(row[f"p_{family}"])
+            code, out, _ = run(["moments", "--family", family, "--order", "8", *flags], capsys)
+            assert code == EXIT_OK
+            assert float(parse_csv(out)[0]["value"]) == total == want, family
 
     def test_json_schema_valid(self, capsys, schema):
         code, out, _ = run(
@@ -255,7 +300,8 @@ class TestSimulateCommand:
         def norm_scan(ns, replicates):
             return ["norm-scan", "--ns", ns, "--replicates", str(replicates)]
 
-        # work budgets: replicates * n^3 <= 2^40 and replicates * sum(n^2) <= 2^34
+        # work budgets: replicates * max(n^3, 2^21) <= 2^40 and replicates *
+        # sum(max(n^2, 2^17)) <= 2^34; replicates * n <= 2^20 pooled eigenvalues
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8193",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["simulate", "--ensemble", "markov", "--n", "100000",
@@ -263,7 +309,13 @@ class TestSimulateCommand:
                      ["norm-scan", "--ns", "16,8193", "--replicates", "1"],
                      simulate(8192, 3), simulate(1024, 1025),
                      simulate(16, 1) + ["--bins", str(HISTOGRAM_BIN_BUDGET + 1)],
-                     norm_scan("8192", 257), norm_scan("4096,8192", 205)):
+                     norm_scan("8192", 257), norm_scan("4096,8192", 205),
+                     simulate(1, 10**9), simulate(8, 2 * 10**9), simulate(1, 2**19 + 1),
+                     simulate(16, EIGENVALUE_BUDGET // 16 + 1),
+                     simulate(16, 1) + ["--max-order", "2000000000", "--scale", "n"],
+                     simulate(16, 1) + ["--max-order", str(SIMULATE_ORDER_CAP + 2)],
+                     norm_scan("1", 10**10), norm_scan("1", 2**17 + 1),
+                     norm_scan("64,1", 2**16 + 1)):
             code, _, err = run(argv, capsys)
             assert code == EXIT_CAPACITY and "capacity" in err
         # histogram bins and the moment order are checked before sampling too
@@ -278,10 +330,13 @@ class TestSimulateCommand:
                       "--replicates", "1", "--output-prefix", prefix],
                      ["norm-scan", "--ns", "8192", "--replicates", "1"],
                      simulate(8192, 2), simulate(1024, 1024),
-                     norm_scan("8192", 256), norm_scan("4096,8192", 204)):
+                     norm_scan("8192", 256), norm_scan("4096,8192", 204),
+                     simulate(1, 2**19), simulate(16, EIGENVALUE_BUDGET // 16),
+                     simulate(16, 1) + ["--max-order", str(SIMULATE_ORDER_CAP)],
+                     norm_scan("1", 2**17), norm_scan("64,1", 2**16)):
             with pytest.raises(Sampled):
                 main(argv)
-        assert calls == [8192, 8192, 8192, 1024, 8192, 4096]
+        assert calls == [8192, 8192, 8192, 1024, 8192, 4096, 1, 16, 16, 1, 64]
 
     def test_overflowing_moment_writes_no_file(self, capsys, tmp_path):
         # 2^1600 overflows a double: the moments would hold inf, which JSON cannot

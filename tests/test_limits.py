@@ -88,6 +88,8 @@ class TestLimitMoments:
         ("markov", MARKOV_ORDER_CAP + 2, "exact"),  # series cap
         ("toeplitz", 14, "exact"),  # dimension cap
         ("toeplitz", 18, "mc"),    # word cap, no dimension cap under mc
+        ("toeplitz", 14, "mc"),    # Monte Carlo draws: 135,135 words * 100,000 * 8
+        ("hankel", 16, "mc"),      # draws of the 8! = 40,320 sampled words
     ])
     def test_table_caps_checked_before_any_order(self, monkeypatch, family, max_order, method):
         calls = []
@@ -336,6 +338,7 @@ class TestRecordedMoments:
     def test_order_twelve_live_at_the_default_cap(self, family, order_twelve_tables):
         assert order_twelve_tables[family].entries[12] == self.ORDER_TWELVE[family]
 
+    @pytest.mark.slow
     @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
     def test_order_twelve_bracketed_by_monte_carlo(self, family):
         total, var = 0.0, 0.0

@@ -9,6 +9,7 @@ from hmt.errors import InvalidArgumentError
 from hmt.words import (
     PartitionWord,
     delete_subword,
+    dihedral_labels,
     dihedral_orbits,
     dihedral_representative,
     double_factorial_odd,
@@ -131,9 +132,12 @@ class TestDihedralOrbits:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_members_are_turns_of_their_representative(self, k):
         orbits = dict(dihedral_orbits(k))
+        labels = dihedral_labels(k)
+        assert len(labels) == double_factorial_odd(k)
         members = Counter()
-        for w in enumerate_words(k):
+        for w, label in zip(enumerate_words(k), labels):
             rep = dihedral_representative(w)
+            assert dihedral_orbits(k)[label][0] == rep  # the orbit pass names w's orbit
             members[rep] += 1
             n = len(w)
             turns = {
