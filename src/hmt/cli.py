@@ -32,17 +32,13 @@ from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import CapacityError, InvalidArgumentError, NumericError
-from .limits import MOMENT_FAMILIES, MomentEstimate, check_request, limit_moment, moment_table
-from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_REPLICATE, TAG_VOLUME_MC, mix
+from .limits import (MOMENT_FAMILIES, MomentEstimate, check_request, limit_moment,
+                     moment_table, word_volumes)
+from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_REPLICATE, mix
+# build_system, volume_exact and volume_mc are no longer called here (words read
+# limits.word_volumes); perfbench/tracing.py wraps hmt.cli.<name>
 from .volumes import VolumeEstimate, build_system, volume_exact, volume_mc
-from .words import (
-    dihedral_labels,
-    dihedral_orbits,
-    enumerate_words,
-    height,
-    is_irreducible,
-    is_noncrossing,
-)
+from .words import enumerate_words, height, is_irreducible, is_noncrossing
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,25 +71,27 @@ def _load_numeric() -> None:
 
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
-# n * n cap on the sampled matrix: at most 512 MB of float64.  Samplers draw
-# it 2^16 entries at a time and hold no second n x n array, and Lanczos reads
-# it in place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at
-# 581 MB RSS, the matrix plus the interpreter (11 s on a 2-core VM).
-# `simulate` holds more per replicate in flight (--threads of them): the full
-# solve (Hankel, Markov, Wigner) gives LAPACK a copy of the C-ordered matrix,
-# 2 n^2 entries, and the Toeplitz split holds the matrix and one half-size
-# block, n^2 + n^2/4.  At n = 4096, `--replicates 1` peaks at 320 MB RSS for
-# hankel (61 MB interpreter + 2 x 128 MB) and 223 MB for toeplitz (61 + 128
-# + 32 MB); at n = 8192 a replicate needs about 1 GB or 640 MB.
+# Cap on the entries of the sampled matrices in flight, min(--threads,
+# --replicates) * n^2: at most 512 MB of float64.  Samplers draw a matrix 2^16
+# entries at a time and hold no second n x n array, and Lanczos reads it in
+# place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at 581 MB RSS,
+# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate` holds
+# more per matrix: the full solve (Hankel, Markov, Wigner) gives LAPACK a copy
+# of the C-ordered matrix, 2 n^2 entries, and the Toeplitz split holds the
+# matrix and one half-size block, n^2 + n^2/4.  At n = 4096, `--replicates 1`
+# peaks at 320 MB RSS for hankel (61 MB interpreter + 2 x 128 MB) and 223 MB
+# for toeplitz (61 + 128 + 32 MB); at n = 8192 a replicate needs about 1 GB
+# or 640 MB, and two threads are refused.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
 # takes 0.34-0.38 ms at n = 1, as a solve at n = 128 does at 114 ps per n^3;
 # a norm-scan replicate, with ARPACK's fixed iterations, 0.17 ms at n = 1 and
-# 6-9 ms at n = 256, as a scan at n = 362 does at 49 ns per n^2.
+# 6-9 ms at n = 256, as a scan at n = 362 does at 49 ns per n^2.  Either
+# budget allows about 2 minutes: 2^40 at 114 ps per n^3, 2^31 at 45-66 ns per n^2.
 SIMULATE_WORK_BUDGET = 1 << 40  # replicates * max(n^3, 2^21): one full eigensolve per replicate
 SIMULATE_REPLICATE_FLOOR = 1 << 21
-NORM_SCAN_WORK_BUDGET = 1 << 34  # replicates * sum(max(n^2, 2^17)): sampling and Lanczos matvecs
+NORM_SCAN_WORK_BUDGET = 1 << 31  # replicates * sum(max(n^2, 2^17)): sampling and Lanczos matvecs
 NORM_SCAN_REPLICATE_FLOOR = 1 << 17
 EIGENVALUE_BUDGET = 1 << 20  # replicates * n pooled eigenvalues: 2.3 s, 211 MB to sort and write
 SIMULATE_ORDER_CAP = 1 << 11  # --max-order: a pass over them per even order, 2 min at both caps
@@ -267,28 +265,13 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
 def cmd_words(config: RunConfig) -> int:
     kinds = ("toeplitz", "hankel")
     k, method = check_request(kinds, 2 * config.k, config.method, config.samples)
-    words = enumerate_words(k)
-    if method == "exact":
-        # exact volumes are constant on dihedral orbits: one per orbit, read by each word's label
-        orbit_volumes = [{kind: volume_exact(build_system(rep, kind)) for kind in kinds}
-                         for rep, _ in dihedral_orbits(k)]
-        labels = dihedral_labels(k)
+    volumes = {kind: word_volumes(kind, k, method, config.samples, config.seed) for kind in kinds}
     rows = []
-    for index, w in enumerate(words):
-        row = {
-            "word": str(w),
-            "height": height(w),
-            "irreducible": is_irreducible(w),
-            "noncrossing": is_noncrossing(w),
-        }
+    for index, w in enumerate(enumerate_words(k)):
+        row = {"word": str(w), "height": height(w), "irreducible": is_irreducible(w),
+               "noncrossing": is_noncrossing(w)}
         for kind in kinds:
-            if method == "exact":
-                est = orbit_volumes[labels[index]][kind]
-            else:
-                est = volume_mc(
-                    build_system(w, kind), config.samples,
-                    mix(TAG_VOLUME_MC, config.seed, k, index),
-                )
+            est = volumes[kind][index]
             if config.format == "json":
                 row[f"p_{kind}"] = _volume_json(est)
             else:
@@ -354,7 +337,8 @@ def cmd_simulate(config: RunConfig) -> int:
         raise InvalidArgumentError(f"--bins must be >= 1, got {config.bins}")
     if config.max_order % 2 != 0 or config.max_order < 0:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
-    _check_budget(config.n**2, MATRIX_ENTRY_BUDGET, "dense matrix entries n^2")
+    _check_budget(min(config.threads, config.replicates) * config.n**2, MATRIX_ENTRY_BUDGET,
+                  "matrix entries in flight min(threads, replicates) * n^2")
     _check_budget(config.replicates * max(config.n**3, SIMULATE_REPLICATE_FLOOR),
                   SIMULATE_WORK_BUDGET, "replicates * max(n^3, 2^21)")
     _check_budget(config.replicates * config.n, EIGENVALUE_BUDGET,
@@ -416,7 +400,8 @@ def cmd_norm_scan(config: RunConfig) -> int:
         raise InvalidArgumentError(f"--ns sizes must be >= 1, got {min(sizes)}")
     if config.replicates < 1:
         raise InvalidArgumentError(f"--replicates must be >= 1, got {config.replicates}")
-    _check_budget(max(sizes)**2, MATRIX_ENTRY_BUDGET, "dense matrix entries max(n)^2")
+    _check_budget(min(config.threads, config.replicates) * max(sizes)**2, MATRIX_ENTRY_BUDGET,
+                  "matrix entries in flight min(threads, replicates) * max(n)^2")
     _check_budget(config.replicates * sum(max(n * n, NORM_SCAN_REPLICATE_FLOOR) for n in sizes),
                   NORM_SCAN_WORK_BUDGET, "replicates * sum(max(n^2, 2^17))")
     import numpy as np

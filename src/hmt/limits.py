@@ -27,12 +27,14 @@ from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
 from .volumes import (
     DEFAULT_DIMENSION_CAP,
+    VolumeEstimate,
     build_system,
     volume_exact,
     volume_mc,
 )
 from .words import (
     DEFAULT_WORD_CAP,
+    dihedral_labels,
     dihedral_orbits,
     double_factorial_odd,
     enumerate_words,
@@ -51,6 +53,9 @@ MARKOV_ORDER_CAP = 80
 # Monte Carlo draws (uniform coordinates) per word-route request: about six
 # minutes at the 5e7/s volume_mc reaches for k = 5..7 (2-core x86-64 VM).
 MC_DRAW_BUDGET = 1 << 34
+# Draws charged per word a family builds, sampled or not: a word volume costs 90-120
+# us beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
+MC_WORD_CHARGE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -104,7 +109,7 @@ def check_request(families: tuple[str, ...], order: int, method: str,
     arguments are refused first, then the Markov series cap, the word cap,
     and the dimension cap (exact) or MC_DRAW_BUDGET (mc).  Every cap grows
     with the order, so the largest order of a table covers the orders below
-    it, whose draws add under a tenth.
+    it, whose draws add under a sixth from order 14 on.
     """
     for family in families:
         if family not in MOMENT_FAMILIES:
@@ -125,14 +130,30 @@ def check_request(families: tuple[str, ...], order: int, method: str,
         raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
                             f"the cap {DEFAULT_DIMENSION_CAP}; use method mc")
     elif method == "mc":
-        # a Hankel word draws only if each letter takes one odd and one even
-        # position (k! words); any other has a nonzero closure and volume 0
-        words = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
-                    for f in families)
-        if words * samples * (k + 1) > MC_DRAW_BUDGET:
-            raise CapacityError(f"order {order} needs {words * samples * (k + 1)} Monte Carlo "
-                                f"draws, above the budget {MC_DRAW_BUDGET}; use fewer samples")
+        # a family builds all (2k-1)!! words; a Hankel word draws only if each letter
+        # takes one odd and one even place (k! words), any other has volume 0
+        sampled = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
+                      for f in families)
+        draws = (len(families) * double_factorial_odd(k) * MC_WORD_CHARGE
+                 + sampled * samples * (k + 1))
+        if draws > MC_DRAW_BUDGET:
+            raise CapacityError(f"order {order} needs {draws} Monte Carlo draws, {MC_WORD_CHARGE} "
+                                f"per word built, above the budget {MC_DRAW_BUDGET}")
     return k, method
+
+
+def word_volumes(family: str, k: int, method: str, samples: int,
+                 seed: int) -> list[VolumeEstimate]:
+    """The volume of each word of length 2k, in enumerate_words(k) order.
+
+    exact: one solve per dihedral orbit, read by each word's orbit label;
+    mc: one volume_mc per word, on its own TAG_VOLUME_MC stream of (seed, k, index).
+    """
+    if method == "exact":
+        orbit_volumes = [volume_exact(build_system(rep, family)) for rep, _ in dihedral_orbits(k)]
+        return [orbit_volumes[label] for label in dihedral_labels(k)]
+    return [volume_mc(build_system(w, family), samples, mix(TAG_VOLUME_MC, seed, k, index))
+            for index, w in enumerate(enumerate_words(k))]
 
 
 def limit_moment(
@@ -146,9 +167,8 @@ def limit_moment(
 
     markov reads the moment off the free-cumulant series of semicircle
     plus N(0, 1) (always an exact integer, whatever the method);
-    toeplitz/hankel sum exact volumes once per dihedral orbit of words,
-    weighted by the orbit's size, or per-word Monte Carlo volumes with
-    independent per-word derived seeds and aggregate standard error
+    toeplitz/hankel sum word_volumes: exact rationals, or Monte Carlo
+    estimates with aggregate standard error
     sqrt(sum stderr_w^2).  check_request vets the request first.
     """
     k, method = check_request((family,), order, method, mc_samples)
@@ -156,17 +176,11 @@ def limit_moment(
         return Fraction(1)
     if family == "markov":
         return _markov_moments(order)[order]
+    volumes = word_volumes(family, k, method, mc_samples, seed)
     if method == "exact":
-        # one volume per dihedral orbit: the volume is constant on each
-        return sum(
-            (size * volume_exact(build_system(rep, family)).value
-             for rep, size in dihedral_orbits(k)),
-            start=Fraction(0),
-        )
-    total = 0.0
-    var = 0.0
-    for index, w in enumerate(enumerate_words(k)):
-        est = volume_mc(build_system(w, family), mc_samples, mix(TAG_VOLUME_MC, seed, k, index))
+        return sum((est.value for est in volumes), start=Fraction(0))
+    total = var = 0.0
+    for est in volumes:  # plain adds in word order: the MC pins fix them bit for bit
         total += float(est.value)
         if est.stderr is not None:
             var += est.stderr**2

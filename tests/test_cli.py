@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from hmt.cli import (
     build_parser,
     main,
 )
-from hmt.limits import MC_DRAW_BUDGET
+from hmt.limits import MC_DRAW_BUDGET, MC_WORD_CHARGE
 
 
 @pytest.fixture(scope="module")
@@ -107,11 +108,13 @@ class TestWordsCommand:
         for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
                              (hmt.limits, "dihedral_orbits")):
             monkeypatch.setattr(module, name, stub)
-        # Monte Carlo draws: sampled words * samples * (k + 1), where Hankel
-        # samples only its k! words whose letters take one odd and one even place
-        words_k7 = MC_DRAW_BUDGET // ((135135 + 5040) * 8)
-        toeplitz_m14 = MC_DRAW_BUDGET // (135135 * 8)
-        hankel_m16 = MC_DRAW_BUDGET // (40320 * 9)
+        # Monte Carlo draws: MC_WORD_CHARGE per word each family builds, plus
+        # sampled words * samples * (k + 1), where Hankel samples only its k!
+        # words whose letters take one odd and one even place
+        words_k7 = (MC_DRAW_BUDGET - 2 * 135135 * MC_WORD_CHARGE) // ((135135 + 5040) * 8)
+        toeplitz_m14 = (MC_DRAW_BUDGET - 135135 * MC_WORD_CHARGE) // (135135 * 8)
+        hankel_m16 = (MC_DRAW_BUDGET - 2027025 * MC_WORD_CHARGE) // (40320 * 9)
+        assert (words_k7, toeplitz_m14, hankel_m16) == (13345, 14867, 1583)
         # k = 8 has 2,027,025 words; auto resolves to mc from k = 7 on
         for argv, want in ((["--k", "7", "--method", "exact"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "exact"], EXIT_CAPACITY),
@@ -119,6 +122,8 @@ class TestWordsCommand:
                            (["--k", "7", "--samples", "0"], EXIT_INVALID),
                            (["--k", "7"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "mc"], EXIT_CAPACITY),
+                           # building 2 x 2,027,025 word systems alone is over the budget
+                           (["--k", "8", "--method", "mc", "--samples", "1"], EXIT_CAPACITY),
                            (["--k", "7", "--samples", str(words_k7 + 1)], EXIT_CAPACITY)):
             code, out, _ = run(["words", *argv], capsys)
             assert (code, out) == (want, ""), argv
@@ -191,19 +196,26 @@ class TestMomentsCommand:
         assert code == EXIT_OK and len(parse_csv(out)) == 1
         assert len(calls) == 15  # the 15 words of length 6, none of orders 2 and 4
 
-    def test_word_table_sums_to_the_mc_moment(self, capsys):
-        # both commands key each word's Monte Carlo stream by (seed, k, word index)
-        flags = ["--method", "mc", "--samples", "5000", "--seed", "7"]
-        code, out, _ = run(["words", "--k", "4", *flags], capsys)
+    @pytest.mark.parametrize("k, flags, wants", [
+        (4, ["--method", "mc", "--samples", "5000", "--seed", "7"],
+         {"toeplitz": 60.598800000000033, "hankel": 18.744800000000001}),
+        (5, ["--method", "exact"], {"toeplitz": Fraction(415), "hankel": Fraction(2717, 36)}),
+    ], ids=["mc", "exact"])
+    def test_word_table_sums_to_the_moment(self, capsys, k, flags, wants):
+        # both commands read limits.word_volumes: the same volume per word, and
+        # under mc the same stream per (seed, k, word index)
+        code, out, _ = run(["words", "--k", str(k), *flags], capsys)
         assert code == EXIT_OK
         rows = parse_csv(out)
-        for family, want in (("toeplitz", 60.598800000000033), ("hankel", 18.744800000000001)):
-            total = 0.0
+        for family, want in wants.items():
+            kind = type(want)
+            total = kind(0)
             for row in rows:
-                total += float(row[f"p_{family}"])
-            code, out, _ = run(["moments", "--family", family, "--order", "8", *flags], capsys)
+                total += kind(row[f"p_{family}"])
+            code, out, _ = run(["moments", "--family", family, "--order", str(2 * k), *flags],
+                               capsys)
             assert code == EXIT_OK
-            assert float(parse_csv(out)[0]["value"]) == total == want, family
+            assert kind(parse_csv(out)[0]["value"]) == total == want, family
 
     def test_json_schema_valid(self, capsys, schema):
         code, out, _ = run(
@@ -300,8 +312,9 @@ class TestSimulateCommand:
         def norm_scan(ns, replicates):
             return ["norm-scan", "--ns", ns, "--replicates", str(replicates)]
 
-        # work budgets: replicates * max(n^3, 2^21) <= 2^40 and replicates *
-        # sum(max(n^2, 2^17)) <= 2^34; replicates * n <= 2^20 pooled eigenvalues
+        # matrices in flight: min(threads, replicates) * n^2 <= 2^26; work budgets:
+        # replicates * max(n^3, 2^21) <= 2^40 and replicates * sum(max(n^2, 2^17))
+        # <= 2^31; replicates * n <= 2^20 pooled eigenvalues
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8193",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["simulate", "--ensemble", "markov", "--n", "100000",
@@ -309,13 +322,16 @@ class TestSimulateCommand:
                      ["norm-scan", "--ns", "16,8193", "--replicates", "1"],
                      simulate(8192, 3), simulate(1024, 1025),
                      simulate(16, 1) + ["--bins", str(HISTOGRAM_BIN_BUDGET + 1)],
-                     norm_scan("8192", 257), norm_scan("4096,8192", 205),
+                     norm_scan("8192", 33), norm_scan("4096,8192", 26),
+                     ["simulate", "--ensemble", "hankel", "--n", "8192", "--replicates", "2",
+                      "--threads", "2", "--output-prefix", prefix],
+                     norm_scan("8192", 2) + ["--threads", "2"],
                      simulate(1, 10**9), simulate(8, 2 * 10**9), simulate(1, 2**19 + 1),
                      simulate(16, EIGENVALUE_BUDGET // 16 + 1),
                      simulate(16, 1) + ["--max-order", "2000000000", "--scale", "n"],
                      simulate(16, 1) + ["--max-order", str(SIMULATE_ORDER_CAP + 2)],
-                     norm_scan("1", 10**10), norm_scan("1", 2**17 + 1),
-                     norm_scan("64,1", 2**16 + 1)):
+                     norm_scan("1", 10**10), norm_scan("1", 2**14 + 1),
+                     norm_scan("64,1", 2**13 + 1)):
             code, _, err = run(argv, capsys)
             assert code == EXIT_CAPACITY and "capacity" in err
         # histogram bins and the moment order are checked before sampling too
@@ -325,18 +341,23 @@ class TestSimulateCommand:
             assert code == EXIT_INVALID and "invalid" in err, flags
         assert calls == []
         assert list(tmp_path.iterdir()) == []
-        # n = 8192 (512 MB of float64) is within the budget and reaches the sampler
+        # one n = 8192 matrix (512 MB of float64) in flight is within the budget
+        # and reaches the sampler
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8192",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["norm-scan", "--ns", "8192", "--replicates", "1"],
                      simulate(8192, 2), simulate(1024, 1024),
-                     norm_scan("8192", 256), norm_scan("4096,8192", 204),
+                     ["simulate", "--ensemble", "hankel", "--n", "8192", "--replicates", "2",
+                      "--threads", "1", "--output-prefix", prefix],
+                     ["simulate", "--ensemble", "hankel", "--n", "8192", "--replicates", "1",
+                      "--threads", "2", "--output-prefix", prefix],
+                     norm_scan("8192", 32), norm_scan("4096,8192", 25),
                      simulate(1, 2**19), simulate(16, EIGENVALUE_BUDGET // 16),
                      simulate(16, 1) + ["--max-order", str(SIMULATE_ORDER_CAP)],
-                     norm_scan("1", 2**17), norm_scan("64,1", 2**16)):
+                     norm_scan("1", 2**14), norm_scan("64,1", 2**13)):
             with pytest.raises(Sampled):
                 main(argv)
-        assert calls == [8192, 8192, 8192, 1024, 8192, 4096, 1, 16, 16, 1, 64]
+        assert calls == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 4096, 1, 16, 16, 1, 64]
 
     def test_overflowing_moment_writes_no_file(self, capsys, tmp_path):
         # 2^1600 overflows a double: the moments would hold inf, which JSON cannot
