@@ -34,8 +34,8 @@ from .volumes import (
 )
 from .words import (
     DEFAULT_WORD_CAP,
+    dihedral_greatest,
     dihedral_labels,
-    dihedral_orbits,
     double_factorial_odd,
     enumerate_words,
     height,  # no longer called here; perfbench/tracing.py wraps hmt.limits.height
@@ -146,11 +146,14 @@ def word_volumes(family: str, k: int, method: str, samples: int,
                  seed: int) -> list[VolumeEstimate]:
     """The volume of each word of length 2k, in enumerate_words(k) order.
 
-    exact: one solve per dihedral orbit, read by each word's orbit label;
+    exact: one solve per dihedral orbit, read by each word's orbit label.  The
+    volume is the same for every member of an orbit, but the facet recursion's
+    cost is not: each orbit is solved through its lex-greatest member
+    (dihedral_greatest), which is cheaper than the representative.
     mc: one volume_mc per word, on its own TAG_VOLUME_MC stream of (seed, k, index).
     """
     if method == "exact":
-        orbit_volumes = [volume_exact(build_system(rep, family)) for rep, _ in dihedral_orbits(k)]
+        orbit_volumes = [volume_exact(build_system(w, family)) for w in dihedral_greatest(k)]
         return [orbit_volumes[label] for label in dihedral_labels(k)]
     return [volume_mc(build_system(w, family), samples, mix(TAG_VOLUME_MC, seed, k, index))
             for index, w in enumerate(enumerate_words(k))]

@@ -215,8 +215,8 @@ _EMPTY = None  # canonicalization result for an infeasible system
 
 # Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
 # most about 350 MB).  Tables through order 12 at the default cap leave
-# 15,283 entries (toeplitz) and 2,299 (hankel); hankel order 14, with
-# DEFAULT_DIMENSION_CAP = 8, leaves 33,253.  Toeplitz order 14 overflows it.
+# 10,206 entries (toeplitz) and 2,161 (hankel); hankel order 14, with
+# DEFAULT_DIMENSION_CAP = 8, leaves 29,350.  Toeplitz order 14 overflows it.
 _MEMO_SIZE = 1 << 17
 
 

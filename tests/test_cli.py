@@ -106,7 +106,7 @@ class TestWordsCommand:
             raise Enumerated(k)
 
         for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
-                             (hmt.limits, "dihedral_orbits")):
+                             (hmt.limits, "dihedral_greatest"), (hmt.limits, "dihedral_labels")):
             monkeypatch.setattr(module, name, stub)
         # Monte Carlo draws: MC_WORD_CHARGE per word each family builds, plus
         # sampled words * samples * (k + 1), where Hankel samples only its k!

@@ -119,8 +119,9 @@ class TestVolumeExact:
 
     def test_zero_weight_facets_are_not_solved(self):
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
-        # facets too leaves 1,771 (toeplitz) and 534 (hankel) memo entries
-        for family, entries in (("toeplitz", 915), ("hankel", 260)):
+        # facets too leaves 1,272 (toeplitz) and 530 (hankel) memo entries.
+        # Both counts depend on which orbit member word_volumes solves.
+        for family, entries in (("toeplitz", 609), ("hankel", 261)):
             hmt.volumes._facet_sum.cache_clear()
             moment_table(family, 10)
             assert hmt.volumes._facet_sum.cache_info().currsize == entries, family

@@ -6,9 +6,12 @@ from collections import Counter
 from hypothesis import given, strategies as st
 
 from hmt.errors import InvalidArgumentError
+from hmt.limits import word_volumes
+from hmt.volumes import build_system, volume_exact
 from hmt.words import (
     PartitionWord,
     delete_subword,
+    dihedral_greatest,
     dihedral_labels,
     dihedral_orbits,
     dihedral_representative,
@@ -150,6 +153,29 @@ class TestDihedralOrbits:
         assert members == orbits
         # first-appearance order: each representative precedes the rest of its orbit
         assert [rep.letters for rep in orbits] == sorted(rep.letters for rep in orbits)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_solved_member_is_the_greatest_and_last_of_its_orbit(self, k):
+        last = {}
+        for w, label in zip(enumerate_words(k), dihedral_labels(k)):
+            last[label] = w
+        greatest = dihedral_greatest(k)
+        assert len(greatest) == len(last) == len(dihedral_orbits(k))
+        for label, (rep, _) in enumerate(dihedral_orbits(k)):
+            turns = {
+                tuple_canonical(t[i:] + t[:i])
+                for t in (rep.letters, rep.letters[::-1])
+                for i in range(len(rep))
+            }
+            assert greatest[label].letters == max(turns), (str(rep), str(greatest[label]))
+            assert greatest[label] == last[label]
+
+    @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_exact_word_volumes_match_a_solve_per_word(self, family, k):
+        # word_volumes solves one member per orbit; every word must read its own volume
+        per_word = [volume_exact(build_system(w, family)) for w in enumerate_words(k)]
+        assert word_volumes(family, k, "exact", samples=0, seed=0) == per_word
 
     def test_examples(self):
         assert dihedral_representative(W("abab")) == W("abab")
