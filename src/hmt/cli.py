@@ -8,6 +8,14 @@ BLAS thread count (OPENBLAS_NUM_THREADS) can move `simulate` and
 `norm-scan` outputs in the last digits, since the threaded BLAS then
 rounds differently; eigenvalues and norms agree to about 1e-14 relative.
 
+`--threads T` sets how many replicates, and so how many sampled matrices,
+`simulate` and `norm-scan` hold at once.  Monte Carlo word volumes (`words`
+and `moments` with `--method mc`, `words --method auto` above the exact
+cap) run on one thread per usable CPU once each word draws at least
+limits.MC_POOL_MIN_DRAWS coordinates, whatever `--threads` says.  Every
+replicate and every word reads its own seeded stream and the results are
+gathered in a fixed order, so no output depends on either count.
+
 Only the commands that need numbers from numpy load it: `simulate` and
 `norm-scan` load numpy and scipy (samplers, eigensolvers) when they start,
 and `words`/`moments` with `--method mc` load numpy for the Monte Carlo
@@ -149,7 +157,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                        help="master seed; all randomness derives from it")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (outputs do not depend on this)")
+                       help="replicates (and matrices) simulate and norm-scan hold at "
+                            "once; Monte Carlo word volumes use every usable CPU "
+                            "(outputs depend on neither)")
         if with_format:
             p.add_argument("-o", "--output", default=None,
                            help="output path (default: stdout)")
@@ -315,12 +325,9 @@ def _check_budget(amount: int, budget: int, measure: str) -> None:
 
 def _replicates(config: RunConfig, one) -> list:
     """[one(rep) for rep in range(--replicates)], on --threads worker threads."""
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    from .parallel import ordered_map
 
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(one, range(config.replicates)))
-    return [one(rep) for rep in range(config.replicates)]
+    return ordered_map(one, config.replicates, config.threads)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:

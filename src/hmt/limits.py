@@ -50,12 +50,19 @@ REFERENCE_FAMILIES = ("semicircle", "gaussian")
 # about as order**2.5 as the integers lengthen.
 MARKOV_ORDER_CAP = 80
 
-# Monte Carlo draws (uniform coordinates) per word-route request: about six
-# minutes at the 5e7/s volume_mc reaches for k = 5..7 (2-core x86-64 VM).
+# Monte Carlo draws (uniform coordinates) per word-route request: about three
+# minutes at the 1.0-1.1e8/s the pooled word volumes reach for k = 5, 6 on two
+# threads, five on one thread at 5.5-7.4e7/s (2-core x86-64 VM).
 MC_DRAW_BUDGET = 1 << 34
 # Draws charged per word a family builds, sampled or not: a word volume costs 90-120
 # us beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
 MC_WORD_CHARGE = 1 << 13
+# Draws (coordinates) per word from which the Monte Carlo word volumes run on
+# one thread per usable CPU.  Below it a word's Python work (system, counter,
+# generator) outweighs its fills, and the GIL hand-offs between threads cost
+# more than the fills gain: at k = 6 two threads take 1.4x as long as one at
+# 1,000 samples, 0.75x at 3,000 (2-core x86-64 VM).
+MC_POOL_MIN_DRAWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -142,6 +149,14 @@ def check_request(families: tuple[str, ...], order: int, method: str,
     return k, method
 
 
+def mc_threads(draws_per_word: int) -> int:
+    """Threads for the Monte Carlo word volumes: one per usable CPU, or one
+    when a word draws fewer than MC_POOL_MIN_DRAWS coordinates."""
+    from .parallel import usable_cpus
+
+    return usable_cpus() if draws_per_word >= MC_POOL_MIN_DRAWS else 1
+
+
 def word_volumes(family: str, k: int, method: str, samples: int,
                  seed: int) -> list[VolumeEstimate]:
     """The volume of each word of length 2k, in enumerate_words(k) order.
@@ -150,13 +165,23 @@ def word_volumes(family: str, k: int, method: str, samples: int,
     volume is the same for every member of an orbit, but the facet recursion's
     cost is not: each orbit is solved through its lex-greatest member
     (dihedral_greatest), which is cheaper than the representative.
-    mc: one volume_mc per word, on its own TAG_VOLUME_MC stream of (seed, k, index).
+    The recursion is pure Python, so it runs serially.
+    mc: one volume_mc per word, on its own TAG_VOLUME_MC stream of (seed, k, index),
+    on mc_threads threads (the Philox fills release the GIL); the estimates
+    come back in word order, so every value is the same for any thread count.
     """
     if method == "exact":
         orbit_volumes = [volume_exact(build_system(w, family)) for w in dihedral_greatest(k)]
         return [orbit_volumes[label] for label in dihedral_labels(k)]
-    return [volume_mc(build_system(w, family), samples, mix(TAG_VOLUME_MC, seed, k, index))
-            for index, w in enumerate(enumerate_words(k))]
+    from .parallel import ordered_map
+
+    words = enumerate_words(k)
+
+    def one(index: int) -> VolumeEstimate:
+        return volume_mc(build_system(words[index], family), samples,
+                         mix(TAG_VOLUME_MC, seed, k, index))
+
+    return ordered_map(one, len(words), mc_threads(samples * (k + 1)))
 
 
 def limit_moment(

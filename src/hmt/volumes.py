@@ -31,6 +31,9 @@ if TYPE_CHECKING:
 
 DEFAULT_DIMENSION_CAP = 7
 
+# Monte Carlo draws in flight per call, in coordinates (1 MB of float64), so
+# the memory a call holds does not grow with the dimension; the stream is
+# read in whole points, so the chunk size moves no estimate
 _MC_CHUNK = 1 << 17
 
 
@@ -121,7 +124,7 @@ def _slab_rows(system: SlabSystem) -> list[Slab]:
 # Volume estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VolumeEstimate:
     """A volume in [0, 1]: exact rational, or an estimate with its error."""
 
@@ -175,10 +178,11 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
         return VolumeEstimate(Fraction(0), "exact")
     count = _hit_counter(system)
     gen = generator(seed)
+    points = max(1, _MC_CHUNK // max(system.dimension, 1))
     hits = 0
     remaining = samples
     while remaining > 0:
-        chunk = min(_MC_CHUNK, remaining)
+        chunk = min(points, remaining)
         hits += count(gen.random((chunk, system.dimension)))
         remaining -= chunk
     p = hits / samples

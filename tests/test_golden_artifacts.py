@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import hmt.limits
 from hmt.cli import EXIT_OK, main
 from hmt.ensembles import gaussian, rademacher, sample_matrix, shifted_gaussian, triangular
 
@@ -58,6 +59,15 @@ def test_stdout_hash(command, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("command", ["words --k 5 --method mc --samples 2000",
+                                     "words --k 5 --method mc --samples 2000 --format json"])
+def test_monte_carlo_words_hash_for_any_worker_count(command, workers, capsys, monkeypatch):
+    # the word volumes run on hmt.limits.mc_threads threads
+    monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws: workers)
+    test_stdout_hash(command, capsys)
 
 
 LAWS = {

@@ -203,6 +203,18 @@ class TestVolumeMC:
         est = volume_mc(system, hmt.volumes._MC_CHUNK + 3, seed=20)
         assert est.value == 0.6666641235933626
 
+    @pytest.mark.parametrize("points", [1, 7, 1000, 16384])
+    def test_chunk_size_moves_no_estimate(self, monkeypatch, points):
+        # the stream is read in whole points, however many a chunk holds
+        system = build_system(W("abcabc"), "toeplitz")
+        want = volume_mc(system, 20_000, seed=5)
+        monkeypatch.setattr(hmt.volumes, "_MC_CHUNK", points * system.dimension)
+        assert volume_mc(system, 20_000, seed=5) == want
+
+    def test_estimates_hold_no_instance_dict(self):
+        # one estimate per word is held, 2,027,025 of them at k = 8
+        assert not hasattr(volume_mc(GENERAL_SLABS, 10, seed=7), "__dict__")
+
     def test_non_word_bounds_value_pinned(self):
         assert volume_mc(GENERAL_SLABS, 50_000, seed=7).value == 0.35916
 
