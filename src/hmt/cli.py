@@ -275,7 +275,7 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
 def cmd_words(config: RunConfig) -> int:
     kinds = ("toeplitz", "hankel")
     k, method = check_request(kinds, 2 * config.k, config.method, config.samples)
-    volumes = {kind: word_volumes(kind, k, method, config.samples, config.seed) for kind in kinds}
+    volumes = word_volumes(kinds, k, method, config.samples, config.seed)
     rows = []
     for index, w in enumerate(enumerate_words(k)):
         row = {"word": str(w), "height": height(w), "irreducible": is_irreducible(w),

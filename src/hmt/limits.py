@@ -30,7 +30,8 @@ from .volumes import (
     VolumeEstimate,
     build_system,
     volume_exact,
-    volume_mc,
+    volume_mc,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_mc
+    volumes_mc,
 )
 from .words import (
     DEFAULT_WORD_CAP,
@@ -50,9 +51,12 @@ REFERENCE_FAMILIES = ("semicircle", "gaussian")
 # about as order**2.5 as the integers lengthen.
 MARKOV_ORDER_CAP = 80
 
-# Monte Carlo draws (uniform coordinates) per word-route request: about three
-# minutes at the 1.0-1.1e8/s the pooled word volumes reach for k = 5, 6 on two
-# threads, five on one thread at 5.5-7.4e7/s (2-core x86-64 VM).
+# Monte Carlo draws (uniform coordinates) per word-route request, counted as
+# check_request charges them: two to two and a half minutes at the 1.1-1.5e8
+# charged draws/s the pooled word volumes reach for k = 5, 6 at 20,000 samples
+# on two free cores, up to four and a half on one core at 6.5e7-1.1e8/s
+# (2-core x86-64 VM).  The charge bounds what is drawn from above: the
+# families of a word share one draw, and words with no slab to test draw none.
 MC_DRAW_BUDGET = 1 << 34
 # Draws charged per word a family builds, sampled or not: a word volume costs 90-120
 # us beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
@@ -157,31 +161,39 @@ def mc_threads(draws_per_word: int) -> int:
     return usable_cpus() if draws_per_word >= MC_POOL_MIN_DRAWS else 1
 
 
-def word_volumes(family: str, k: int, method: str, samples: int,
-                 seed: int) -> list[VolumeEstimate]:
-    """The volume of each word of length 2k, in enumerate_words(k) order.
+def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
+                 seed: int) -> dict[str, list[VolumeEstimate]]:
+    """Per family, the volume of each word of length 2k, in enumerate_words(k) order.
 
     exact: one solve per dihedral orbit, read by each word's orbit label.  The
     volume is the same for every member of an orbit, but the facet recursion's
     cost is not: each orbit is solved through its lex-greatest member
     (dihedral_greatest), which is cheaper than the representative.
     The recursion is pure Python, so it runs serially.
-    mc: one volume_mc per word, on its own TAG_VOLUME_MC stream of (seed, k, index),
-    on mc_threads threads (the Philox fills release the GIL); the estimates
+    mc: one volumes_mc call per word for all the families, on the word's own
+    TAG_VOLUME_MC stream of (seed, k, index).  The families' systems have
+    k + 1 free coordinates each, so they count the same points, drawn once;
+    a family's estimates do not depend on which others are computed.  The
+    words run on mc_threads threads (the Philox fills release the GIL) and
     come back in word order, so every value is the same for any thread count.
     """
     if method == "exact":
-        orbit_volumes = [volume_exact(build_system(w, family)) for w in dihedral_greatest(k)]
-        return [orbit_volumes[label] for label in dihedral_labels(k)]
+        labels = dihedral_labels(k)
+        out = {}
+        for family in families:
+            orbit_volumes = [volume_exact(build_system(w, family)) for w in dihedral_greatest(k)]
+            out[family] = [orbit_volumes[label] for label in labels]
+        return out
     from .parallel import ordered_map
 
     words = enumerate_words(k)
 
-    def one(index: int) -> VolumeEstimate:
-        return volume_mc(build_system(words[index], family), samples,
-                         mix(TAG_VOLUME_MC, seed, k, index))
+    def one(index: int) -> list[VolumeEstimate]:
+        return volumes_mc([build_system(words[index], family) for family in families],
+                          samples, mix(TAG_VOLUME_MC, seed, k, index))
 
-    return ordered_map(one, len(words), mc_threads(samples * (k + 1)))
+    per_word = ordered_map(one, len(words), mc_threads(samples * (k + 1)))
+    return {family: [row[j] for row in per_word] for j, family in enumerate(families)}
 
 
 def limit_moment(
@@ -204,7 +216,7 @@ def limit_moment(
         return Fraction(1)
     if family == "markov":
         return _markov_moments(order)[order]
-    volumes = word_volumes(family, k, method, mc_samples, seed)
+    volumes = word_volumes((family,), k, method, mc_samples, seed)[family]
     if method == "exact":
         return sum((est.value for est in volumes), start=Fraction(0))
     total = var = 0.0

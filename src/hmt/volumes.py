@@ -20,7 +20,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import generator
@@ -137,57 +137,103 @@ class VolumeEstimate:
         return float(self.value)
 
 
-def _hit_counter(system: SlabSystem):
+def _binding_slabs(system: SlabSystem) -> list[Slab]:
+    """The slabs that some point of the closed cube violates, each once.
+
+    A slab whose range over the cube, [sum of negative a_j, sum of positive
+    a_j], lies inside [lo, hi] holds at every draw: float rounding is
+    monotone and exact at the cube's corners, so no computed a . x leaves
+    that range.  Such a slab cannot change a hit; for words these are the
+    unit rows 0 <= x_j <= 1.  A repeated (a, lo, hi) row is kept once.
+    """
+    kept: dict[Slab, None] = {}
+    for a, lo, hi in _slab_rows(system):
+        if lo <= sum(x for x in a if x < 0) and sum(x for x in a if x > 0) <= hi:
+            continue
+        kept[tuple(a), lo, hi] = None
+    return list(kept)
+
+
+def _hit_counter(slabs: list[Slab], dimension: int):
     """Function counting the points (rows of an array) that satisfy every slab.
 
     Slabs are closed: a point with a . x exactly at lo or hi is a hit.  All
-    slab values come from the one product points @ mat; the bounds are then
-    applied one slab column at a time into a single boolean mask, so no
-    N x r boolean temporaries are built.  A system without slabs counts
-    every point.
+    slab values come from the one product rows @ points.T, one contiguous
+    row of values per slab; the bounds are then applied one slab at a time
+    into a single boolean mask, so no r x N boolean temporaries are built.
+    The layout of the product (and which slabs it holds) could change a
+    value only through the order BLAS adds its d terms, which rounds only
+    once a partial sum reaches 1 in magnitude; tests/test_volumes.py checks
+    every word with k <= 5 against a counter that tests every slab.
     """
     import numpy as np
 
-    rows = _slab_rows(system)
-    mat = np.zeros((system.dimension, len(rows)))
-    for col, (a, _, _) in enumerate(rows):
-        mat[:, col] = a
-    bounds = [(float(lo), float(hi)) for _, lo, hi in rows]
+    rows = np.array([a for a, _, _ in slabs], dtype=float).reshape(len(slabs), dimension)
+    bounds = [(float(lo), float(hi)) for _, lo, hi in slabs]
 
     def count(points: np.ndarray) -> int:
-        vals = points @ mat
         inside = np.ones(len(points), dtype=bool)
-        for col, (lo, hi) in enumerate(bounds):
-            column = vals[:, col]
-            inside &= column >= lo
-            inside &= column <= hi
+        for values, (lo, hi) in zip(rows @ points.T, bounds):
+            inside &= values >= lo
+            inside &= values <= hi
         return int(np.count_nonzero(inside))
 
     return count
 
 
-def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
-    """Monte Carlo volume: fraction of uniform cube draws satisfying all slabs.
-
-    Deterministic given (seed, samples).  A symbolically nonzero closure
-    short-circuits to an exact 0 without sampling.
-    """
-    if samples < 1:
-        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
-    if system.flat:
-        return VolumeEstimate(Fraction(0), "exact")
-    count = _hit_counter(system)
-    gen = generator(seed)
-    points = max(1, _MC_CHUNK // max(system.dimension, 1))
-    hits = 0
-    remaining = samples
-    while remaining > 0:
-        chunk = min(points, remaining)
-        hits += count(gen.random((chunk, system.dimension)))
-        remaining -= chunk
+def _mc_estimate(hits: int, samples: int) -> VolumeEstimate:
     p = hits / samples
     stderr = math.sqrt(p * (1.0 - p) / samples)
     return VolumeEstimate(p, "mc", stderr=stderr, samples=samples)
+
+
+def volumes_mc(systems: Sequence[SlabSystem], samples: int,
+               seed: int) -> list[VolumeEstimate]:
+    """Monte Carlo volumes of several systems from one seed, in their order.
+
+    Each system's estimate is the fraction of `samples` uniform cube draws
+    from generator(seed) that satisfy all its slabs, so it does not depend
+    on the other systems.  Systems of one dimension read the same points:
+    each chunk is drawn once and counted against all of them.  Only the
+    slabs some cube point violates are tested (_binding_slabs), so a system
+    left without one takes the value 1 of a full draw with no draw at all.
+    A symbolically nonzero closure short-circuits to an exact 0.
+    """
+    if samples < 1:
+        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    out: list[VolumeEstimate | None] = [None] * len(systems)
+    counters: dict[int, list] = {}  # dimension -> [(system index, hit counter)]
+    for i, system in enumerate(systems):
+        if system.flat:
+            out[i] = VolumeEstimate(Fraction(0), "exact")
+        elif slabs := _binding_slabs(system):
+            counters.setdefault(system.dimension, []).append(
+                (i, _hit_counter(slabs, system.dimension)))
+        else:
+            out[i] = _mc_estimate(samples, samples)
+    for d, counted in counters.items():
+        gen = generator(seed)
+        points = max(1, _MC_CHUNK // max(d, 1))
+        hits = [0] * len(counted)
+        remaining = samples
+        while remaining > 0:
+            chunk = gen.random((min(points, remaining), d))
+            for j, (_, count) in enumerate(counted):
+                hits[j] += count(chunk)
+            remaining -= len(chunk)
+        for (i, _), h in zip(counted, hits):
+            out[i] = _mc_estimate(h, samples)
+    return out
+
+
+def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
+    """Monte Carlo volume: fraction of uniform cube draws satisfying all slabs.
+
+    Deterministic given (seed, samples): the one-system case of volumes_mc.
+    A symbolically nonzero closure short-circuits to an exact 0 without
+    sampling.
+    """
+    return volumes_mc((system,), samples, seed)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -184,9 +184,9 @@ class TestMomentsCommand:
 
     def test_single_order_samples_only_its_words(self, capsys, monkeypatch):
         calls = []
-        real = hmt.limits.volume_mc
+        real = hmt.limits.volumes_mc
         monkeypatch.setattr(
-            hmt.limits, "volume_mc", lambda *a, **kw: calls.append(a) or real(*a, **kw)
+            hmt.limits, "volumes_mc", lambda *a, **kw: calls.append(a) or real(*a, **kw)
         )
         code, out, _ = run(
             ["moments", "--family", "toeplitz", "--order", "6", "--method", "mc",

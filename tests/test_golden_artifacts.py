@@ -70,6 +70,19 @@ def test_monte_carlo_words_hash_for_any_worker_count(command, workers, capsys, m
     test_stdout_hash(command, capsys)
 
 
+# the Monte Carlo word table of the benchmark's words-cumulants workload
+BENCH_MC_WORDS = "words --k 5 --method mc --samples 20000 --seed 314159"
+BENCH_MC_WORDS_SHA256 = "cc93c2ff63f2e222c478f6a0c351c55585deb2a6574240a580a9daa9bf0b80d4"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_benchmark_monte_carlo_words_hash(workers, capsys, monkeypatch):
+    monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws: workers)
+    assert main(BENCH_MC_WORDS.split()) == EXIT_OK
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BENCH_MC_WORDS_SHA256
+
+
 LAWS = {
     "rademacher": rademacher(),
     "gaussian": gaussian(),

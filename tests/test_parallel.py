@@ -115,14 +115,22 @@ class TestMonteCarloWordVolumes:
         runs = {}
         for workers in (1, 2, 3):
             monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws, workers=workers: workers)
-            runs[workers] = fields(word_volumes(family, k, "mc", 2000, 314159))
+            runs[workers] = fields(word_volumes((family,), k, "mc", 2000, 314159)[family])
         assert runs[2] == runs[1]
         assert runs[3] == runs[1]
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_hankel_alone_equals_hankel_beside_toeplitz(self, monkeypatch, workers):
+        # the two families count the same points, drawn once per word
+        monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws: workers)
+        alone = word_volumes(("hankel",), 5, "mc", 3000, 314159)["hankel"]
+        both = word_volumes(("toeplitz", "hankel"), 5, "mc", 3000, 314159)
+        assert fields(alone) == fields(both["hankel"])
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_pool_submits_one_task_per_worker(self, monkeypatch, submits, workers):
         monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws: workers)
-        assert len(word_volumes("toeplitz", 4, "mc", 100, 0)) == 105
+        assert len(word_volumes(("toeplitz",), 4, "mc", 100, 0)["toeplitz"]) == 105
         assert submits["submits"] == (workers if workers > 1 else 0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -131,18 +139,18 @@ class TestMonteCarloWordVolumes:
         failing_seed = mix(TAG_VOLUME_MC, 0, k, failing)
         failed = threading.Event()
         started_after = []
-        real = hmt.limits.volume_mc
+        real = hmt.limits.volumes_mc
 
-        def stub(system, samples, seed):
+        def stub(systems, samples, seed):
             if failed.is_set():
                 started_after.append(seed)
             if seed == failing_seed:
                 failed.set()
                 raise NumericError("volume failed")
-            return real(system, samples, seed)
+            return real(systems, samples, seed)
 
-        monkeypatch.setattr(hmt.limits, "volume_mc", stub)
+        monkeypatch.setattr(hmt.limits, "volumes_mc", stub)
         monkeypatch.setattr(hmt.limits, "mc_threads", lambda draws: workers)
         with pytest.raises(NumericError, match="volume failed"):
-            word_volumes("toeplitz", k, "mc", 2000, 0)
+            word_volumes(("toeplitz",), k, "mc", 2000, 0)
         assert len(started_after) <= workers

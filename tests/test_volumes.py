@@ -9,18 +9,26 @@ from hypothesis import given, settings, strategies as st
 
 import hmt.volumes
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
-from hmt.limits import moment_table
-from hmt.rng import mix
+from hmt.limits import catalan, moment_table, word_volumes
+from hmt.rng import TAG_VOLUME_MC, generator, mix
 from hmt.volumes import (
     SlabSystem,
+    VolumeEstimate,
     build_system,
     eulerian_number,
     single_slab_system,
     slab_volume_integral,
     volume_exact,
     volume_mc,
+    volumes_mc,
 )
-from hmt.words import PartitionWord, dihedral_orbits, dihedral_representative, enumerate_words
+from hmt.words import (
+    PartitionWord,
+    dihedral_orbits,
+    dihedral_representative,
+    enumerate_words,
+    is_noncrossing,
+)
 
 from test_walk_oracle import polytope_volume
 
@@ -230,6 +238,96 @@ class TestVolumeMC:
         assert hits >= 95
 
 
+class TestSkippedSlabs:
+    """volume_mc tests only the slabs a cube point can violate, each once, and
+    draws each point once for all the systems of one dimension.  None of it
+    may move an estimate: hits depend on those slabs alone."""
+
+    @staticmethod
+    def every_slab_estimate(system, samples, seed):
+        """volume_mc's estimate from a counter that tests every slab, unit rows too."""
+        if system.flat:
+            return VolumeEstimate(Fraction(0), "exact")
+        d = system.dimension
+        rows = list(system.slabs.values())
+        mat = np.array([a for a, _, _ in rows], dtype=float).reshape(len(rows), d).T
+        lo = np.array([lo for _, lo, _ in rows], dtype=float)
+        hi = np.array([hi for _, _, hi in rows], dtype=float)
+        gen = generator(seed)
+        per_chunk = max(1, hmt.volumes._MC_CHUNK // d)
+        hits, remaining = 0, samples
+        while remaining:
+            vals = gen.random((min(per_chunk, remaining), d)) @ mat
+            hits += int(np.count_nonzero(((vals >= lo) & (vals <= hi)).all(axis=1)))
+            remaining -= min(per_chunk, remaining)
+        p = hits / samples
+        return VolumeEstimate(p, "mc", stderr=math.sqrt(p * (1.0 - p) / samples),
+                              samples=samples)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("chunks", ["one", "two"])
+    def test_word_estimates_equal_those_of_every_slab(self, k, chunks):
+        samples = 2000 if chunks == "one" else hmt.volumes._MC_CHUNK // (k + 1) + 3
+        families = ("toeplitz", "hankel")
+        got = word_volumes(families, k, "mc", samples, seed=314159)
+        for family in families:
+            want = [
+                self.every_slab_estimate(build_system(w, family), samples,
+                                         mix(TAG_VOLUME_MC, 314159, k, index))
+                for index, w in enumerate(enumerate_words(k))
+            ]
+            assert got[family] == want, family
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_noncrossing_toeplitz_words_draw_nothing(self, monkeypatch, k):
+        # a noncrossing word's slabs are all unit rows: its volume 1 needs no draw
+        class Drew(Exception):
+            pass
+
+        def no_generator(seed):
+            raise Drew
+
+        monkeypatch.setattr(hmt.volumes, "generator", no_generator)
+        undrawn = []
+        for w in enumerate_words(k):
+            try:
+                est = volume_mc(build_system(w, "toeplitz"), 1000, seed=3)
+            except Drew:
+                continue
+            assert est == VolumeEstimate(1.0, "mc", stderr=0.0, samples=1000)
+            undrawn.append(w)
+        assert undrawn == [w for w in enumerate_words(k) if is_noncrossing(w)]
+        assert len(undrawn) == catalan(k)
+
+    def test_systems_drawn_together_equal_systems_drawn_alone(self):
+        systems = [GENERAL_SLABS, build_system(W("abcabc"), "toeplitz"),
+                   build_system(W("abab"), "hankel"), build_system(W("aabb"), "toeplitz"),
+                   build_system(W("abcacb"), "hankel"), single_slab_system((1, -1, 1))]
+        together = volumes_mc(systems, hmt.volumes._MC_CHUNK // 3 + 5, seed=11)
+        alone = [volume_mc(s, hmt.volumes._MC_CHUNK // 3 + 5, seed=11) for s in systems]
+        assert together == alone
+
+    def test_unit_and_repeated_rows_are_skipped(self):
+        system = SlabSystem("slab", (0, 1), {
+            2: ((1, 0), 0, 1), 3: ((1, -1), 0, 1), 4: ((1, -1), 0, 1),
+            5: ((1, 1), 0, 2), 6: ((1, 1), -1, 3), 7: ((-1, 0), -1, 0)}, None)
+        assert hmt.volumes._binding_slabs(system) == [((1, -1), 0, 1)]
+
+
+def test_symmetric_hankel_words_have_their_toeplitz_volume():
+    # Let y_j = x_j for even j and y_j = 1 - x_j for odd j, a map of the cube
+    # onto itself.  A symmetric word puts each letter at one odd place i and one
+    # even place m, where the Hankel equation x_i + x_{i-1} = x_m + x_{m-1}
+    # becomes the Toeplitz one y_i - y_{i-1} + y_m - y_{m-1} = 0.  The Hankel
+    # closure x_0 = x_2k joins two even places, so it becomes y_0 = y_2k, which
+    # Toeplitz gets by telescoping.  So p_H(w) = p_T(w), exactly.
+    words = [w for k in range(1, 6) for w in enumerate_words(k) if is_symmetric(w)]
+    assert len(words) == 153
+    for w in words:
+        hankel = volume_exact(build_system(w, "hankel")).value
+        assert hankel == volume_exact(build_system(w, "toeplitz")).value, str(w)
+
+
 class TestEulerian:
     def test_a32_is_four(self):
         assert eulerian_number(3, 2) == 4
@@ -352,7 +450,9 @@ def test_scaled_word_slabs_keep_the_exact_volume(kind):
 
 
 def _count(system, points):
-    return hmt.volumes._hit_counter(system)(np.array(points, dtype=float))
+    # every slab, including those the cube satisfies: some points lie outside it
+    counter = hmt.volumes._hit_counter(list(system.slabs.values()), system.dimension)
+    return counter(np.array(points, dtype=float))
 
 
 class TestHitCounter:

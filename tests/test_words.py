@@ -175,7 +175,7 @@ class TestDihedralOrbits:
     def test_exact_word_volumes_match_a_solve_per_word(self, family, k):
         # word_volumes solves one member per orbit; every word must read its own volume
         per_word = [volume_exact(build_system(w, family)) for w in enumerate_words(k)]
-        assert word_volumes(family, k, "exact", samples=0, seed=0) == per_word
+        assert word_volumes((family,), k, "exact", samples=0, seed=0) == {family: per_word}
 
     def test_examples(self):
         assert dihedral_representative(W("abab")) == W("abab")
