@@ -22,8 +22,8 @@ and `words`/`moments` with `--method mc` load numpy for the Monte Carlo
 volumes.  Argument parsing, `--version`, exact `words` tables and exact
 `moments` (including every refusal) run in plain Python.
 
-Exit codes: 0 success, 2 invalid arguments, 3 capacity/budget exceeded,
-4 numerical failure.
+Exit codes: 0 success, 2 invalid arguments (an output path that cannot be
+written included), 3 capacity/budget exceeded, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ import argparse
 import importlib
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -111,35 +111,6 @@ EXIT_CAPACITY = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class RunConfig:
-    """Parsed flags of one invocation, echoed into every JSON artifact."""
-
-    subcommand: str
-    family: str | None = None
-    ensemble: str | None = None
-    k: int | None = None
-    order: int | None = None
-    max_order: int | None = None
-    n: int | None = None
-    ns: tuple[int, ...] | None = None
-    replicates: int | None = None
-    dist: str | None = None
-    mean: float | None = None
-    seed: int = DEFAULT_SEED
-    method: str | None = None
-    samples: int | None = None
-    bins: int | None = None
-    scale: str | None = None
-    threads: int = 1
-    output: str | None = None
-    output_prefix: str | None = None
-    format: str = "csv"
-
-    def public_dict(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hmt",
@@ -158,8 +129,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="master seed; all randomness derives from it")
         p.add_argument("--threads", type=int, default=1,
                        help="replicates (and matrices) simulate and norm-scan hold at "
-                            "once; Monte Carlo word volumes use every usable CPU "
-                            "(outputs depend on neither)")
+                            "once; only sampling overlaps, as eigensolves hold the GIL: "
+                            "2 threads cut norm-scan by about 10%%, not simulate, and "
+                            "add memory; words and moments ignore it, their Monte "
+                            "Carlo volumes use every usable CPU (outputs depend on neither)")
         if with_format:
             p.add_argument("-o", "--output", default=None,
                            help="output path (default: stdout)")
@@ -207,6 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="artifact path prefix; writes <prefix>_eigenvalues.csv, "
                             "<prefix>_histogram.csv, <prefix>_moments.json")
     add_common(p_sim, with_format=False)
+    # simulate has no --format, but its _moments.json has always echoed this one
+    p_sim.set_defaults(format="csv")
 
     p_norm = sub.add_parser(
         "norm-scan", help="spectral-norm ratios of Markov matrices over sizes",
@@ -241,7 +216,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[str],
+def _write_artifact(args: argparse.Namespace, rows: Iterable[dict], csv_columns: list[str],
                     fmt: str | None = None, path: str | None = None) -> None:
     """Write rows as JSON (exact rationals as floats) or as CSV cells.
 
@@ -251,12 +226,12 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
     may come from a generator, so that a long table never holds one dict
     per row.
     """
-    fmt = fmt or config.format
-    path = path or config.output
+    fmt = fmt or args.format
+    path = path or args.output
     if fmt == "json":
         payload = {
-            "command": config.subcommand,
-            "config": config.public_dict(),
+            "command": args.subcommand,
+            "config": {key: value for key, value in vars(args).items() if value is not None},
             "results": list(rows),
         }
         text = json.dumps(payload, indent=2, sort_keys=True, default=float,
@@ -266,23 +241,26 @@ def _write_artifact(config: RunConfig, rows: Iterable[dict], csv_columns: list[s
         lines += [",".join([_csv_cell(row.get(col)) for col in csv_columns]) for row in rows]
         text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def cmd_words(config: RunConfig) -> int:
+def cmd_words(args: argparse.Namespace) -> int:
     kinds = ("toeplitz", "hankel")
-    k, method = check_request(kinds, 2 * config.k, config.method, config.samples)
-    volumes = word_volumes(kinds, k, method, config.samples, config.seed)
+    k, method = check_request(kinds, 2 * args.k, args.method, args.samples)
+    volumes = word_volumes(kinds, k, method, args.samples, args.seed)
     rows = []
     for index, w in enumerate(enumerate_words(k)):
         row = {"word": str(w), "height": height(w), "irreducible": is_irreducible(w),
                "noncrossing": is_noncrossing(w)}
         for kind in kinds:
             est = volumes[kind][index]
-            if config.format == "json":
+            if args.format == "json":
                 row[f"p_{kind}"] = _volume_json(est)
             else:
                 row[f"p_{kind}"] = est.value
@@ -290,7 +268,7 @@ def cmd_words(config: RunConfig) -> int:
         rows.append(row)
     columns = ["word", "height", "irreducible", "noncrossing",
                "p_toeplitz", "p_toeplitz_stderr", "p_hankel", "p_hankel_stderr"]
-    _write_artifact(config, rows, columns)
+    _write_artifact(args, rows, columns)
     return EXIT_OK
 
 
@@ -303,17 +281,17 @@ def _moment_row(order: int, value, stderr: float | None = None) -> dict:
     return {"order": order, "value": value, "stderr": stderr}
 
 
-def cmd_moments(config: RunConfig) -> int:
+def cmd_moments(args: argparse.Namespace) -> int:
     # limit_moment and moment_table refuse the request (check_request) before any work
-    options = {"method": config.method, "mc_samples": config.samples, "seed": config.seed}
-    if config.order is not None:
-        rows = [_moment_row(config.order, limit_moment(config.family, config.order, **options))]
+    options = {"method": args.method, "mc_samples": args.samples, "seed": args.seed}
+    if args.order is not None:
+        rows = [_moment_row(args.order, limit_moment(args.family, args.order, **options))]
     else:
-        table = moment_table(config.family, config.max_order, **options)
+        table = moment_table(args.family, args.max_order, **options)
         rows = [_moment_row(order, table.moment(order), table.stderrs.get(order))
-                for order in range(0, config.max_order + 1)]
+                for order in range(0, args.max_order + 1)]
     columns = ["order", "value", "numerator", "denominator", "stderr"]
-    _write_artifact(config, rows, columns)
+    _write_artifact(args, rows, columns)
     return EXIT_OK
 
 
@@ -323,11 +301,11 @@ def _check_budget(amount: int, budget: int, measure: str) -> None:
         raise CapacityError(f"{measure} = {amount} exceeds the budget {budget}")
 
 
-def _replicates(config: RunConfig, one) -> list:
+def _replicates(args: argparse.Namespace, one) -> list:
     """[one(rep) for rep in range(--replicates)], on --threads worker threads."""
     from .parallel import ordered_map
 
-    return ordered_map(one, config.replicates, config.threads)
+    return ordered_map(one, args.replicates, args.threads)
 
 
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
@@ -337,36 +315,35 @@ def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     return float(values.mean()), stderr
 
 
-def cmd_simulate(config: RunConfig) -> int:
-    if config.n < 1 or config.replicates < 1:
+def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.n < 1 or args.replicates < 1:
         raise InvalidArgumentError("--n and --replicates must be positive")
-    if config.bins < 1:
-        raise InvalidArgumentError(f"--bins must be >= 1, got {config.bins}")
-    if config.max_order % 2 != 0 or config.max_order < 0:
-        raise InvalidArgumentError(f"--max-order must be even and >= 0, got {config.max_order}")
-    _check_budget(min(config.threads, config.replicates) * config.n**2, MATRIX_ENTRY_BUDGET,
+    if args.bins < 1:
+        raise InvalidArgumentError(f"--bins must be >= 1, got {args.bins}")
+    if args.max_order % 2 != 0 or args.max_order < 0:
+        raise InvalidArgumentError(f"--max-order must be even and >= 0, got {args.max_order}")
+    _check_budget(min(args.threads, args.replicates) * args.n**2, MATRIX_ENTRY_BUDGET,
                   "matrix entries in flight min(threads, replicates) * n^2")
-    _check_budget(config.replicates * max(config.n**3, SIMULATE_REPLICATE_FLOOR),
+    _check_budget(args.replicates * max(args.n**3, SIMULATE_REPLICATE_FLOOR),
                   SIMULATE_WORK_BUDGET, "replicates * max(n^3, 2^21)")
-    _check_budget(config.replicates * config.n, EIGENVALUE_BUDGET,
+    _check_budget(args.replicates * args.n, EIGENVALUE_BUDGET,
                   "pooled eigenvalues replicates * n")
-    _check_budget(config.max_order, SIMULATE_ORDER_CAP, "--max-order")
-    _check_budget(config.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
+    _check_budget(args.max_order, SIMULATE_ORDER_CAP, "--max-order")
+    _check_budget(args.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
     import numpy as np
 
     _load_numeric()
-    dist = distribution_from_tag(config.dist, config.mean)
+    dist = distribution_from_tag(args.dist, args.mean)
 
     def one(rep: int) -> np.ndarray:
-        sample = sample_matrix(config.ensemble, config.n, dist,
-                               mix(TAG_REPLICATE, config.seed, rep))
-        return empirical_spectrum(sample, scale=config.scale).eigenvalues
+        sample = sample_matrix(args.ensemble, args.n, dist, mix(TAG_REPLICATE, args.seed, rep))
+        return empirical_spectrum(sample, scale=args.scale).eigenvalues
 
-    spectra = _replicates(config, one)
+    spectra = _replicates(args, one)
     rows = []
     # e**order overflows for a high enough order; refuse before writing any file
     with np.errstate(over="ignore", invalid="ignore"):
-        for order in range(2, config.max_order + 1, 2):
+        for order in range(2, args.max_order + 1, 2):
             mean, stderr = _mean_stderr(np.array([float(np.mean(e**order)) for e in spectra]))
             if not (math.isfinite(mean) and math.isfinite(stderr)):
                 raise NumericError(
@@ -375,21 +352,21 @@ def cmd_simulate(config: RunConfig) -> int:
                 )
             rows.append({"order": order, "mean": mean, "stderr": stderr})
     pooled = np.sort(np.concatenate(spectra))
-    prefix = config.output_prefix
+    prefix = args.output_prefix
     # Python floats (tolist) format like numpy's, and faster
-    _write_artifact(config, ({"eigenvalue": v} for v in pooled.tolist()), ["eigenvalue"],
+    _write_artifact(args, ({"eigenvalue": v} for v in pooled.tolist()), ["eigenvalue"],
                     "csv", f"{prefix}_eigenvalues.csv")
-    hist = histogram(pooled, config.bins)
+    hist = histogram(pooled, args.bins)
     columns = ["bin_left", "bin_right", "count", "density"]
     bins = zip(hist.bin_left.tolist(), hist.bin_right.tolist(),
                hist.count.tolist(), hist.density.tolist())
-    _write_artifact(config, [dict(zip(columns, b)) for b in bins], columns,
+    _write_artifact(args, [dict(zip(columns, b)) for b in bins], columns,
                     "csv", f"{prefix}_histogram.csv")
-    _write_artifact(config, rows, ["order", "mean", "stderr"], "json", f"{prefix}_moments.json")
+    _write_artifact(args, rows, ["order", "mean", "stderr"], "json", f"{prefix}_moments.json")
 
     sys.stdout.write(
-        f"simulate {config.ensemble} n={config.n} replicates={config.replicates} "
-        f"scale={config.scale}: wrote {prefix}_eigenvalues.csv, "
+        f"simulate {args.ensemble} n={args.n} replicates={args.replicates} "
+        f"scale={args.scale}: wrote {prefix}_eigenvalues.csv, "
         f"{prefix}_histogram.csv, {prefix}_moments.json\n"
     )
     for row in rows:
@@ -399,29 +376,29 @@ def cmd_simulate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_norm_scan(config: RunConfig) -> int:
-    sizes = config.ns
+def cmd_norm_scan(args: argparse.Namespace) -> int:
+    sizes = args.ns
     if not sizes:
         raise InvalidArgumentError("--ns must list at least one size")
     if min(sizes) < 1:
         raise InvalidArgumentError(f"--ns sizes must be >= 1, got {min(sizes)}")
-    if config.replicates < 1:
-        raise InvalidArgumentError(f"--replicates must be >= 1, got {config.replicates}")
-    _check_budget(min(config.threads, config.replicates) * max(sizes)**2, MATRIX_ENTRY_BUDGET,
+    if args.replicates < 1:
+        raise InvalidArgumentError(f"--replicates must be >= 1, got {args.replicates}")
+    _check_budget(min(args.threads, args.replicates) * max(sizes)**2, MATRIX_ENTRY_BUDGET,
                   "matrix entries in flight min(threads, replicates) * max(n)^2")
-    _check_budget(config.replicates * sum(max(n * n, NORM_SCAN_REPLICATE_FLOOR) for n in sizes),
+    _check_budget(args.replicates * sum(max(n * n, NORM_SCAN_REPLICATE_FLOOR) for n in sizes),
                   NORM_SCAN_WORK_BUDGET, "replicates * sum(max(n^2, 2^17))")
     import numpy as np
 
     _load_numeric()
-    dist = distribution_from_tag(config.dist, config.mean)
+    dist = distribution_from_tag(args.dist, args.mean)
     rows = []
     for n in sizes:
         def one(rep: int, n=n):
-            sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, config.seed, n, rep))
+            sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, args.seed, n, rep))
             return spectral_norm(sample.matrix)
 
-        norms = np.array(_replicates(config, one))
+        norms = np.array(_replicates(args, one))
         denom = math.sqrt(2 * n * math.log(n)) if n > 1 else 1.0
         row = {"n": n, "replicates": len(norms)}
         for name, ratios in (("ratio_sqrt_2nlogn", norms / denom), ("ratio_n", norms / n)):
@@ -429,24 +406,38 @@ def cmd_norm_scan(config: RunConfig) -> int:
         rows.append(row)
     columns = ["n", "ratio_sqrt_2nlogn_mean", "ratio_sqrt_2nlogn_stderr",
                "ratio_n_mean", "ratio_n_stderr", "replicates"]
-    _write_artifact(config, rows, columns)
+    _write_artifact(args, rows, columns)
     return EXIT_OK
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = RunConfig.__dataclass_fields__
-    data = {k: v for k, v in vars(args).items() if k in fields}
-    if "ns" in data and isinstance(data["ns"], str):
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse flags no command can use, before any work; parse --ns."""
+    if isinstance(vars(args).get("ns"), str):
         try:
-            data["ns"] = tuple(int(part) for part in data["ns"].split(",") if part)
+            args.ns = [int(part) for part in args.ns.split(",") if part]
         except ValueError as exc:
             raise InvalidArgumentError(f"bad --ns list: {exc}") from exc
-    if data["threads"] < 1:
-        raise InvalidArgumentError(f"--threads must be >= 1, got {data['threads']}")
+    if args.threads < 1:
+        raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
     # every artifact echoes --mean, and JSON has no NaN or infinity
-    if data.get("mean") is not None and not math.isfinite(data["mean"]):
-        raise InvalidArgumentError(f"--mean must be a finite number, got {data['mean']}")
-    return RunConfig(**data)
+    mean = vars(args).get("mean")
+    if mean is not None and not math.isfinite(mean):
+        raise InvalidArgumentError(f"--mean must be a finite number, got {mean}")
+    # a path that cannot be written would otherwise fail after all the work
+    if args.subcommand == "simulate":
+        flag, path = "--output-prefix", args.output_prefix
+        targets = [path + suffix
+                   for suffix in ("_eigenvalues.csv", "_histogram.csv", "_moments.json")]
+    else:
+        flag, path = "--output", args.output
+        targets = [path] if path else []
+    if targets:
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise InvalidArgumentError(f"{flag} {path}: {directory} is not a directory")
+        for target in targets:
+            if os.path.isdir(target):
+                raise InvalidArgumentError(f"{flag} {path}: {target} is a directory")
 
 
 _HANDLERS = {
@@ -458,11 +449,10 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.subcommand](config)
+        _check_args(args)
+        return _HANDLERS[args.subcommand](args)
     except InvalidArgumentError as exc:
         print(f"hmt: invalid argument: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -170,8 +170,10 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     else:
         matrix = _symmetric_from_upper(dist.draw_segments(gen, range(n - 1, 0, -1)), n)
         if ensemble == "markov":
-            # diagonal = negated off-diagonal row sum: rows sum to zero
-            matrix[np.diag_indices(n)] = -matrix.sum(axis=1)
+            # diagonal = negated off-diagonal row sum: rows sum to zero.  A sum
+            # that overflows is left to the solvers' non-finite check.
+            with np.errstate(over="ignore"):
+                matrix[np.diag_indices(n)] = -matrix.sum(axis=1)
         elif ensemble == "wigner_plus_diag":
             diag = standard_normals(gen, n)
             xi = float(standard_normals(gen, 1)[0])

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -430,14 +431,119 @@ class TestNormScanCommand:
         for argv in (["norm-scan", "--ns", "16"],
                      ["simulate", "--ensemble", "markov", "--n", "16",
                       "--output-prefix", str(tmp_path / "x")]):
-            with pytest.warns(RuntimeWarning):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code, out, err = run(
                     argv + ["--dist", "shifted_gaussian", "--mean", "1e308"], capsys)
             assert code == EXIT_NUMERIC and out == "" and "non-finite" in err
+            # the failure is reported once, with no numpy overflow warning before it
+            assert [str(w.message) for w in caught] == []
+            assert err == "hmt: numerical failure: matrix has non-finite entries\n"
 
     def test_zero_replicates_rejected(self, capsys):
         code, out, _ = run(["norm-scan", "--ns", "16", "--replicates", "0"], capsys)
         assert code == EXIT_INVALID and out == ""
+
+
+# one small run of each command; each reaches the stubbed work below
+OUTPUT_COMMANDS = {
+    "words": ["words", "--k", "2"],
+    "moments": ["moments", "--family", "hankel", "--max-order", "4"],
+    "norm-scan": ["norm-scan", "--ns", "8", "--replicates", "1"],
+    "simulate": ["simulate", "--ensemble", "hankel", "--n", "4", "--replicates", "1"],
+}
+
+
+class TestOutputPaths:
+    class Computed(Exception):
+        pass
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def stub(*args, **kwargs):
+            raise self.Computed
+
+        for name in ("word_volumes", "limit_moment", "moment_table", "sample_matrix"):
+            monkeypatch.setattr(hmt.cli, name, stub)
+
+    def refused(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == EXIT_INVALID and out == ""
+        assert err.startswith("hmt: invalid argument:") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    @pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+    def test_refused_before_any_work(self, capsys, tmp_path, no_work, command, target):
+        # a missing directory and a directory target, not permission bits,
+        # which do not stop root
+        flag = "--output-prefix" if command == "simulate" else "--output"
+        argv = OUTPUT_COMMANDS[command] + [flag]
+        if target == "missing":
+            path = tmp_path / "missing" / "out"
+        else:
+            path = tmp_path / "out"
+            (tmp_path / ("out_moments.json" if command == "simulate" else "out")).mkdir()
+        made = sorted(tmp_path.iterdir())
+        err = self.refused(argv + [str(path)], capsys)
+        assert flag in err
+        assert sorted(tmp_path.iterdir()) == made
+        with pytest.raises(self.Computed):
+            main(argv + [str(tmp_path / "fine")])
+
+    @pytest.mark.parametrize("suffix", ["_eigenvalues.csv", "_histogram.csv", "_moments.json"])
+    def test_simulate_refuses_a_directory_at_any_file(self, capsys, tmp_path, no_work, suffix):
+        (tmp_path / f"p{suffix}").mkdir()
+        err = self.refused(OUTPUT_COMMANDS["simulate"]
+                           + ["--output-prefix", str(tmp_path / "p")], capsys)
+        assert f"p{suffix} is a directory" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_2(self, capsys):
+        # /dev/full passes the checks and fails the write itself (ENOSPC)
+        err = self.refused(OUTPUT_COMMANDS["words"] + ["-o", "/dev/full"], capsys)
+        assert "cannot write /dev/full: No space left on device" in err
+
+
+class TestConfigEcho:
+    """A JSON artifact echoes every flag the command parsed, None flags left out."""
+
+    def echo(self, argv, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == EXIT_OK
+        return json.loads(out)["config"]
+
+    def test_words(self, capsys):
+        assert self.echo(["words", "--k", "2", "--format", "json"], capsys) == {
+            "subcommand": "words", "k": 2, "method": "auto", "samples": 100_000,
+            "seed": DEFAULT_SEED, "threads": 1, "format": "json"}
+
+    def test_moments(self, capsys):
+        argv = ["moments", "--family", "hankel", "--max-order", "4", "--format", "json"]
+        assert self.echo(argv, capsys) == {
+            "subcommand": "moments", "family": "hankel", "max_order": 4, "method": "exact",
+            "samples": 100_000, "seed": DEFAULT_SEED, "threads": 1, "format": "json"}
+
+    def test_norm_scan(self, capsys):
+        argv = ["norm-scan", "--ns", "8,16", "--replicates", "2", "--threads", "2",
+                "--seed", "7", "--format", "json"]
+        assert self.echo(argv, capsys) == {
+            "subcommand": "norm-scan", "ns": [8, 16], "replicates": 2, "dist": "gaussian",
+            "mean": 0.0, "seed": 7, "threads": 2, "format": "json"}
+
+    def test_simulate_moments_json(self, capsys, tmp_path):
+        prefix = str(tmp_path / "p")
+        code, _, _ = run(["simulate", "--ensemble", "markov", "--n", "8", "--replicates", "2",
+                          "--dist", "shifted_gaussian", "--mean", "0.5",
+                          "--output-prefix", prefix], capsys)
+        assert code == EXIT_OK
+        payload = json.loads(Path(f"{prefix}_moments.json").read_text())
+        # simulate has no --format flag; its echo has always held "csv"
+        assert payload["config"] == {
+            "subcommand": "simulate", "ensemble": "markov", "n": 8, "replicates": 2,
+            "dist": "shifted_gaussian", "mean": 0.5, "bins": 60, "scale": "sqrt_n",
+            "max_order": 8, "output_prefix": prefix, "seed": DEFAULT_SEED, "threads": 1,
+            "format": "csv"}
 
 
 class TestReproducibility:
