@@ -45,7 +45,6 @@ __all__ = [
     "__version__",
     "CapacityError",
     "CumulantTable",
-    "EmpiricalSpectrum",
     "EnsembleSample",
     "EntryDistribution",
     "HmtError",
@@ -102,7 +101,6 @@ _LAZY = {
         "triangular",
     ),
     "spectra": (
-        "EmpiricalSpectrum",
         "empirical_spectrum",
         "eigvalsh",
         "histogram",

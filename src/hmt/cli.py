@@ -301,13 +301,6 @@ def _check_budget(amount: int, budget: int, measure: str) -> None:
         raise CapacityError(f"{measure} = {amount} exceeds the budget {budget}")
 
 
-def _replicates(args: argparse.Namespace, one) -> list:
-    """[one(rep) for rep in range(--replicates)], on --threads worker threads."""
-    from .parallel import ordered_map
-
-    return ordered_map(one, args.replicates, args.threads)
-
-
 def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
     """Mean of replicate values and its standard error (0 for one replicate)."""
     count = len(values)
@@ -332,14 +325,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_budget(args.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
     import numpy as np
 
+    from .parallel import ordered_map
+
     _load_numeric()
     dist = distribution_from_tag(args.dist, args.mean)
 
     def one(rep: int) -> np.ndarray:
         sample = sample_matrix(args.ensemble, args.n, dist, mix(TAG_REPLICATE, args.seed, rep))
-        return empirical_spectrum(sample, scale=args.scale).eigenvalues
+        return empirical_spectrum(sample, scale=args.scale)
 
-    spectra = _replicates(args, one)
+    spectra = ordered_map(one, args.replicates, args.threads)
     rows = []
     # e**order overflows for a high enough order; refuse before writing any file
     with np.errstate(over="ignore", invalid="ignore"):
@@ -390,6 +385,8 @@ def cmd_norm_scan(args: argparse.Namespace) -> int:
                   NORM_SCAN_WORK_BUDGET, "replicates * sum(max(n^2, 2^17))")
     import numpy as np
 
+    from .parallel import ordered_map
+
     _load_numeric()
     dist = distribution_from_tag(args.dist, args.mean)
     rows = []
@@ -398,7 +395,7 @@ def cmd_norm_scan(args: argparse.Namespace) -> int:
             sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, args.seed, n, rep))
             return spectral_norm(sample.matrix)
 
-        norms = np.array(_replicates(args, one))
+        norms = np.array(ordered_map(one, args.replicates, args.threads))
         denom = math.sqrt(2 * n * math.log(n)) if n > 1 else 1.0
         row = {"n": n, "replicates": len(norms)}
         for name, ratios in (("ratio_sqrt_2nlogn", norms / denom), ("ratio_n", norms / n)):

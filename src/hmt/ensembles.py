@@ -136,13 +136,11 @@ def distribution_from_tag(tag: str, mean=0) -> EntryDistribution:
 
 @dataclass(frozen=True)
 class EnsembleSample:
-    """A sampled symmetric matrix with full provenance."""
+    """A sampled symmetric n x n matrix of the named ensemble."""
 
     matrix: np.ndarray
     ensemble: str
     n: int
-    dist: EntryDistribution
-    seed: int
 
 
 def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> EnsembleSample:
@@ -178,7 +176,7 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
             diag = standard_normals(gen, n)
             xi = float(standard_normals(gen, 1)[0])
             matrix[np.diag_indices(n)] = np.sqrt(n) * diag + xi
-    return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n, dist=dist, seed=seed)
+    return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n)
 
 
 def _symmetric_from_upper(rows: Iterable[np.ndarray], n: int) -> np.ndarray:

@@ -168,7 +168,7 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     exact: one solve per dihedral orbit, read by each word's orbit label.  The
     volume is the same for every member of an orbit, but the facet recursion's
     cost is not: each orbit is solved through its lex-greatest member
-    (dihedral_greatest), which is cheaper than the representative.
+    (dihedral_greatest), which is cheaper than its lex-least one.
     The recursion is pure Python, so it runs serially.
     mc: one volumes_mc call per word for all the families, on the word's own
     TAG_VOLUME_MC stream of (seed, k, index).  The families' systems have

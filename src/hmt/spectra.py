@@ -56,17 +56,6 @@ DEFAULT_CIRCUIT_N_CAP = 8
 DEFAULT_CIRCUIT_R_CAP = 4
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
-    """Sorted eigenvalues of an already-scaled matrix plus provenance."""
-
-    eigenvalues: np.ndarray
-    scale: str  # "sqrt_n" | "n" | "none"
-    ensemble: str = ""
-    n: int = 0
-    seed: int = 0
-
-
 def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     """The matrix as a float array and its largest |a_ij|, once it is square,
     finite and symmetric.
@@ -218,21 +207,12 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return abs(lam)
 
 
-def empirical_spectrum(
-    sample: EnsembleSample, scale: str = "sqrt_n"
-) -> EmpiricalSpectrum:
-    """Eigenvalues of the sample scaled by 1/sqrt(n) or 1/n, sorted ascending."""
+def empirical_spectrum(sample: EnsembleSample, scale: str = "sqrt_n") -> np.ndarray:
+    """Eigenvalues of the sample scaled by 1/sqrt(n), 1/n or 1 ("none"), sorted ascending."""
     if scale not in ("sqrt_n", "n", "none"):
         raise InvalidArgumentError(f"unknown scale {scale!r}")
     factor = {"sqrt_n": 1.0 / math.sqrt(sample.n), "n": 1.0 / sample.n, "none": 1.0}[scale]
-    eigs = eigvalsh(sample.matrix) * factor
-    return EmpiricalSpectrum(
-        eigenvalues=eigs,
-        scale=scale,
-        ensemble=sample.ensemble,
-        n=sample.n,
-        seed=sample.seed,
-    )
+    return eigvalsh(sample.matrix) * factor
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +249,9 @@ def trace_via_circuits(
         raise InvalidArgumentError("n and r must be positive")
     if n > n_cap or r > r_cap:
         raise CapacityError(f"circuit enumeration capped at n <= {n_cap}, r <= {r_cap}")
+    x = _exact_entries(ensemble, entries, n)
 
     if ensemble in ("toeplitz", "hankel"):
-        x = {key: Fraction(val) for key, val in entries.items()}
         total = Fraction(0)
         path = [0] * (r + 1)
 
@@ -293,62 +273,72 @@ def trace_via_circuits(
             rec(1, Fraction(1))
         return total
 
-    if ensemble == "markov":
-        pairs = markov_vertex_pairs(n)
-        x = {}
-        for key, val in entries.items():
-            pair = tuple(sorted(key))
-            x[pair] = Fraction(val)
-        missing = [p for p in pairs if p not in x]
-        if missing:
-            raise InvalidArgumentError(f"missing entries for vertex pairs {missing[:3]}...")
+    # markov; _exact_entries has refused every other ensemble
+    pairs = markov_vertex_pairs(n)
 
-        def t_of(a: tuple[int, int], b: tuple[int, int]) -> int:
-            if a == b:
-                return -2
-            if a[0] == b[0] or a[1] == b[1]:
-                return -1
-            if a[0] == b[1] or a[1] == b[0]:
-                return 1
-            return 0
+    def t_of(a: tuple[int, int], b: tuple[int, int]) -> int:
+        if a == b:
+            return -2
+        if a[0] == b[0] or a[1] == b[1]:
+            return -1
+        if a[0] == b[1] or a[1] == b[0]:
+            return 1
+        return 0
 
-        total = Fraction(0)
+    total = Fraction(0)
 
-        def rec_m(chain: list[tuple[int, int]], prod: Fraction):
-            nonlocal total
-            if len(chain) == r:
-                t_close = t_of(chain[-1], chain[0])
-                if t_close:
-                    total += prod * t_close * x[chain[-1]]
-                return
-            for b in pairs:
-                t = t_of(chain[-1], b)
-                if t:
-                    rec_m(chain + [b], prod * t * x[chain[-1]])
+    def rec_m(chain: list[tuple[int, int]], prod: Fraction):
+        nonlocal total
+        if len(chain) == r:
+            t_close = t_of(chain[-1], chain[0])
+            if t_close:
+                total += prod * t_close * x[chain[-1]]
+            return
+        for b in pairs:
+            t = t_of(chain[-1], b)
+            if t:
+                rec_m(chain + [b], prod * t * x[chain[-1]])
 
-        for a in pairs:
-            rec_m([a], Fraction(1))
-        return total
+    for a in pairs:
+        rec_m([a], Fraction(1))
+    return total
 
-    raise InvalidArgumentError(f"unknown ensemble {ensemble!r} for circuit traces")
+
+def _exact_entries(ensemble: str, entries: Mapping, n: int) -> dict:
+    """The entries an n x n matrix of the ensemble reads, as Fractions.
+
+    toeplitz reads keys 0..n-1, hankel 1..2n-1 and markov the vertex pairs
+    (i, j), i < j, given in either order; a missing key is refused.
+    """
+    if ensemble == "toeplitz":
+        needed = range(n)
+    elif ensemble == "hankel":
+        needed = range(1, 2 * n)
+    elif ensemble == "markov":
+        needed = markov_vertex_pairs(n)
+        entries = {tuple(sorted(key)): val for key, val in entries.items()}
+    else:
+        raise InvalidArgumentError(f"unknown ensemble {ensemble!r} for circuit traces")
+    missing = [key for key in needed if key not in entries]
+    if missing:
+        raise InvalidArgumentError(f"{ensemble} entries missing for keys {missing[:3]}...")
+    return {key: Fraction(entries[key]) for key in needed}
 
 
 def exact_trace_power(ensemble: str, entries: Mapping, n: int, r: int) -> Fraction:
     """Direct tr(A^r) by exact matrix multiplication; oracle for the circuits."""
+    x = _exact_entries(ensemble, entries, n)
     if ensemble == "toeplitz":
-        grid = [[Fraction(entries[abs(i - j)]) for j in range(n)] for i in range(n)]
+        grid = [[x[abs(i - j)] for j in range(n)] for i in range(n)]
     elif ensemble == "hankel":
-        grid = [[Fraction(entries[i + j + 1]) for j in range(n)] for i in range(n)]
-    elif ensemble == "markov":
+        grid = [[x[i + j + 1] for j in range(n)] for i in range(n)]
+    else:
         grid = [[Fraction(0)] * n for _ in range(n)]
-        for (i, j) in markov_vertex_pairs(n):
-            val = Fraction(entries[(i, j)])
+        for (i, j), val in x.items():
             grid[i - 1][j - 1] = val
             grid[j - 1][i - 1] = val
         for i in range(n):
             grid[i][i] = -sum(grid[i][j] for j in range(n) if j != i)
-    else:
-        raise InvalidArgumentError(f"unknown ensemble {ensemble!r}")
     return _exact_matrix_power_trace(grid, r)
 
 
@@ -367,12 +357,10 @@ class Histogram:
 
 
 def histogram(
-    spec: EmpiricalSpectrum | np.ndarray,
-    bins: int,
-    value_range: tuple[float, float] | None = None,
+    values: np.ndarray, bins: int, value_range: tuple[float, float] | None = None
 ) -> Histogram:
     """Equal-width histogram over [min, max] or the given range."""
-    values = spec.eigenvalues if isinstance(spec, EmpiricalSpectrum) else np.asarray(spec, float)
+    values = np.asarray(values, float)
     if values.size == 0:
         raise InvalidArgumentError("cannot histogram an empty spectrum")
     if bins < 1:
@@ -386,12 +374,10 @@ def histogram(
     )
 
 
-def kolmogorov_distance(
-    a: EmpiricalSpectrum | Sequence[float], b: EmpiricalSpectrum | Sequence[float]
-) -> float:
+def kolmogorov_distance(a: Sequence[float], b: Sequence[float]) -> float:
     """Sup distance between the two empirical CDFs, in [0, 1]."""
-    xa = np.sort(a.eigenvalues if isinstance(a, EmpiricalSpectrum) else np.asarray(a, float))
-    xb = np.sort(b.eigenvalues if isinstance(b, EmpiricalSpectrum) else np.asarray(b, float))
+    xa = np.sort(np.asarray(a, float))
+    xb = np.sort(np.asarray(b, float))
     if xa.size == 0 or xb.size == 0:
         raise InvalidArgumentError("cannot compare empty spectra")
     grid = np.concatenate([xa, xb])

@@ -520,6 +520,8 @@ def eulerian_number(n: int, m: int) -> int:
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
+    if not isinstance(m, int):
+        raise InvalidArgumentError(f"m must be an integer, got {m!r}")
     if m < 1 or m > n:
         return 0
     return _eulerian_row(n)[m - 1]
@@ -548,8 +550,12 @@ def slab_volume_integral(
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
-    if not 1 <= m <= n:
-        raise InvalidArgumentError(f"m must satisfy 1 <= m <= {n}, got {m}")
+    if not isinstance(m, int) or not 1 <= m <= n:
+        raise InvalidArgumentError(f"m must be an integer in 1..{n}, got {m!r}")
+    if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
+        raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
+    if not isinstance(max_panels, int) or max_panels < 1:
+        raise InvalidArgumentError(f"max_panels must be an integer >= 1, got {max_panels!r}")
     power = n + 1
     omega = n + 1 - 2 * m
     # tail bound: (2/pi) * integral_T^inf t^-(n+1) dt = (2/pi) T^-n / n

@@ -155,65 +155,48 @@ def _orbit(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
     return {_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n)}
 
 
-def dihedral_representative(w: PartitionWord) -> PartitionWord:
-    """Least relabelled word among the 2k rotations of w and of its reversal.
-
-    It is the lexicographically first member of w's dihedral orbit, so
-    enumerate_words meets it before any other member.
-    """
-    return PartitionWord(min(_orbit(w.letters)))
-
-
 @lru_cache(maxsize=None)
-def _dihedral_pass(k: int) -> tuple[tuple[tuple[PartitionWord, int], ...], tuple[int, ...],
-                                    tuple[PartitionWord, ...]]:
-    """dihedral_orbits, dihedral_labels and dihedral_greatest from one pass over the words.
+def _dihedral_pass(k: int) -> tuple[tuple[int, ...], tuple[PartitionWord, ...]]:
+    """dihedral_labels and dihedral_greatest from one pass over the words.
 
-    A word not yet met in an earlier orbit is the least member of its own, so
-    it is the representative (as dihedral_representative gives it); its 2k
-    rotations and those of its reversal, relabelled, are its orbit, whose
-    greatest member is kept beside it and whose other members wait, with the
-    orbit's index, until the pass reaches them.
+    A word not yet met in an earlier orbit is the least member of its own; its
+    2k rotations and those of its reversal, relabelled, are its orbit, whose
+    greatest member is kept and whose other members wait, with the orbit's
+    index, until the pass reaches them.
     """
     pending: dict[tuple[int, ...], int] = {}
-    orbits, labels, greatest = [], [], []
+    labels, greatest = [], []
     for w in enumerate_words(k):
-        label = pending.pop(w.letters, len(orbits))
-        if label == len(orbits):
+        label = pending.pop(w.letters, len(greatest))
+        if label == len(greatest):
             orbit = _orbit(w.letters)
-            orbits.append((w, len(orbit)))
             greatest.append(PartitionWord(max(orbit)))
             orbit.remove(w.letters)
             pending.update(dict.fromkeys(orbit, label))
         labels.append(label)
-    return tuple(orbits), tuple(labels), tuple(greatest)
+    return tuple(labels), tuple(greatest)
 
 
-def dihedral_orbits(k: int) -> tuple[tuple[PartitionWord, int], ...]:
-    """(representative, orbit size) for each dihedral orbit of the words of length 2k.
+def dihedral_labels(k: int) -> tuple[int, ...]:
+    """Each word's dihedral orbit index, in enumerate_words(k) order.
 
-    Orbits are in order of first appearance and their sizes sum to (2k-1)!!.
-    The Toeplitz and Hankel volumes are constant on an orbit: rotating or
-    reversing a word relabels the closed walk x_0, ..., x_2k = x_0 whose
-    steps its letters tie together.  The cost of the exact solve is not
-    constant on an orbit, so the volumes are solved through dihedral_greatest.
+    Orbits are numbered in order of first appearance.  The Toeplitz and
+    Hankel volumes are constant on an orbit: rotating or reversing a word
+    relabels the closed walk x_0, ..., x_2k = x_0 whose steps its letters tie
+    together.  The cost of the exact solve is not constant on an orbit, so
+    the volumes are solved through dihedral_greatest.
     """
     return _dihedral_pass(k)[0]
 
 
-def dihedral_labels(k: int) -> tuple[int, ...]:
-    """Each word's index in dihedral_orbits(k), in enumerate_words(k) order."""
-    return _dihedral_pass(k)[1]
-
-
 def dihedral_greatest(k: int) -> tuple[PartitionWord, ...]:
-    """Each dihedral orbit's lexicographically greatest member, in dihedral_orbits(k) order.
+    """Each dihedral orbit's lexicographically greatest member, by orbit index.
 
     It is the last word of its orbit in enumerate_words(k).  The exact
-    volume recursion is cheaper on it than on the representative: through
+    volume recursion is cheaper on it than on the least member: through
     order 12 its Toeplitz facet memo holds a third fewer entries.
     """
-    return _dihedral_pass(k)[2]
+    return _dihedral_pass(k)[1]
 
 
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:

@@ -383,6 +383,24 @@ class TestCircuitTraces:
     def test_rejects_unknown_ensemble(self):
         with pytest.raises(InvalidArgumentError):
             trace_via_circuits("wigner", {}, 2, 2)
+        with pytest.raises(InvalidArgumentError):
+            exact_trace_power("wigner", {}, 2, 2)
+
+    @pytest.mark.parametrize("ensemble, entries, n", [
+        ("toeplitz", {0: 1, 1: 1}, 3),  # needs X_0 .. X_2
+        ("hankel", {1: 1, 2: 1}, 2),  # needs X_1 .. X_3
+        ("markov", {(1, 2): 1}, 3),  # needs every vertex pair of K_3
+    ])
+    @pytest.mark.parametrize("trace", [trace_via_circuits, exact_trace_power])
+    def test_rejects_missing_entries(self, trace, ensemble, entries, n):
+        with pytest.raises(InvalidArgumentError, match="missing"):
+            trace(ensemble, entries, n, 2)
+
+    def test_markov_pairs_in_either_order(self):
+        entries = {(j, i): F(i * j) for i, j in markov_vertex_pairs(4)}
+        sorted_entries = {(i, j): F(i * j) for i, j in markov_vertex_pairs(4)}
+        for trace in (trace_via_circuits, exact_trace_power):
+            assert trace("markov", entries, 4, 3) == trace("markov", sorted_entries, 4, 3)
 
 
 class TestHistogram:
@@ -451,20 +469,18 @@ class TestKolmogorov:
             kolmogorov_distance([], [1.0])
 
 
-class TestEmpiricalSpectrum:
+class TestScaledSpectrum:
     def test_scaling_and_sorting(self):
         sample = sample_matrix("markov", 64, gaussian(), 5)
-        spec = empirical_spectrum(sample, "sqrt_n")
-        assert spec.eigenvalues.shape == (64,)
-        assert np.all(np.diff(spec.eigenvalues) >= 0)
-        assert spec.eigenvalues.sum() * math.sqrt(64) == pytest.approx(
-            np.trace(sample.matrix), abs=1e-8
-        )
+        eigs = empirical_spectrum(sample, "sqrt_n")
+        assert eigs.shape == (64,)
+        assert np.all(np.diff(eigs) >= 0)
+        assert eigs.sum() * math.sqrt(64) == pytest.approx(np.trace(sample.matrix), abs=1e-8)
 
     def test_markov_has_zero_eigenvalue(self):
         # row sums vanish, so the constant vector is always in the kernel
-        spec = empirical_spectrum(sample_matrix("markov", 50, gaussian(), 9), "none")
-        assert np.min(np.abs(spec.eigenvalues)) < 1e-10
+        eigs = empirical_spectrum(sample_matrix("markov", 50, gaussian(), 9), "none")
+        assert np.min(np.abs(eigs)) < 1e-10
 
     def test_unknown_scale(self):
         with pytest.raises(InvalidArgumentError):
@@ -493,7 +509,7 @@ class TestLimitingShapes:
         spectra = []
         for rep in range(20):
             sample = sample_matrix(ensemble, 512, triangular(), mix(314159, rep))
-            spectra.append(empirical_spectrum(sample).eigenvalues)
+            spectra.append(empirical_spectrum(sample))
         return np.concatenate(spectra)
 
     def test_hankel_spectrum_is_bimodal(self):
@@ -521,9 +537,9 @@ class TestOddMomentsVanish:
         moments = {1: [], 3: []}
         for rep in range(20):
             sample = sample_matrix(ensemble, 256, rademacher(), mix(71, rep))
-            spec = empirical_spectrum(sample)
+            eigs = empirical_spectrum(sample)
             for r in moments:
-                moments[r].append(float(np.mean(spec.eigenvalues**r)))
+                moments[r].append(float(np.mean(eigs**r)))
         for r, values in moments.items():
             arr = np.array(values)
             se = arr.std(ddof=1) / math.sqrt(len(arr))

@@ -22,15 +22,9 @@ from hmt.volumes import (
     volume_mc,
     volumes_mc,
 )
-from hmt.words import (
-    PartitionWord,
-    dihedral_orbits,
-    dihedral_representative,
-    enumerate_words,
-    is_noncrossing,
-)
+from hmt.words import PartitionWord, enumerate_words, is_noncrossing
 
-from test_walk_oracle import polytope_volume
+from test_walk_oracle import polytope_volume, turns
 
 W = PartitionWord.from_string
 
@@ -151,27 +145,30 @@ class TestVolumeExact:
 
 
 class TestOrbitInvariance:
-    """Rotating or reversing a word relabels its walk, so the volume is unchanged."""
+    """Rotating or reversing a word relabels its walk, so the volume is unchanged.
+
+    Orbits come from turns, computed without hmt.words; a word's
+    representative is the least member of its orbit.
+    """
 
     @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
     @pytest.mark.parametrize("k", range(1, 5))
     def test_every_word_matches_its_representative(self, kind, k):
         for w in enumerate_words(k):
-            rep = dihedral_representative(w)
+            rep = PartitionWord(min(turns(w.letters)))
             assert volume_exact(build_system(w, kind)).value == volume_exact(
                 build_system(rep, kind)
             ).value, (str(w), str(rep))
 
     @pytest.mark.parametrize("kind", ["toeplitz", "hankel"])
     def test_first_and_last_member_at_k5(self, kind):
-        last = {}
-        for w in enumerate_words(5):
-            last[dihedral_representative(w)] = w
-        assert len(last) == len(dihedral_orbits(5)) == 79
-        for rep, _ in dihedral_orbits(5):
+        # words come in lexicographic order, so the last one per representative is the greatest
+        last = {PartitionWord(min(turns(w.letters))): w for w in enumerate_words(5)}
+        assert len(last) == 79
+        for rep, w in last.items():
             assert volume_exact(build_system(rep, kind)).value == volume_exact(
-                build_system(last[rep], kind)
-            ).value, (str(rep), str(last[rep]))
+                build_system(w, kind)
+            ).value, (str(rep), str(w))
 
 
 # a hand-built system whose slab bounds are not the word bounds 0 and 1
@@ -354,6 +351,10 @@ class TestEulerian:
         with pytest.raises(InvalidArgumentError):
             eulerian_number(0, 1)
 
+    def test_rejects_non_integer_m(self):
+        with pytest.raises(InvalidArgumentError):
+            eulerian_number(3, 2.5)
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_single_slab_volume_identity(self, n):
         # one +/-1 slab with n-m negative signs carves out A(n, m)/n!
@@ -380,6 +381,16 @@ class TestSlabIntegral:
             slab_volume_integral(3, 0)
         with pytest.raises(InvalidArgumentError):
             slab_volume_integral(3, 4)
+        with pytest.raises(InvalidArgumentError):
+            slab_volume_integral(3, 2.5)
+
+    @pytest.mark.parametrize("options", [
+        {"tol": 0}, {"tol": -1e-3}, {"tol": math.nan}, {"tol": math.inf},
+        {"max_panels": 0}, {"max_panels": -5},
+    ])
+    def test_rejects_bad_tolerance_and_panel_cap(self, options):
+        with pytest.raises(InvalidArgumentError):
+            slab_volume_integral(3, 2, **options)
 
     def test_unreachable_tolerance(self):
         with pytest.raises(NumericError, match="achievable tolerance"):

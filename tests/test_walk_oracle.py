@@ -143,15 +143,17 @@ def relabelled(word) -> tuple[int, ...]:
     return tuple(ids.setdefault(letter, len(ids)) for letter in word)
 
 
+def turns(word) -> set[tuple[int, ...]]:
+    """The word's dihedral orbit: its rotations and those of its reversal, relabelled."""
+    return {relabelled(w[t:] + w[:t]) for w in (word, word[::-1]) for t in range(len(w))}
+
+
 @functools.cache
 def dihedral_classes(k: int) -> dict:
     """Each word's least rotation or reversal, mapped to the number of words it stands for."""
     sizes: dict = {}
     for word in pair_partitions(k):
-        images = []
-        for w in (word, word[::-1]):
-            images += [relabelled(w[t:] + w[:t]) for t in range(len(w))]
-        rep = min(images)
+        rep = min(turns(word))
         sizes[rep] = sizes.get(rep, 0) + 1
     return sizes
 

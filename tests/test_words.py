@@ -13,8 +13,6 @@ from hmt.words import (
     delete_subword,
     dihedral_greatest,
     dihedral_labels,
-    dihedral_orbits,
-    dihedral_representative,
     double_factorial_odd,
     enumerate_words,
     height,
@@ -22,6 +20,8 @@ from hmt.words import (
     is_noncrossing,
     proper_subword_windows,
 )
+
+from test_walk_oracle import turns
 
 W = PartitionWord.from_string
 
@@ -124,35 +124,34 @@ class TestHeight:
 
 
 class TestDihedralOrbits:
+    """The orbit pass against orbits computed by turns, which shares no code with hmt.words."""
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_sizes_sum_to_word_count(self, k):
-        assert sum(size for _, size in dihedral_orbits(k)) == double_factorial_odd(k)
+        sizes = Counter(dihedral_labels(k))
+        assert [sizes[label] for label in range(len(sizes))] == [
+            len(turns(w.letters)) for w in dihedral_greatest(k)
+        ]
+        assert sum(sizes.values()) == double_factorial_odd(k)
 
     def test_orbit_counts_are_a007769(self):
         # chord diagrams with k chords up to rotation and reflection
-        assert [len(dihedral_orbits(k)) for k in range(1, 7)] == [1, 2, 5, 17, 79, 554]
+        counts = [1, 2, 5, 17, 79, 554]
+        assert [len(dihedral_greatest(k)) for k in range(1, 7)] == counts
+        assert [len(set(dihedral_labels(k))) for k in range(1, 7)] == counts
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_members_are_turns_of_their_representative(self, k):
-        orbits = dict(dihedral_orbits(k))
+        # the representative is the first word met with a label
         labels = dihedral_labels(k)
         assert len(labels) == double_factorial_odd(k)
-        members = Counter()
+        first = {}
         for w, label in zip(enumerate_words(k), labels):
-            rep = dihedral_representative(w)
-            assert dihedral_orbits(k)[label][0] == rep  # the orbit pass names w's orbit
-            members[rep] += 1
-            n = len(w)
-            turns = {
-                tuple_canonical(t[i:] + t[:i])
-                for t in (rep.letters, rep.letters[::-1])
-                for i in range(n)
-            }
-            assert w.letters in turns, (str(w), str(rep))
-            assert rep.letters <= w.letters
-        assert members == orbits
-        # first-appearance order: each representative precedes the rest of its orbit
-        assert [rep.letters for rep in orbits] == sorted(rep.letters for rep in orbits)
+            rep = first.setdefault(label, w.letters)
+            assert w.letters in turns(rep), (str(w), rep)
+        # labels count orbits in order of first appearance, each first met at its least member
+        assert list(first) == list(range(len(first)))
+        assert all(rep == min(turns(rep)) for rep in first.values())
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_solved_member_is_the_greatest_and_last_of_its_orbit(self, k):
@@ -160,15 +159,10 @@ class TestDihedralOrbits:
         for w, label in zip(enumerate_words(k), dihedral_labels(k)):
             last[label] = w
         greatest = dihedral_greatest(k)
-        assert len(greatest) == len(last) == len(dihedral_orbits(k))
-        for label, (rep, _) in enumerate(dihedral_orbits(k)):
-            turns = {
-                tuple_canonical(t[i:] + t[:i])
-                for t in (rep.letters, rep.letters[::-1])
-                for i in range(len(rep))
-            }
-            assert greatest[label].letters == max(turns), (str(rep), str(greatest[label]))
-            assert greatest[label] == last[label]
+        assert len(greatest) == len(last)
+        for label, w in last.items():
+            assert greatest[label] == w
+            assert w.letters == max(turns(w.letters)), str(w)
 
     @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
     @pytest.mark.parametrize("k", range(1, 5))
@@ -178,9 +172,12 @@ class TestDihedralOrbits:
         assert word_volumes((family,), k, "exact", samples=0, seed=0) == {family: per_word}
 
     def test_examples(self):
-        assert dihedral_representative(W("abab")) == W("abab")
-        assert dihedral_representative(W("abba")) == W("aabb")
-        assert dihedral_representative(W("abcbca")) == W("aabcbc")
+        # aabb and abba turn into each other; abab is an orbit of its own
+        assert enumerate_words(2) == [W("aabb"), W("abab"), W("abba")]
+        assert dihedral_labels(2) == (0, 1, 0)
+        assert dihedral_greatest(2) == (W("abba"), W("abab"))
+        label = dict(zip(enumerate_words(3), dihedral_labels(3)))
+        assert label[W("abcbca")] == label[W("aabcbc")]
 
 
 def tuple_canonical(letters):
