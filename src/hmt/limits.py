@@ -41,6 +41,7 @@ from .words import (
     enumerate_words,
     height,  # no longer called here; perfbench/tracing.py wraps hmt.limits.height
     is_irreducible,
+    is_symmetric,
 )
 
 MOMENT_FAMILIES = ("toeplitz", "hankel", "markov")
@@ -58,8 +59,10 @@ MARKOV_ORDER_CAP = 80
 # (2-core x86-64 VM).  The charge bounds what is drawn from above: the
 # families of a word share one draw, and words with no slab to test draw none.
 MC_DRAW_BUDGET = 1 << 34
-# Draws charged per word a family builds, sampled or not: a word volume costs 90-120
-# us beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
+# Draws charged per word system a family builds: a word volume costs 90-120 us
+# beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
+# At k = 8 the word cap, not this charge, bounds enumerating the 2,027,025 words
+# and testing their parities (16.6 + 6.3 s, 2-core x86-64 VM).
 MC_WORD_CHARGE = 1 << 13
 # Draws (coordinates) per word from which the Monte Carlo word volumes run on
 # one thread per usable CPU.  Below it a word's Python work (system, counter,
@@ -67,6 +70,7 @@ MC_WORD_CHARGE = 1 << 13
 # more than the fills gain: at k = 6 two threads take 1.4x as long as one at
 # 1,000 samples, 0.75x at 3,000 (2-core x86-64 VM).
 MC_POOL_MIN_DRAWS = 1 << 14
+_FLAT = VolumeEstimate(Fraction(0), "exact")  # a Hankel word that is not symmetric
 
 
 @dataclass(frozen=True)
@@ -141,15 +145,13 @@ def check_request(families: tuple[str, ...], order: int, method: str,
         raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
                             f"the cap {DEFAULT_DIMENSION_CAP}; use method mc")
     elif method == "mc":
-        # a family builds all (2k-1)!! words; a Hankel word draws only if each letter
-        # takes one odd and one even place (k! words), any other has volume 0
-        sampled = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
-                      for f in families)
-        draws = (len(families) * double_factorial_odd(k) * MC_WORD_CHARGE
-                 + sampled * samples * (k + 1))
+        # systems built and sampled: all (2k-1)!! Toeplitz ones, k! symmetric Hankel ones
+        built = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
+                    for f in families)
+        draws = built * (MC_WORD_CHARGE + samples * (k + 1))
         if draws > MC_DRAW_BUDGET:
             raise CapacityError(f"order {order} needs {draws} Monte Carlo draws, {MC_WORD_CHARGE} "
-                                f"per word built, above the budget {MC_DRAW_BUDGET}")
+                                f"per word system built, above the budget {MC_DRAW_BUDGET}")
     return k, method
 
 
@@ -165,32 +167,38 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
                  seed: int) -> dict[str, list[VolumeEstimate]]:
     """Per family, the volume of each word of length 2k, in enumerate_words(k) order.
 
-    exact: one solve per dihedral orbit, read by each word's orbit label.  The
-    volume is the same for every member of an orbit, but the facet recursion's
-    cost is not: each orbit is solved through its lex-greatest member
-    (dihedral_greatest), which is cheaper than its lex-least one.
-    The recursion is pure Python, so it runs serially.
-    mc: one volumes_mc call per word for all the families, on the word's own
-    TAG_VOLUME_MC stream of (seed, k, index).  The families' systems have
-    k + 1 free coordinates each, so they count the same points, drawn once;
-    a family's estimates do not depend on which others are computed.  The
-    words run on mc_threads threads (the Philox fills release the GIL) and
-    come back in word order, so every value is the same for any thread count.
+    A Hankel word has its Toeplitz volume if it is_symmetric, else an exact 0:
+    x_i -> 1 - x_i at odd i maps the one polytope onto the other, as
+    tests/test_volumes.py checks on build_system's Hankel systems.
+    exact: one Toeplitz solve per dihedral orbit that a family reads, through
+    its lex-greatest member (dihedral_greatest, on which the pure-Python,
+    serial facet recursion is cheaper), read by each word's orbit label.
+    mc: one volumes_mc call per word for the systems it builds, on the word's
+    own TAG_VOLUME_MC stream of (seed, k, index).  The systems have k + 1 free
+    coordinates each and count the same points, drawn once; no estimate depends
+    on the other systems.  The words run on mc_threads threads (the Philox fills
+    release the GIL) and come back in word order, the same for any thread count.
     """
+    def built(w) -> list[str]:  # the families that build w's system
+        return [family for family in families if family != "hankel" or is_symmetric(w)]
+
     if method == "exact":
-        labels = dihedral_labels(k)
-        out = {}
-        for family in families:
-            orbit_volumes = [volume_exact(build_system(w, family)) for w in dihedral_greatest(k)]
-            out[family] = [orbit_volumes[label] for label in labels]
-        return out
+        orbits = []
+        for w in dihedral_greatest(k):
+            kinds = built(w)
+            volume = volume_exact(build_system(w, "toeplitz")) if kinds else _FLAT
+            orbits.append({family: volume if family in kinds else _FLAT for family in families})
+        return {family: [orbits[label][family] for label in dihedral_labels(k)]
+                for family in families}
     from .parallel import ordered_map
 
     words = enumerate_words(k)
 
     def one(index: int) -> list[VolumeEstimate]:
-        return volumes_mc([build_system(words[index], family) for family in families],
-                          samples, mix(TAG_VOLUME_MC, seed, k, index))
+        kinds = built(words[index])
+        estimates = iter(volumes_mc([build_system(words[index], kind) for kind in kinds],
+                                    samples, mix(TAG_VOLUME_MC, seed, k, index)))
+        return [next(estimates) if family in kinds else _FLAT for family in families]
 
     per_word = ordered_map(one, len(words), mc_threads(samples * (k + 1)))
     return {family: [row[j] for row in per_word] for j, family in enumerate(families)}

@@ -265,8 +265,8 @@ _EMPTY = None  # canonicalization result for an infeasible system
 
 # Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
 # most about 350 MB).  Tables through order 12 at the default cap leave
-# 10,206 entries (toeplitz) and 2,161 (hankel); hankel order 14, with
-# DEFAULT_DIMENSION_CAP = 8, leaves 29,350.  Toeplitz order 14 overflows it.
+# 10,206 entries (toeplitz) and 1,495 (hankel); hankel order 14, with
+# DEFAULT_DIMENSION_CAP = 8, leaves 20,249.  Toeplitz order 14 overflows it.
 _MEMO_SIZE = 1 << 17
 
 

@@ -273,6 +273,13 @@ def is_noncrossing(w: PartitionWord) -> bool:
     return not stack
 
 
+def is_symmetric(w: PartitionWord) -> bool:
+    """True iff each letter sits at one odd and one even position: the k! words
+    with a Hankel volume.  A rotation or reversal flips every parity, so it is
+    constant on a dihedral orbit."""
+    return all((second - first) % 2 for first, second in w.occurrences())
+
+
 def delete_subword(w: PartitionWord, start: int, stop: int) -> PartitionWord:
     """Remove the window [start, stop) and re-canonicalize the remainder."""
     if not _is_balanced(w.letters, start, stop):

@@ -109,13 +109,17 @@ class TestWordsCommand:
         for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
                              (hmt.limits, "dihedral_greatest"), (hmt.limits, "dihedral_labels")):
             monkeypatch.setattr(module, name, stub)
-        # Monte Carlo draws: MC_WORD_CHARGE per word each family builds, plus
-        # sampled words * samples * (k + 1), where Hankel samples only its k!
-        # words whose letters take one odd and one even place
-        words_k7 = (MC_DRAW_BUDGET - 2 * 135135 * MC_WORD_CHARGE) // ((135135 + 5040) * 8)
-        toeplitz_m14 = (MC_DRAW_BUDGET - 135135 * MC_WORD_CHARGE) // (135135 * 8)
-        hankel_m16 = (MC_DRAW_BUDGET - 2027025 * MC_WORD_CHARGE) // (40320 * 9)
-        assert (words_k7, toeplitz_m14, hankel_m16) == (13345, 14867, 1583)
+        # Monte Carlo draws: MC_WORD_CHARGE + samples * (k + 1) per word system
+        # built, (2k-1)!! for Toeplitz and k! for Hankel, whose other words
+        # (letters not at one odd and one even place) have volume 0
+        def most_samples(systems, k):
+            return (MC_DRAW_BUDGET // systems - MC_WORD_CHARGE) // (k + 1)
+
+        words_k7 = most_samples(135135 + 5040, 7)
+        words_k8 = most_samples(2027025 + 40320, 8)
+        toeplitz_m14 = most_samples(135135, 7)
+        hankel_m16 = most_samples(40320, 8)
+        assert (words_k7, words_k8, toeplitz_m14, hankel_m16) == (14296, 13, 14867, 46432)
         # k = 8 has 2,027,025 words; auto resolves to mc from k = 7 on
         for argv, want in ((["--k", "7", "--method", "exact"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "exact"], EXIT_CAPACITY),
@@ -123,8 +127,8 @@ class TestWordsCommand:
                            (["--k", "7", "--samples", "0"], EXIT_INVALID),
                            (["--k", "7"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "mc"], EXIT_CAPACITY),
-                           # building 2 x 2,027,025 word systems alone is over the budget
-                           (["--k", "8", "--method", "mc", "--samples", "1"], EXIT_CAPACITY),
+                           (["--k", "8", "--method", "mc", "--samples", str(words_k8 + 1)],
+                            EXIT_CAPACITY),
                            (["--k", "7", "--samples", str(words_k7 + 1)], EXIT_CAPACITY)):
             code, out, _ = run(["words", *argv], capsys)
             assert (code, out) == (want, ""), argv
@@ -137,6 +141,7 @@ class TestWordsCommand:
             assert (code, out) == (EXIT_CAPACITY, ""), argv
         # the most samples within the budget reach the enumerator
         for argv in (["words", "--k", "7", "--samples", str(words_k7)],
+                     ["words", "--k", "8", "--samples", str(words_k8)],
                      ["moments", "--family", "toeplitz", "--order", "14", "--method", "mc",
                       "--samples", str(toeplitz_m14)],
                      ["moments", "--family", "hankel", "--order", "16", "--method", "mc",

@@ -26,6 +26,9 @@ GOLDEN = {
         "67075e6e6a0c8cedeb7e66407983f2d3bdb6e75a8238108b60eae5bdb3e73a60",
     "words --k 4 --method exact --format json":
         "8707995e8d00bfdfac21c3f020b5c7603fb071a507754599c40ccb0b3f3f955e",
+    # both families' exact values on all 945 words of k = 5
+    "words --k 5 --method exact --format json":
+        "df563c12a00bf047dcf9f223c3c1688708fd356ac4fd973d0d7dcbc2f63ee548",
     "words --k 4 --method mc --samples 5000":
         "c05ccc6f767a97cca44a0357e4936c6f25dae2898c7178cd7aabc566f59cdab9",
     "moments --family toeplitz --max-order 10":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hmt.limits
 import hmt.volumes
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.limits import catalan, moment_table, word_volumes
@@ -24,14 +25,9 @@ from hmt.volumes import (
 )
 from hmt.words import PartitionWord, enumerate_words, is_noncrossing
 
-from test_walk_oracle import polytope_volume, turns
+from test_walk_oracle import is_symmetric, polytope_volume, turns
 
 W = PartitionWord.from_string
-
-
-def is_symmetric(w):
-    """Each letter sits at one odd and one even position."""
-    return all((f - s) % 2 for f, s in w.occurrences())
 
 
 class TestBuildSystem:
@@ -121,9 +117,10 @@ class TestVolumeExact:
 
     def test_zero_weight_facets_are_not_solved(self):
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
-        # facets too leaves 1,272 (toeplitz) and 530 (hankel) memo entries.
-        # Both counts depend on which orbit member word_volumes solves.
-        for family, entries in (("toeplitz", 609), ("hankel", 261)):
+        # facets too leaves 1,272 (toeplitz) and 428 (hankel) memo entries.
+        # Both counts depend on which orbit member word_volumes solves; hankel
+        # solves the Toeplitz systems of its symmetric orbits only.
+        for family, entries in (("toeplitz", 609), ("hankel", 186)):
             hmt.volumes._facet_sum.cache_clear()
             moment_table(family, 10)
             assert hmt.volumes._facet_sum.cache_info().currsize == entries, family
@@ -323,6 +320,53 @@ def test_symmetric_hankel_words_have_their_toeplitz_volume():
     for w in words:
         hankel = volume_exact(build_system(w, "hankel")).value
         assert hankel == volume_exact(build_system(w, "toeplitz")).value, str(w)
+
+
+class TestHankelThroughToeplitz:
+    """word_volumes gives a Hankel word its Toeplitz volume if it is symmetric
+    and an exact 0 otherwise, so it builds Hankel systems for Monte Carlo only,
+    and only for the k! symmetric words."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        built = []
+
+        def recording(w, kind):
+            built.append((kind, w))
+            return build_system(w, kind)
+
+        monkeypatch.setattr(hmt.limits, "build_system", recording)
+        return built
+
+    @pytest.mark.parametrize("k, orbits", [(1, 1), (2, 1), (3, 3), (4, 5), (5, 17)])
+    def test_exact_hankel_solves_symmetric_orbits_as_toeplitz(self, monkeypatch, k, orbits):
+        built = self.recorded(monkeypatch)
+        word_volumes(("hankel",), k, "exact", 1, 0)
+        assert len(built) == orbits
+        assert all(kind == "toeplitz" and is_symmetric(w) for kind, w in built)
+
+    def test_exact_families_share_one_solve_per_orbit(self, monkeypatch):
+        built = self.recorded(monkeypatch)
+        word_volumes(("toeplitz", "hankel"), 5, "exact", 1, 0)
+        assert len(built) == 79
+        assert {kind for kind, _ in built} == {"toeplitz"}
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_monte_carlo_builds_hankel_for_symmetric_words(self, monkeypatch, k):
+        built = self.recorded(monkeypatch)
+        word_volumes(("hankel",), k, "mc", 10, 0)
+        assert len(built) == math.factorial(k)
+        assert all(kind == "hankel" and is_symmetric(w) for kind, w in built)
+
+    @pytest.mark.parametrize("families", [("hankel",), ("toeplitz", "hankel")])
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_monte_carlo_estimates_equal_every_system_built(self, families, k):
+        samples, seed = 300, 27
+        got = word_volumes(families, k, "mc", samples, seed)
+        for index, w in enumerate(enumerate_words(k)):
+            want = volumes_mc([build_system(w, family) for family in families], samples,
+                              mix(TAG_VOLUME_MC, seed, k, index))
+            assert [got[family][index] for family in families] == want, str(w)
 
 
 class TestEulerian:

@@ -18,10 +18,11 @@ from hmt.words import (
     height,
     is_irreducible,
     is_noncrossing,
+    is_symmetric,
     proper_subword_windows,
 )
 
-from test_walk_oracle import turns
+from test_walk_oracle import is_symmetric as oracle_is_symmetric, turns
 
 W = PartitionWord.from_string
 
@@ -253,6 +254,26 @@ class TestNoncrossing:
 
         catalan = math.comb(2 * k, k) // (k + 1)
         assert sum(is_noncrossing(w) for w in enumerate_words(k)) == catalan
+
+
+class TestSymmetric:
+    """Each letter at one odd and one even place: the words with a Hankel volume."""
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_the_walk_oracle_and_counts_k_factorial(self, k):
+        import math
+
+        words = enumerate_words(k)
+        assert [is_symmetric(w) for w in words] == [oracle_is_symmetric(w.letters)
+                                                    for w in words]
+        assert sum(map(is_symmetric, words)) == math.factorial(k)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_constant_on_dihedral_orbits(self, k):
+        # word_volumes reads it off each orbit's greatest member
+        greatest = dihedral_greatest(k)
+        for w, label in zip(enumerate_words(k), dihedral_labels(k)):
+            assert is_symmetric(w) == is_symmetric(greatest[label]), str(w)
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
