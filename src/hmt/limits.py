@@ -55,14 +55,15 @@ MARKOV_ORDER_CAP = 80
 # Monte Carlo draws (uniform coordinates) per word-route request, counted as
 # check_request charges them: two to two and a half minutes at the 1.1-1.5e8
 # charged draws/s the pooled word volumes reach for k = 5, 6 at 20,000 samples
-# on two free cores, up to four and a half on one core at 6.5e7-1.1e8/s
-# (2-core x86-64 VM).  The charge bounds what is drawn from above: the
-# families of a word share one draw, and words with no slab to test draw none.
+# on two free cores, up to four and a half on one core at 6.5e7-1.1e8/s; about
+# five for the most samples hankel order 16 admits (2-core x86-64 VM).  The
+# charge bounds what is drawn from above: the families of a word share one draw,
+# and words with no slab to test draw none.  The word cap bounds the memory.
 MC_DRAW_BUDGET = 1 << 34
-# Draws charged per word system a family builds: a word volume costs 90-120 us
-# beside its draws (`words --k 6 --method mc --samples 1`), about 6,000 draws' time.
-# At k = 8 the word cap, not this charge, bounds enumerating the 2,027,025 words
-# and testing their parities (16.6 + 6.3 s, 2-core x86-64 VM).
+# Draws charged per word enumerated and per word system a family builds: the time of the
+# 11.3 us to enumerate and parity-test each k = 8 word (16.6 + 6.3 s in all) and of the
+# 90-120 us a word volume costs beside its draws (`words --k 6 --method mc --samples 1`).
+MC_ENUM_CHARGE = 1 << 10
 MC_WORD_CHARGE = 1 << 13
 # Draws (coordinates) per word from which the Monte Carlo word volumes run on
 # one thread per usable CPU.  Below it a word's Python work (system, counter,
@@ -145,13 +146,14 @@ def check_request(families: tuple[str, ...], order: int, method: str,
         raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
                             f"the cap {DEFAULT_DIMENSION_CAP}; use method mc")
     elif method == "mc":
-        # systems built and sampled: all (2k-1)!! Toeplitz ones, k! symmetric Hankel ones
+        # all (2k-1)!! words enumerated; built: (2k-1)!! Toeplitz, k! symmetric Hankel systems
         built = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
                     for f in families)
-        draws = built * (MC_WORD_CHARGE + samples * (k + 1))
+        draws = (double_factorial_odd(k) * MC_ENUM_CHARGE
+                 + built * (MC_WORD_CHARGE + samples * (k + 1)))
         if draws > MC_DRAW_BUDGET:
-            raise CapacityError(f"order {order} needs {draws} Monte Carlo draws, {MC_WORD_CHARGE} "
-                                f"per word system built, above the budget {MC_DRAW_BUDGET}")
+            raise CapacityError(f"order {order} needs {draws} Monte Carlo draws, above the "
+                                f"budget {MC_DRAW_BUDGET}")
     return k, method
 
 
@@ -179,24 +181,22 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     on the other systems.  The words run on mc_threads threads (the Philox fills
     release the GIL) and come back in word order, the same for any thread count.
     """
-    def built(w) -> list[str]:  # the families that build w's system
-        return [family for family in families if family != "hankel" or is_symmetric(w)]
-
     if method == "exact":
-        orbits = []
-        for w in dihedral_greatest(k):
-            kinds = built(w)
-            volume = volume_exact(build_system(w, "toeplitz")) if kinds else _FLAT
-            orbits.append({family: volume if family in kinds else _FLAT for family in families})
-        return {family: [orbits[label][family] for label in dihedral_labels(k)]
-                for family in families}
+        greatest = dihedral_greatest(k)
+        toeplitz = [volume_exact(build_system(w, "toeplitz"))
+                    if "toeplitz" in families or is_symmetric(w) else _FLAT for w in greatest]
+        orbits = {"toeplitz": toeplitz,
+                  "hankel": [v if is_symmetric(w) else _FLAT for v, w in zip(toeplitz, greatest)]}
+        labels = dihedral_labels(k)
+        return {family: [orbits[family][label] for label in labels] for family in families}
     from .parallel import ordered_map
 
     words = enumerate_words(k)
 
     def one(index: int) -> list[VolumeEstimate]:
-        kinds = built(words[index])
-        estimates = iter(volumes_mc([build_system(words[index], kind) for kind in kinds],
+        w = words[index]
+        kinds = [f for f in families if f != "hankel" or is_symmetric(w)]
+        estimates = iter(volumes_mc([build_system(w, kind) for kind in kinds],
                                     samples, mix(TAG_VOLUME_MC, seed, k, index)))
         return [next(estimates) if family in kinds else _FLAT for family in families]
 

@@ -28,7 +28,7 @@ from hmt.cli import (
     build_parser,
     main,
 )
-from hmt.limits import MC_DRAW_BUDGET, MC_WORD_CHARGE
+from hmt.limits import MC_DRAW_BUDGET, MC_ENUM_CHARGE, MC_WORD_CHARGE
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +109,22 @@ class TestWordsCommand:
         for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
                              (hmt.limits, "dihedral_greatest"), (hmt.limits, "dihedral_labels")):
             monkeypatch.setattr(module, name, stub)
-        # Monte Carlo draws: MC_WORD_CHARGE + samples * (k + 1) per word system
-        # built, (2k-1)!! for Toeplitz and k! for Hankel, whose other words
-        # (letters not at one odd and one even place) have volume 0
-        def most_samples(systems, k):
-            return (MC_DRAW_BUDGET // systems - MC_WORD_CHARGE) // (k + 1)
+        # Monte Carlo draws: MC_ENUM_CHARGE per word enumerated, (2k-1)!! of them,
+        # plus MC_WORD_CHARGE + samples * (k + 1) per word system built, (2k-1)!!
+        # for Toeplitz and k! for Hankel, whose other words (letters not at one
+        # odd and one even place) have volume 0
+        def most_samples(words, systems, k):
+            return ((MC_DRAW_BUDGET - words * MC_ENUM_CHARGE) // systems
+                    - MC_WORD_CHARGE) // (k + 1)
 
-        words_k7 = most_samples(135135 + 5040, 7)
-        words_k8 = most_samples(2027025 + 40320, 8)
-        toeplitz_m14 = most_samples(135135, 7)
-        hankel_m16 = most_samples(40320, 8)
-        assert (words_k7, words_k8, toeplitz_m14, hankel_m16) == (14296, 13, 14867, 46432)
+        words_k7 = most_samples(135135, 135135 + 5040, 7)
+        toeplitz_m14 = most_samples(135135, 135135, 7)
+        hankel_m16 = most_samples(2027025, 40320, 8)
+        assert (words_k7, toeplitz_m14, hankel_m16) == (14172, 14739, 40712)
+        # enumerating the k = 8 words and building their Toeplitz systems alone
+        # is over the budget
+        assert most_samples(2027025, 2027025 + 40320, 8) < 0
+        assert most_samples(2027025, 2027025, 8) < 0
         # k = 8 has 2,027,025 words; auto resolves to mc from k = 7 on
         for argv, want in ((["--k", "7", "--method", "exact"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "exact"], EXIT_CAPACITY),
@@ -127,8 +132,7 @@ class TestWordsCommand:
                            (["--k", "7", "--samples", "0"], EXIT_INVALID),
                            (["--k", "7"], EXIT_CAPACITY),
                            (["--k", "8", "--method", "mc"], EXIT_CAPACITY),
-                           (["--k", "8", "--method", "mc", "--samples", str(words_k8 + 1)],
-                            EXIT_CAPACITY),
+                           (["--k", "8", "--method", "mc", "--samples", "1"], EXIT_CAPACITY),
                            (["--k", "7", "--samples", str(words_k7 + 1)], EXIT_CAPACITY)):
             code, out, _ = run(["words", *argv], capsys)
             assert (code, out) == (want, ""), argv
@@ -136,12 +140,12 @@ class TestWordsCommand:
                      ["--family", "toeplitz", "--max-order", "14"],
                      ["--family", "toeplitz", "--order", "14", "--samples",
                       str(toeplitz_m14 + 1)],
+                     ["--family", "toeplitz", "--order", "16", "--samples", "1"],
                      ["--family", "hankel", "--order", "16", "--samples", str(hankel_m16 + 1)]):
             code, out, _ = run(["moments", *argv, "--method", "mc"], capsys)
             assert (code, out) == (EXIT_CAPACITY, ""), argv
         # the most samples within the budget reach the enumerator
         for argv in (["words", "--k", "7", "--samples", str(words_k7)],
-                     ["words", "--k", "8", "--samples", str(words_k8)],
                      ["moments", "--family", "toeplitz", "--order", "14", "--method", "mc",
                       "--samples", str(toeplitz_m14)],
                      ["moments", "--family", "hankel", "--order", "16", "--method", "mc",
