@@ -55,10 +55,10 @@ MARKOV_ORDER_CAP = 80
 # Monte Carlo draws (uniform coordinates) per word-route request, counted as
 # check_request charges them: two to two and a half minutes at the 1.1-1.5e8
 # charged draws/s the pooled word volumes reach for k = 5, 6 at 20,000 samples
-# on two free cores, up to four and a half on one core at 6.5e7-1.1e8/s; about
-# five for the most samples hankel order 16 admits (2-core x86-64 VM).  The
-# charge bounds what is drawn from above: the families of a word share one draw,
-# and words with no slab to test draw none.  The word cap bounds the memory.
+# on two free cores, up to four and a half on one core at 6.5e7-1.1e8/s; 335 and
+# 288 s for the most samples `words --k 7` and hankel order 16 admit (2-core
+# x86-64 VM).  The charge bounds what is drawn from above: the families of a word
+# share one draw, and words with no slab to test draw none.  The word cap bounds memory.
 MC_DRAW_BUDGET = 1 << 34
 # Draws charged per word enumerated and per word system a family builds: the time of the
 # 11.3 us to enumerate and parity-test each k = 8 word (16.6 + 6.3 s in all) and of the
