@@ -29,7 +29,8 @@ from .volumes import (
     DEFAULT_DIMENSION_CAP,
     VolumeEstimate,
     build_system,
-    volume_exact,
+    toeplitz_volume,
+    volume_exact,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_exact
     volume_mc,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_mc
     volumes_mc,
 )
@@ -172,9 +173,9 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     A Hankel word has its Toeplitz volume if it is_symmetric, else an exact 0:
     x_i -> 1 - x_i at odd i maps the one polytope onto the other, as
     tests/test_volumes.py checks on build_system's Hankel systems.
-    exact: one Toeplitz solve per dihedral orbit that a family reads, through
-    its lex-greatest member (dihedral_greatest, on which the pure-Python,
-    serial facet recursion is cheaper), read by each word's orbit label.
+    exact: one toeplitz_volume per dihedral orbit that a family reads (a count
+    of the orbit's lattice walks, no slab system), read by each word's orbit
+    label; the facet recursion of volume_exact is the tests' oracle for it.
     mc: one volumes_mc call per word for the systems it builds, on the word's
     own TAG_VOLUME_MC stream of (seed, k, index).  The systems have k + 1 free
     coordinates each and count the same points, drawn once; no estimate depends
@@ -183,7 +184,7 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     """
     if method == "exact":
         greatest = dihedral_greatest(k)
-        toeplitz = [volume_exact(build_system(w, "toeplitz"))
+        toeplitz = [VolumeEstimate(toeplitz_volume(w), "exact")
                     if "toeplitz" in families or is_symmetric(w) else _FLAT for w in greatest]
         orbits = {"toeplitz": toeplitz,
                   "hankel": [v if is_symmetric(w) else _FLAT for v, w in zip(toeplitz, greatest)]}

@@ -6,12 +6,17 @@ for the dependent variables and requiring them to stay in [0, 1] cuts a
 polytope out of the unit cube in the free coordinates; its volume is the
 word's weight in the limiting moment formulas.
 
-Volumes are computed two ways from the same integer slab rows: exactly in
-rational arithmetic (recursive facet decomposition in the style of
-Lasserre/Cohen-Hickey), and by seeded Monte Carlo.  The exact path is plain
-Python; numpy loads the first time a float estimator (volume_mc,
-slab_volume_integral) runs.  The tests check the exact volumes against
-Qhull on each word's walk polytope, which shares no code with this module.
+There are two exact engines, both plain Python.  A word's Toeplitz volume
+comes from counts of its lattice walks (toeplitz_volume), which read only
+its letters; word tables use it, and Hankel words take it through a parity
+rule (hmt.limits.word_volumes).  Any SlabSystem, hand-built ones with
+fractional vertices included, goes through a recursive facet decomposition
+in the style of Lasserre/Cohen-Hickey (volume_exact); the tests use it as
+the oracle of the walk counts, with which it shares no code.  Monte Carlo
+reads the slab rows of a system (volumes_mc); numpy loads the first time a
+float estimator (volume_mc, slab_volume_integral) runs.  The tests also
+check the exact volumes against Qhull on each word's walk polytope, which
+shares no code with this module.
 """
 
 from __future__ import annotations
@@ -237,6 +242,94 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
 
 
 # ---------------------------------------------------------------------------
+# Exact word volume: lattice walks and Ehrhart's polynomial
+# ---------------------------------------------------------------------------
+#
+# In the coordinates (x_0, y_1..y_k), letter c stepping +y_c at its first
+# place and -y_c at its second, a Toeplitz word's polytope is
+# {0 <= x_0 + (sum of y_c over the letters open at t) <= 1 for each t}.
+# Each column of that system is an interval of rows, so the matrix is
+# totally unimodular and the polytope has integer vertices (Schrijver 1986,
+# ch. 19).  The number L(N) of integer points in its dilation by N, the
+# walks i_0..i_2k in {0..N} whose paired steps are opposite, is then a
+# polynomial of degree k + 1 whose leading coefficient is the volume
+# (Ehrhart 1962; Beck-Robins 2007).  The interior points, the walks in
+# {1..N-1}, are the walks in {0..N-2} shifted, so reciprocity gives
+# L(-N) = (-1)^(k+1) L(N-2) and L(-1) = 0, and counts at
+# N = 0..ceil((k-1)/2) fix the polynomial.
+
+def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int | None]]:
+    """Cost and plan of counting walks along the letters in this order.
+
+    The plan holds, per place, None when the place opens its letter, else
+    the index its letter has in the open letters, kept in order of opening.
+    The cost, the sum of 7 ** (letters open after each place), follows the
+    number of walk states at N = 3.
+    """
+    open_letters: list[int] = []
+    plan: list[int | None] = []
+    cost = 0
+    for letter in letters:
+        if letter in open_letters:
+            plan.append(open_letters.index(letter))
+            open_letters.remove(letter)
+        else:
+            plan.append(None)
+            open_letters.append(letter)
+        cost += 7 ** len(open_letters)
+    return cost, plan
+
+
+def _walk_count(plan: list[int | None], n: int) -> int:
+    """Walks in {0..n} that follow the plan, counted place by place.
+
+    A state is (height, steps of the open letters): opening a letter steps
+    to any height, closing one takes its step back if that stays in {0..n}.
+    """
+    heights = range(n + 1)
+    states: dict[tuple[int, ...], int] = {(h,): 1 for h in heights}
+    for close in plan:
+        if close is None:
+            # distinct (state, height) pairs give distinct states: no merging
+            states = {(g, *state[1:], g - state[0]): count
+                      for state, count in states.items() for g in heights}
+            continue
+        j = close + 1
+        merged: dict[tuple[int, ...], int] = {}
+        for state, count in states.items():
+            g = state[0] - state[j]
+            if 0 <= g <= n:
+                key = (g, *state[1:j], *state[j + 1:])
+                merged[key] = merged.get(key, 0) + count
+        states = merged
+    return sum(states.values())
+
+
+def toeplitz_volume(w: PartitionWord) -> Fraction:
+    """Exact Toeplitz volume of a word, from counts of its lattice walks.
+
+    The count runs on the rotation or reversal of w whose plan is cheapest;
+    the volume is the same on the whole dihedral orbit.  The (k+1)-th finite
+    difference of the walk counts L(N) over k + 2 consecutive N, divided by
+    (k+1)!, is the volume, so (k+1)! times it is an integer.  Equal to
+    volume_exact(build_system(w, "toeplitz")).value, which the tests check.
+    """
+    letters = w.letters
+    k = len(letters) // 2
+    members = [t[i:] + t[:i] for t in (letters, letters[::-1]) for i in range(2 * k)]
+    plan = min((_walk_plan(m) for m in members), key=lambda cost_plan: cost_plan[0])[1]
+    counts = [_walk_count(plan, n) for n in range(k // 2 + 1)]  # N = 0..ceil((k-1)/2)
+    # L(N) from N = -len(counts) - 1 on: L(-N) = (-1)^(k+1) L(N-2), L(-1) = 0
+    sign = (-1) ** (k + 1)
+    values = ([sign * count for count in reversed(counts)] + [0] + counts)[-(k + 2):]
+    difference = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j) * v for j, v in enumerate(values))
+    value = Fraction(difference, math.factorial(k + 1))
+    if not 0 <= value <= 1:
+        raise NumericError(f"exact volume {value} escaped [0, 1]")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # Exact volume: recursive facet decomposition, all-rational
 # ---------------------------------------------------------------------------
 #
@@ -264,9 +357,10 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
 _EMPTY = None  # canonicalization result for an infeasible system
 
 # Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
-# most about 350 MB).  Tables through order 12 at the default cap leave
-# 10,206 entries (toeplitz) and 1,495 (hankel); hankel order 14, with
-# DEFAULT_DIMENSION_CAP = 8, leaves 20,249.  Toeplitz order 14 overflows it.
+# most about 350 MB).  Word tables count walks and leave it empty.  Solving
+# the Toeplitz systems of every orbit's lex-greatest member through order 12
+# leaves 10,206 entries, of the symmetric orbits only 1,495, and of those
+# through order 14 20,249; every orbit through order 14 overflows it.
 _MEMO_SIZE = 1 << 17
 
 

@@ -183,8 +183,8 @@ def dihedral_labels(k: int) -> tuple[int, ...]:
     Orbits are numbered in order of first appearance.  The Toeplitz and
     Hankel volumes are constant on an orbit: rotating or reversing a word
     relabels the closed walk x_0, ..., x_2k = x_0 whose steps its letters tie
-    together.  The cost of the exact solve is not constant on an orbit, so
-    the volumes are solved through dihedral_greatest.
+    together.  hmt.limits.word_volumes finds one volume per orbit, through
+    dihedral_greatest.
     """
     return _dihedral_pass(k)[0]
 
@@ -192,9 +192,9 @@ def dihedral_labels(k: int) -> tuple[int, ...]:
 def dihedral_greatest(k: int) -> tuple[PartitionWord, ...]:
     """Each dihedral orbit's lexicographically greatest member, by orbit index.
 
-    It is the last word of its orbit in enumerate_words(k).  The exact
-    volume recursion is cheaper on it than on the least member: through
-    order 12 its Toeplitz facet memo holds a third fewer entries.
+    It is the last word of its orbit in enumerate_words(k).  The facet
+    recursion of volume_exact is cheaper on it than on the least member:
+    through order 12 its Toeplitz facet memo holds a third fewer entries.
     """
     return _dihedral_pass(k)[1]
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import hmt.limits
 import hmt.volumes
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
-from hmt.limits import catalan, moment_table, word_volumes
+from hmt.limits import catalan, word_volumes
 from hmt.rng import TAG_VOLUME_MC, generator, mix
 from hmt.volumes import (
     SlabSystem,
@@ -19,11 +19,12 @@ from hmt.volumes import (
     eulerian_number,
     single_slab_system,
     slab_volume_integral,
+    toeplitz_volume,
     volume_exact,
     volume_mc,
     volumes_mc,
 )
-from hmt.words import PartitionWord, enumerate_words, is_noncrossing
+from hmt.words import PartitionWord, dihedral_greatest, enumerate_words, is_noncrossing
 
 from test_walk_oracle import is_symmetric, polytope_volume, turns
 
@@ -117,13 +118,15 @@ class TestVolumeExact:
 
     def test_zero_weight_facets_are_not_solved(self):
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
-        # facets too leaves 1,272 (toeplitz) and 428 (hankel) memo entries.
-        # Both counts depend on which orbit member word_volumes solves; hankel
-        # solves the Toeplitz systems of its symmetric orbits only.
-        for family, entries in (("toeplitz", 609), ("hankel", 186)):
+        # facets too leaves 1,272 (all orbits) and 428 (symmetric orbits, as
+        # Hankel systems) memo entries.  Both counts depend on which orbit
+        # member is solved: here the lex-greatest, through order 10.
+        orbits = [w for k in range(1, 6) for w in dihedral_greatest(k)]
+        for words, entries in ((orbits, 609), (list(filter(is_symmetric, orbits)), 186)):
             hmt.volumes._facet_sum.cache_clear()
-            moment_table(family, 10)
-            assert hmt.volumes._facet_sum.cache_info().currsize == entries, family
+            for w in words:
+                volume_exact(build_system(w, "toeplitz"))
+            assert hmt.volumes._facet_sum.cache_info().currsize == entries
 
     def test_memo_is_bounded(self):
         maxsize = hmt.volumes._facet_sum.cache_info().maxsize
@@ -166,6 +169,34 @@ class TestOrbitInvariance:
             assert volume_exact(build_system(rep, kind)).value == volume_exact(
                 build_system(w, kind)
             ).value, (str(rep), str(w))
+
+
+class TestToeplitzVolume:
+    """toeplitz_volume counts lattice walks; the facet recursion is its oracle."""
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_word_equals_the_recursion(self, k):
+        for w in enumerate_words(k):
+            assert toeplitz_volume(w) == volume_exact(build_system(w, "toeplitz")).value, str(w)
+
+    def test_every_orbit_at_k5_equals_the_recursion(self):
+        # each orbit's least member counted, its greatest member solved
+        last = {PartitionWord(min(turns(w.letters))): w for w in enumerate_words(5)}
+        assert len(last) == 79
+        for rep, w in last.items():
+            assert toeplitz_volume(rep) == volume_exact(build_system(w, "toeplitz")).value, str(rep)
+
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_scaled_by_factorial_is_an_integer(self, k):
+        # the (k+1)-th difference of integer counts, over (k+1)!
+        for rep in dihedral_greatest(k):
+            assert (toeplitz_volume(rep) * math.factorial(k + 1)).denominator == 1, str(rep)
+
+    def test_value_outside_unit_interval_raises(self, monkeypatch):
+        # L(N) = 2 for every N makes the volume of aa 2
+        monkeypatch.setattr(hmt.volumes, "_walk_count", lambda plan, n: 2)
+        with pytest.raises(NumericError):
+            toeplitz_volume(W("aa"))
 
 
 # a hand-built system whose slab bounds are not the word bounds 0 and 1
@@ -338,18 +369,35 @@ class TestHankelThroughToeplitz:
         monkeypatch.setattr(hmt.limits, "build_system", recording)
         return built
 
+    @staticmethod
+    def counted(monkeypatch):
+        words = []
+
+        def counting(w):
+            words.append(w)
+            return toeplitz_volume(w)
+
+        monkeypatch.setattr(hmt.limits, "toeplitz_volume", counting)
+        return words
+
     @pytest.mark.parametrize("k, orbits", [(1, 1), (2, 1), (3, 3), (4, 5), (5, 17)])
     def test_exact_hankel_solves_symmetric_orbits_as_toeplitz(self, monkeypatch, k, orbits):
-        built = self.recorded(monkeypatch)
+        built, counted = self.recorded(monkeypatch), self.counted(monkeypatch)
         word_volumes(("hankel",), k, "exact", 1, 0)
-        assert len(built) == orbits
-        assert all(kind == "toeplitz" and is_symmetric(w) for kind, w in built)
+        assert len(counted) == orbits and not built
+        assert all(is_symmetric(w) for w in counted)
 
     def test_exact_families_share_one_solve_per_orbit(self, monkeypatch):
-        built = self.recorded(monkeypatch)
+        built, counted = self.recorded(monkeypatch), self.counted(monkeypatch)
         word_volumes(("toeplitz", "hankel"), 5, "exact", 1, 0)
-        assert len(built) == 79
-        assert {kind for kind, _ in built} == {"toeplitz"}
+        assert len(counted) == 79 and not built
+
+    @pytest.mark.slow
+    def test_exact_hankel_order_fourteen(self):
+        # the k = 7 words have 8 free coordinates, above the cap that
+        # check_request applies; word_volumes itself has no cap
+        volumes = word_volumes(("hankel",), 7, "exact", 1, 0)["hankel"]
+        assert sum(est.value for est in volumes) == Fraction(1331087, 720)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_monte_carlo_builds_hankel_for_symmetric_words(self, monkeypatch, k):
