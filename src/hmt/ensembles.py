@@ -29,11 +29,10 @@ _TILE = 64
 
 @dataclass(frozen=True)
 class EntryDistribution:
-    """Entry law for the i.i.d. stream; tag plus exact mean and variance."""
+    """Entry law for the i.i.d. stream; tag plus exact mean (the variance is 1)."""
 
     tag: str
     mean: Fraction = Fraction(0)
-    variance: Fraction = Fraction(1)
 
     def draw(self, gen, count: int) -> np.ndarray:
         """Fixed-consumption sampling: one uniform per draw (two for triangular)."""

@@ -36,7 +36,6 @@ from .volumes import (
 )
 from .words import (
     DEFAULT_WORD_CAP,
-    dihedral_greatest,
     dihedral_labels,
     double_factorial_odd,
     enumerate_words,
@@ -47,6 +46,7 @@ from .words import (
 
 MOMENT_FAMILIES = ("toeplitz", "hankel", "markov")
 REFERENCE_FAMILIES = ("semicircle", "gaussian")
+METHODS = ("auto", "exact", "mc")
 
 # Largest Markov order read off the cumulant series.  Order 80 takes 0.15 s
 # and order 160 0.95 s (2-core x86-64 VM, CPython 3.11); the cost grows
@@ -132,10 +132,10 @@ def check_request(families: tuple[str, ...], order: int, method: str,
         if family not in MOMENT_FAMILIES:
             raise InvalidArgumentError(f"unknown family {family!r}; expected {MOMENT_FAMILIES}")
     k = _check_even_order(order)
+    if method not in METHODS:
+        raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "auto":
         method = "exact" if k + 1 <= DEFAULT_DIMENSION_CAP else "mc"
-    if method not in ("exact", "mc"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "mc" and samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     if "markov" in families:
@@ -173,9 +173,10 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     A Hankel word has its Toeplitz volume if it is_symmetric, else an exact 0:
     x_i -> 1 - x_i at odd i maps the one polytope onto the other, as
     tests/test_volumes.py checks on build_system's Hankel systems.
-    exact: one toeplitz_volume per dihedral orbit that a family reads (a count
-    of the orbit's lattice walks, no slab system), read by each word's orbit
-    label; the facet recursion of volume_exact is the tests' oracle for it.
+    exact: one toeplitz_volume per dihedral orbit that a family reads, on the
+    orbit's first word in enumerate_words(k) (a count of the orbit's lattice
+    walks, no slab system), read by each word's orbit label; the facet
+    recursion of volume_exact is the tests' oracle for it.
     mc: one volumes_mc call per word for the systems it builds, on the word's
     own TAG_VOLUME_MC stream of (seed, k, index).  The systems have k + 1 free
     coordinates each and count the same points, drawn once; no estimate depends
@@ -183,12 +184,14 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     release the GIL) and come back in word order, the same for any thread count.
     """
     if method == "exact":
-        greatest = dihedral_greatest(k)
-        toeplitz = [VolumeEstimate(toeplitz_volume(w), "exact")
-                    if "toeplitz" in families or is_symmetric(w) else _FLAT for w in greatest]
-        orbits = {"toeplitz": toeplitz,
-                  "hankel": [v if is_symmetric(w) else _FLAT for v, w in zip(toeplitz, greatest)]}
         labels = dihedral_labels(k)
+        first = {}  # each orbit's first word, by label
+        for w, label in zip(enumerate_words(k), labels):
+            first.setdefault(label, w)
+        toeplitz = [VolumeEstimate(toeplitz_volume(w), "exact")
+                    if "toeplitz" in families or is_symmetric(w) else _FLAT for w in first.values()]
+        orbits = {"toeplitz": toeplitz, "hankel": [
+            v if is_symmetric(w) else _FLAT for v, w in zip(toeplitz, first.values())]}
         return {family: [orbits[family][label] for label in labels] for family in families}
     from .parallel import ordered_map
 
@@ -338,8 +341,8 @@ def hankel_moment_matrix_det(
     odd-integer weights of the unimodality test.  Requires exact moments
     through order 2(2n - 2).
     """
-    if n < 1:
-        raise InvalidArgumentError(f"matrix size must be >= 1, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise InvalidArgumentError(f"matrix size must be an integer >= 1, got {n!r}")
     grid: list[list[Fraction]] = []
     for i in range(1, n + 1):
         row = []
@@ -392,6 +395,8 @@ def moment_table(
     """
     _check_even_order(max_order)
     if family in REFERENCE_FAMILIES:
+        if method not in METHODS:
+            raise InvalidArgumentError(f"unknown method {method!r}")
         entries = {
             order: reference_moments(family, order) for order in range(0, max_order + 1, 2)
         }

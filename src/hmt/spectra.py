@@ -363,6 +363,8 @@ def histogram(
     values = np.asarray(values, float)
     if values.size == 0:
         raise InvalidArgumentError("cannot histogram an empty spectrum")
+    if not np.isfinite(values).all():
+        raise InvalidArgumentError("cannot histogram a spectrum with nan or inf values")
     if bins < 1:
         raise InvalidArgumentError(f"bins must be >= 1, got {bins}")
     counts, edges = np.histogram(values, bins=bins, range=value_range)
@@ -380,6 +382,8 @@ def kolmogorov_distance(a: Sequence[float], b: Sequence[float]) -> float:
     xb = np.sort(np.asarray(b, float))
     if xa.size == 0 or xb.size == 0:
         raise InvalidArgumentError("cannot compare empty spectra")
+    if not (np.isfinite(xa).all() and np.isfinite(xb).all()):
+        raise InvalidArgumentError("cannot compare spectra with nan or inf values")
     grid = np.concatenate([xa, xb])
     fa = np.searchsorted(xa, grid, side="right") / xa.size
     fb = np.searchsorted(xb, grid, side="right") / xb.size

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import generator
-from .words import PartitionWord
+from .words import PartitionWord, dihedral_orbit
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,13 +55,11 @@ class SlabSystem:
 
     slabs maps each dependent variable to a triple (a, lo, hi) meaning
     lo <= a . x <= hi, where x lists the free coordinates in free_vars order.
-    Word systems always have lo, hi = 0, 1.  kind is "toeplitz" or "hankel"
-    for systems built from words ("slab" for hand-built systems).  closure,
-    present only for the Hankel kind, is an integer vector over free_vars
-    that must vanish for the cross-section to have full dimension.
+    Word systems always have lo, hi = 0, 1.  closure, present only for
+    Hankel word systems, is an integer vector over free_vars that must
+    vanish for the cross-section to have full dimension.
     """
 
-    kind: str
     free_vars: tuple[int, ...]
     slabs: Mapping[int, Slab] = field(default_factory=dict)
     closure: tuple[int, ...] | None = None
@@ -110,7 +108,7 @@ def build_system(w: PartitionWord, kind: str) -> SlabSystem:
     closure = None
     if kind == "hankel":
         closure = tuple(x - y for x, y in zip(forms[0], forms[two_k]))
-    return SlabSystem(kind, tuple(free), slabs, closure)
+    return SlabSystem(tuple(free), slabs, closure)
 
 
 def _slab_rows(system: SlabSystem) -> list[Slab]:
@@ -308,16 +306,17 @@ def _walk_count(plan: list[int | None], n: int) -> int:
 def toeplitz_volume(w: PartitionWord) -> Fraction:
     """Exact Toeplitz volume of a word, from counts of its lattice walks.
 
-    The count runs on the rotation or reversal of w whose plan is cheapest;
-    the volume is the same on the whole dihedral orbit.  The (k+1)-th finite
+    The volume is the same on the whole dihedral orbit, so the count runs on
+    the orbit member whose plan is cheapest, ties going to the greatest
+    letters (which visit fewer walk states than the least): every member of
+    an orbit counts along the same one.  The (k+1)-th finite
     difference of the walk counts L(N) over k + 2 consecutive N, divided by
     (k+1)!, is the volume, so (k+1)! times it is an integer.  Equal to
     volume_exact(build_system(w, "toeplitz")).value, which the tests check.
     """
-    letters = w.letters
-    k = len(letters) // 2
-    members = [t[i:] + t[:i] for t in (letters, letters[::-1]) for i in range(2 * k)]
-    plan = min((_walk_plan(m) for m in members), key=lambda cost_plan: cost_plan[0])[1]
+    k = w.k
+    member = max(dihedral_orbit(w.letters), key=lambda m: (-_walk_plan(m)[0], m))
+    plan = _walk_plan(member)[1]
     counts = [_walk_count(plan, n) for n in range(k // 2 + 1)]  # N = 0..ceil((k-1)/2)
     # L(N) from N = -len(counts) - 1 on: L(-N) = (-1)^(k+1) L(N-2), L(-1) = 0
     sign = (-1) ** (k + 1)
@@ -360,7 +359,8 @@ _EMPTY = None  # canonicalization result for an infeasible system
 # most about 350 MB).  Word tables count walks and leave it empty.  Solving
 # the Toeplitz systems of every orbit's lex-greatest member through order 12
 # leaves 10,206 entries, of the symmetric orbits only 1,495, and of those
-# through order 14 20,249; every orbit through order 14 overflows it.
+# through order 14 20,249; every orbit through order 14 overflows it.  The
+# tests pin the order-10 counts; the order of the solves moves none of them.
 _MEMO_SIZE = 1 << 17
 
 
@@ -587,7 +587,7 @@ def single_slab_system(signs: Iterable[int]) -> SlabSystem:
     if not signs or any(s not in (-1, 1) for s in signs):
         raise InvalidArgumentError("signs must be a nonempty sequence of +/-1")
     n = len(signs)
-    return SlabSystem("slab", tuple(range(n)), {n: (signs, 0, 1)}, None)
+    return SlabSystem(tuple(range(n)), {n: (signs, 0, 1)}, None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Pair-partition words: enumeration, height, irreducibility, crossing.
+"""Pair-partition words: enumeration, dihedral orbits, height, irreducibility, crossing.
 
 A pair partition of {1, ..., 2k} is encoded as a word of 2k letters in
 which every letter occurs exactly twice and first occurrences appear in
 increasing letter order.  Letters are small integers (0, 1, 2, ...); the
 a/b/c string form is a display layer only.  These words index every
-limiting-moment formula in the package.
+limiting-moment formula in the package.  A word's volumes are constant on
+its dihedral orbit (dihedral_orbit), so word tables compute one per orbit
+and read it by each word's orbit label (dihedral_labels).
 """
 
 from __future__ import annotations
@@ -149,34 +151,13 @@ def _relabelled(letters) -> tuple[int, ...]:
     return tuple(ids.setdefault(letter, len(ids)) for letter in letters)
 
 
-def _orbit(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The dihedral orbit: relabelled rotations of the word and of its reversal."""
+def dihedral_orbit(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The word's dihedral orbit: its rotations and those of its reversal, relabelled."""
     n = len(letters)
     return {_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n)}
 
 
 @lru_cache(maxsize=None)
-def _dihedral_pass(k: int) -> tuple[tuple[int, ...], tuple[PartitionWord, ...]]:
-    """dihedral_labels and dihedral_greatest from one pass over the words.
-
-    A word not yet met in an earlier orbit is the least member of its own; its
-    2k rotations and those of its reversal, relabelled, are its orbit, whose
-    greatest member is kept and whose other members wait, with the orbit's
-    index, until the pass reaches them.
-    """
-    pending: dict[tuple[int, ...], int] = {}
-    labels, greatest = [], []
-    for w in enumerate_words(k):
-        label = pending.pop(w.letters, len(greatest))
-        if label == len(greatest):
-            orbit = _orbit(w.letters)
-            greatest.append(PartitionWord(max(orbit)))
-            orbit.remove(w.letters)
-            pending.update(dict.fromkeys(orbit, label))
-        labels.append(label)
-    return tuple(labels), tuple(greatest)
-
-
 def dihedral_labels(k: int) -> tuple[int, ...]:
     """Each word's dihedral orbit index, in enumerate_words(k) order.
 
@@ -184,19 +165,22 @@ def dihedral_labels(k: int) -> tuple[int, ...]:
     Hankel volumes are constant on an orbit: rotating or reversing a word
     relabels the closed walk x_0, ..., x_2k = x_0 whose steps its letters tie
     together.  hmt.limits.word_volumes finds one volume per orbit, through
-    dihedral_greatest.
+    the orbit's first word.  A word not yet met in an earlier orbit is the
+    least member of its own; the other members wait, with the orbit's index,
+    until the pass reaches them.
     """
-    return _dihedral_pass(k)[0]
-
-
-def dihedral_greatest(k: int) -> tuple[PartitionWord, ...]:
-    """Each dihedral orbit's lexicographically greatest member, by orbit index.
-
-    It is the last word of its orbit in enumerate_words(k).  The facet
-    recursion of volume_exact is cheaper on it than on the least member:
-    through order 12 its Toeplitz facet memo holds a third fewer entries.
-    """
-    return _dihedral_pass(k)[1]
+    pending: dict[tuple[int, ...], int] = {}
+    labels: list[int] = []
+    orbits = 0
+    for w in enumerate_words(k):
+        label = pending.pop(w.letters, orbits)
+        if label == orbits:
+            orbits += 1
+            orbit = dihedral_orbit(w.letters)
+            orbit.remove(w.letters)
+            pending.update(dict.fromkeys(orbit, label))
+        labels.append(label)
+    return tuple(labels)
 
 
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:

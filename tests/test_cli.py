@@ -107,7 +107,7 @@ class TestWordsCommand:
             raise Enumerated(k)
 
         for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
-                             (hmt.limits, "dihedral_greatest"), (hmt.limits, "dihedral_labels")):
+                             (hmt.limits, "dihedral_labels")):
             monkeypatch.setattr(module, name, stub)
         # Monte Carlo draws: MC_ENUM_CHARGE per word enumerated, (2k-1)!! of them,
         # plus MC_WORD_CHARGE + samples * (k + 1) per word system built, (2k-1)!!

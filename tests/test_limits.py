@@ -171,6 +171,13 @@ class TestReferenceMoments:
         with pytest.raises(InvalidArgumentError):
             reference_moments("markov", 2)
 
+    @pytest.mark.parametrize("family", ["semicircle", "gaussian"])
+    def test_table_rejects_an_unknown_method(self, family):
+        # as limit_moment does; the known methods all give the formula table
+        with pytest.raises(InvalidArgumentError):
+            moment_table(family, 4, method="nope")
+        assert moment_table(family, 4, method="mc").entries == moment_table(family, 4).entries
+
 
 class TestCumulantConversions:
     def test_semicircle_cumulants_give_catalan(self):
@@ -310,6 +317,11 @@ class TestHankelMomentMatrix:
     def test_missing_moments(self):
         with pytest.raises(InvalidArgumentError):
             hankel_moment_matrix_det(moment_table("hankel", 4), 3)
+
+    @pytest.mark.parametrize("n", [2.5, 0, "2"])
+    def test_rejects_a_size_that_is_not_a_positive_integer(self, n):
+        with pytest.raises(InvalidArgumentError):
+            hankel_moment_matrix_det(moment_table("hankel", 4), n)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("family", ["toeplitz", "hankel", "markov"])

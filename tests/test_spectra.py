@@ -427,6 +427,11 @@ class TestHistogram:
         with pytest.raises(InvalidArgumentError):
             histogram(np.array([1.0]), 0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            histogram([bad, 1.0], 3)
+
 
 def smoothed_mode_count(hist, bandwidth_bins=2.0):
     """Strict local maxima of the density smoothed by a Gaussian kernel
@@ -467,6 +472,14 @@ class TestKolmogorov:
     def test_empty_rejected(self):
         with pytest.raises(InvalidArgumentError):
             kolmogorov_distance([], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # a nan sorts last and once read as distance 1.0
+        with pytest.raises(InvalidArgumentError):
+            kolmogorov_distance([bad], [1.0])
+        with pytest.raises(InvalidArgumentError):
+            kolmogorov_distance([1.0], [0.0, bad])
 
 
 class TestScaledSpectrum:

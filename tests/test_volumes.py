@@ -24,9 +24,9 @@ from hmt.volumes import (
     volume_mc,
     volumes_mc,
 )
-from hmt.words import PartitionWord, dihedral_greatest, enumerate_words, is_noncrossing
+from hmt.words import PartitionWord, dihedral_labels, enumerate_words, is_noncrossing
 
-from test_walk_oracle import is_symmetric, polytope_volume, turns
+from test_walk_oracle import dihedral_classes, is_symmetric, polytope_volume, turns
 
 W = PartitionWord.from_string
 
@@ -89,7 +89,7 @@ class TestBuildSystem:
 
     @pytest.mark.parametrize("row", [(1, -1), (1, -1, 1, 0), ()])
     def test_engines_reject_rows_of_the_wrong_length(self, row):
-        system = SlabSystem("slab", (0, 1, 2), {3: (row, 0, 1)})
+        system = SlabSystem((0, 1, 2), {3: (row, 0, 1)})
         with pytest.raises(InvalidArgumentError):
             volume_exact(system)
         with pytest.raises(InvalidArgumentError):
@@ -120,8 +120,9 @@ class TestVolumeExact:
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
         # facets too leaves 1,272 (all orbits) and 428 (symmetric orbits, as
         # Hankel systems) memo entries.  Both counts depend on which orbit
-        # member is solved: here the lex-greatest, through order 10.
-        orbits = [w for k in range(1, 6) for w in dihedral_greatest(k)]
+        # member is solved: here the lex-greatest, through order 10.  The order
+        # of the solves moves neither.
+        orbits = [PartitionWord(max(turns(rep))) for k in range(1, 6) for rep in dihedral_classes(k)]
         for words, entries in ((orbits, 609), (list(filter(is_symmetric, orbits)), 186)):
             hmt.volumes._facet_sum.cache_clear()
             for w in words:
@@ -189,8 +190,24 @@ class TestToeplitzVolume:
     @pytest.mark.parametrize("k", range(1, 6))
     def test_scaled_by_factorial_is_an_integer(self, k):
         # the (k+1)-th difference of integer counts, over (k+1)!
-        for rep in dihedral_greatest(k):
+        for rep in map(PartitionWord, dihedral_classes(k)):
             assert (toeplitz_volume(rep) * math.factorial(k + 1)).denominator == 1, str(rep)
+
+    @pytest.mark.parametrize("k", range(1, 5))
+    def test_every_member_of_an_orbit_counts_along_one_plan(self, monkeypatch, k):
+        # the member counted depends on the orbit only, not on the word given
+        plans, count = [], hmt.volumes._walk_count
+
+        def recording(plan, n):
+            plans.append(plan)
+            return count(plan, n)
+
+        monkeypatch.setattr(hmt.volumes, "_walk_count", recording)
+        first = {}
+        for w, label in zip(enumerate_words(k), dihedral_labels(k)):
+            plans.clear()
+            toeplitz_volume(w)
+            assert first.setdefault(label, plans[0]) == plans[0], str(w)
 
     def test_value_outside_unit_interval_raises(self, monkeypatch):
         # L(N) = 2 for every N makes the volume of aa 2
@@ -200,9 +217,7 @@ class TestToeplitzVolume:
 
 
 # a hand-built system whose slab bounds are not the word bounds 0 and 1
-GENERAL_SLABS = SlabSystem(
-    "slab", (0, 1, 2), {3: ((4, -2, 0), -1, 3), 4: ((2, 2, -4), 0, 2)}, None
-)
+GENERAL_SLABS = SlabSystem((0, 1, 2), {3: ((4, -2, 0), -1, 3), 4: ((2, 2, -4), 0, 2)}, None)
 
 
 class TestVolumeMC:
@@ -333,7 +348,7 @@ class TestSkippedSlabs:
         assert together == alone
 
     def test_unit_and_repeated_rows_are_skipped(self):
-        system = SlabSystem("slab", (0, 1), {
+        system = SlabSystem((0, 1), {
             2: ((1, 0), 0, 1), 3: ((1, -1), 0, 1), 4: ((1, -1), 0, 1),
             5: ((1, 1), 0, 2), 6: ((1, 1), -1, 3), 7: ((-1, 0), -1, 0)}, None)
         assert hmt.volumes._binding_slabs(system) == [((1, -1), 0, 1)]
@@ -499,7 +514,7 @@ def _random_system(draw):
         a = tuple(2 * draw(st.integers(min_value=-2, max_value=2)) for _ in range(d))
         c = draw(st.integers(min_value=-2, max_value=2))
         slabs[d + i] = (a, -c, 2 - c)
-    return SlabSystem("slab", tuple(range(d)), slabs, None)
+    return SlabSystem(tuple(range(d)), slabs, None)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -548,7 +563,7 @@ def test_scaled_word_slabs_keep_the_exact_volume(kind):
             v: (tuple(2 * x for x in a), 2 * lo, 2 * hi)
             for v, (a, lo, hi) in system.slabs.items()
         }
-        scaled = SlabSystem(kind, system.free_vars, doubled, system.closure)
+        scaled = SlabSystem(system.free_vars, doubled, system.closure)
         assert volume_exact(scaled) == volume_exact(system), str(w)
 
 
@@ -561,13 +576,13 @@ def _count(system, points):
 class TestHitCounter:
     @pytest.mark.parametrize("lo, hi", [(0, 1), (-1, 2)])
     def test_one_dimensional_slab_is_closed(self, lo, hi):
-        system = SlabSystem("slab", (0,), {1: ((1,), lo, hi)}, None)
+        system = SlabSystem((0,), {1: ((1,), lo, hi)}, None)
         assert _count(system, [[lo], [hi]]) == 2
         assert _count(system, [[np.nextafter(lo, -np.inf)]]) == 0
         assert _count(system, [[np.nextafter(hi, np.inf)]]) == 0
 
     def test_two_dimensional_slab_is_closed(self):
-        system = SlabSystem("slab", (0, 1), {2: ((1, 1), 0, 1)}, None)
+        system = SlabSystem((0, 1), {2: ((1, 1), 0, 1)}, None)
         on_lo = [[0.0, 0.0]]
         on_hi = [[0.25, 0.75], [1.0, 0.0], [0.0, 1.0]]
         assert _count(system, on_lo + on_hi) == 4
@@ -577,7 +592,7 @@ class TestHitCounter:
         assert _count(system, outside) == 0
 
     def test_no_slabs_counts_every_point(self):
-        system = SlabSystem("slab", (0, 1), {}, None)
+        system = SlabSystem((0, 1), {}, None)
         assert _count(system, np.full((7, 2), 0.5)) == 7
 
 

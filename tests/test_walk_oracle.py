@@ -19,9 +19,14 @@ coordinates: the map to the free coordinates of ``build_system`` is
 integer and unimodular.  A Chebyshev centre from HiGHS (scipy.optimize)
 tells a full-dimensional polytope from a flat one; Qhull's halfspace
 intersection and convex hull give the volume of the former.
+
+A second, exact oracle counts lattice walks over all pairings at once
+(pairing_walk_moment).  It shares no code with the package, but it shares
+the Ehrhart idea of ``toeplitz_volume``; Qhull shares neither.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,7 +34,7 @@ import pytest
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from hmt import PartitionWord, build_system, limit_moment, volume_exact
+from hmt import PartitionWord, build_system, limit_moment, moment_table, volume_exact
 
 # a polytope whose largest inscribed ball is smaller than this is flat
 FLAT_RADIUS = 1e-9
@@ -222,3 +227,62 @@ def test_order_ten_through_dihedral_classes(kind, expected):
 def test_hankel_order_twelve_through_dihedral_classes():
     total = sum(size * qhull_volume("hankel", rep)[0] for rep, size in dihedral_classes(6).items())
     assert abs(total - 1052 / 3) <= 1e-12 * (1052 / 3)
+
+
+def pairing_walk_count(k: int, n: int, hankel: bool) -> int:
+    """Pairs (pairing of the places 1..2k, walk i_0..i_2k in {0..n}) whose paired
+    steps i_t - i_{t-1} are opposite; for Hankel, only pairings of places of
+    opposite parity, the words with p_H(w) = p_T(w) (p_H is 0 on the others).
+
+    A state is (height, sorted open steps), each open step tagged with the
+    parity its closing place must have (0 throughout for Toeplitz).  A place
+    opens a step to any height while the open steps can still close, or closes
+    an open step of its tag, once per open letter that has that step.
+    """
+    heights = range(n + 1)
+    states = {(h, ()): 1 for h in heights}
+    for place in range(1, 2 * k + 1):
+        tag = place % 2 if hankel else 0
+        new: dict = {}
+        for (h, steps), count in states.items():
+            if len(steps) < 2 * k - place:
+                for g in heights:
+                    key = (g, tuple(sorted(steps + ((1 - tag if hankel else 0, g - h),))))
+                    new[key] = new.get(key, 0) + count
+            for step in set(steps):
+                g = h - step[1]
+                if step[0] == tag and 0 <= g <= n:
+                    rest = list(steps)
+                    rest.remove(step)
+                    key = (g, tuple(rest))
+                    new[key] = new.get(key, 0) + count * steps.count(step)
+        states = new
+    return sum(states.values())
+
+
+def pairing_walk_moment(k: int, hankel: bool) -> Fraction:
+    """The moment of order 2k: the leading coefficient of the pairing walk count,
+    a sum of Ehrhart polynomials of degree k + 1.  Counts at N = 0..floor(k/2)
+    and reciprocity, L(-1) = 0 and L(-N) = (-1)^(k+1) L(N-2), give k + 2
+    consecutive values; their (k+1)-th difference is (k+1)! times the moment."""
+    counts = [pairing_walk_count(k, n, hankel) for n in range(k // 2 + 1)]
+    sign = (-1) ** (k + 1)
+    values = ([sign * c for c in reversed(counts)] + [0] + counts)[-(k + 2):]
+    difference = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j) * v for j, v in enumerate(values))
+    return Fraction(difference, math.factorial(k + 1))
+
+
+@pytest.mark.parametrize("family", ["toeplitz", "hankel"])
+def test_pairing_walks_give_the_moments_through_order_ten(family):
+    table = moment_table(family, 10)
+    for k in range(1, 6):
+        assert pairing_walk_moment(k, family == "hankel") == table.entries[2 * k], k
+
+
+@pytest.mark.parametrize("family, m12, m14", [
+    ("toeplitz", Fraction(23840, 7), Fraction(325719, 10)),
+    ("hankel", Fraction(1052, 3), Fraction(1331087, 720)),
+], ids=["toeplitz", "hankel"])
+def test_pairing_walks_pin_orders_twelve_and_fourteen(family, m12, m14):
+    assert pairing_walk_moment(6, family == "hankel") == m12
+    assert pairing_walk_moment(7, family == "hankel") == m14
