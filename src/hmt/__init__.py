@@ -41,52 +41,6 @@ from .volumes import (
 )
 from .words import PartitionWord, enumerate_words, height, is_irreducible, is_noncrossing
 
-__all__ = [
-    "__version__",
-    "CapacityError",
-    "CumulantTable",
-    "EnsembleSample",
-    "EntryDistribution",
-    "HmtError",
-    "InvalidArgumentError",
-    "MomentEstimate",
-    "MomentTable",
-    "NumericError",
-    "PartitionWord",
-    "SlabSystem",
-    "VolumeEstimate",
-    "build_system",
-    "cumulants_to_moments",
-    "eigvalsh",
-    "empirical_spectrum",
-    "enumerate_words",
-    "eulerian_number",
-    "free_cumulants",
-    "gaussian",
-    "hankel_moment_matrix_det",
-    "height",
-    "histogram",
-    "is_irreducible",
-    "is_noncrossing",
-    "kolmogorov_distance",
-    "limit_moment",
-    "markov_q",
-    "moment_table",
-    "moments_to_cumulants",
-    "rademacher",
-    "reference_moments",
-    "row_sum_statistic",
-    "sample_matrix",
-    "shifted_gaussian",
-    "single_slab_system",
-    "slab_volume_integral",
-    "spectral_norm",
-    "trace_via_circuits",
-    "triangular",
-    "volume_exact",
-    "volume_mc",
-]
-
 # numpy/scipy-backed exports, imported from their module on first access
 _LAZY = {
     "ensembles": (
@@ -109,6 +63,37 @@ _LAZY = {
         "trace_via_circuits",
     ),
 }
+
+__all__ = [
+    "__version__",
+    "CapacityError",
+    "CumulantTable",
+    "HmtError",
+    "InvalidArgumentError",
+    "MomentEstimate",
+    "MomentTable",
+    "NumericError",
+    "PartitionWord",
+    "SlabSystem",
+    "VolumeEstimate",
+    "build_system",
+    "cumulants_to_moments",
+    "enumerate_words",
+    "eulerian_number",
+    "free_cumulants",
+    "hankel_moment_matrix_det",
+    "height",
+    "is_irreducible",
+    "is_noncrossing",
+    "limit_moment",
+    "moment_table",
+    "moments_to_cumulants",
+    "reference_moments",
+    "single_slab_system",
+    "slab_volume_integral",
+    "volume_exact",
+    "volume_mc",
+] + [name for names in _LAZY.values() for name in names]
 _LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
 
 

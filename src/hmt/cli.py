@@ -254,21 +254,23 @@ def cmd_words(args: argparse.Namespace) -> int:
     kinds = ("toeplitz", "hankel")
     k, method = check_request(kinds, 2 * args.k, args.method, args.samples)
     volumes = word_volumes(kinds, k, method, args.samples, args.seed)
-    rows = []
-    for index, w in enumerate(enumerate_words(k)):
-        row = {"word": str(w), "height": height(w), "irreducible": is_irreducible(w),
-               "noncrossing": is_noncrossing(w)}
-        for kind in kinds:
-            est = volumes[kind][index]
-            if args.format == "json":
-                row[f"p_{kind}"] = _volume_json(est)
-            else:
-                row[f"p_{kind}"] = est.value
-                row[f"p_{kind}_stderr"] = est.stderr
-        rows.append(row)
+
+    def rows():
+        for index, w in enumerate(enumerate_words(k)):
+            row = {"word": str(w), "height": height(w), "irreducible": is_irreducible(w),
+                   "noncrossing": is_noncrossing(w)}
+            for kind in kinds:
+                est = volumes[kind][index]
+                if args.format == "json":
+                    row[f"p_{kind}"] = _volume_json(est)
+                else:
+                    row[f"p_{kind}"] = est.value
+                    row[f"p_{kind}_stderr"] = est.stderr
+            yield row
+
     columns = ["word", "height", "irreducible", "noncrossing",
                "p_toeplitz", "p_toeplitz_stderr", "p_hankel", "p_hankel_stderr"]
-    _write_artifact(args, rows, columns)
+    _write_artifact(args, rows(), columns)
     return EXIT_OK
 
 

@@ -207,12 +207,25 @@ def _check_pair(a, n: int) -> tuple[int, int]:
     return pair  # (minus, plus)
 
 
-def markov_q(a, b, n: int) -> tuple[np.ndarray, int]:
-    """The matrix Q_{a,b} of the Markov decomposition and its trace t_{a,b}.
+def markov_t(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """t_{a,b} = tr Q_{a,b} for vertex pairs a = (a-, a+) and b = (b-, b+), each sorted.
 
-    Q has -1 at (a+, b+) and (a-, b-), +1 at (a+, b-) and (a-, b+); the
-    trace is -2 when a = b, -1 when the pairs share a like endpoint,
-    +1 when they share opposite endpoints, 0 when disjoint.
+    -2 when a = b, -1 when the pairs share a like endpoint, +1 when they
+    share opposite endpoints, 0 when disjoint.
+    """
+    if a == b:
+        return -2
+    if a[0] == b[0] or a[1] == b[1]:
+        return -1
+    if a[0] == b[1] or a[1] == b[0]:
+        return 1
+    return 0
+
+
+def markov_q(a, b, n: int) -> tuple[np.ndarray, int]:
+    """The matrix Q_{a,b} of the Markov decomposition and its trace t_{a,b} (markov_t).
+
+    Q has -1 at (a+, b+) and (a-, b-), +1 at (a+, b-) and (a-, b+).
     """
     am, ap = _check_pair(a, n)
     bm, bp = _check_pair(b, n)
@@ -221,15 +234,7 @@ def markov_q(a, b, n: int) -> tuple[np.ndarray, int]:
     q[am - 1, bm - 1] += -1
     q[ap - 1, bm - 1] += 1
     q[am - 1, bp - 1] += 1
-    if (am, ap) == (bm, bp):
-        t = -2
-    elif am == bm or ap == bp:
-        t = -1
-    elif am == bp or ap == bm:
-        t = 1
-    else:
-        t = 0
-    return q, t
+    return q, markov_t((am, ap), (bm, bp))
 
 
 def markov_vertex_pairs(n: int) -> list[tuple[int, int]]:

@@ -26,7 +26,7 @@ from functools import lru_cache
 from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
 from .volumes import (
-    DEFAULT_DIMENSION_CAP,
+    DIMENSION_CAP,
     VolumeEstimate,
     build_system,
     toeplitz_volume,
@@ -35,7 +35,7 @@ from .volumes import (
     volumes_mc,
 )
 from .words import (
-    DEFAULT_WORD_CAP,
+    WORD_CAP,
     dihedral_labels,
     double_factorial_odd,
     enumerate_words,
@@ -135,17 +135,17 @@ def check_request(families: tuple[str, ...], order: int, method: str,
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
     if method == "auto":
-        method = "exact" if k + 1 <= DEFAULT_DIMENSION_CAP else "mc"
+        method = "exact" if k + 1 <= DIMENSION_CAP else "mc"
     if method == "mc" and samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     if "markov" in families:
         if order > MARKOV_ORDER_CAP:
             raise CapacityError(f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}")
-    elif k > DEFAULT_WORD_CAP:
-        raise CapacityError(f"order {order} needs k={k} words, above the cap {DEFAULT_WORD_CAP}")
-    elif method == "exact" and k + 1 > DEFAULT_DIMENSION_CAP:
+    elif k > WORD_CAP:
+        raise CapacityError(f"order {order} needs k={k} words, above the cap {WORD_CAP}")
+    elif method == "exact" and k + 1 > DIMENSION_CAP:
         raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
-                            f"the cap {DEFAULT_DIMENSION_CAP}; use method mc")
+                            f"the cap {DIMENSION_CAP}; use method mc")
     elif method == "mc":
         # all (2k-1)!! words enumerated; built: (2k-1)!! Toeplitz, k! symmetric Hankel systems
         built = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)

@@ -43,7 +43,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import ddot, dgemv, dsymv
 
-from .ensembles import EnsembleSample, markov_vertex_pairs
+from .ensembles import EnsembleSample, markov_t, markov_vertex_pairs
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import TAG_LANCZOS, generator, mix
 
@@ -52,8 +52,8 @@ _SYMMETRY_TILE = 64
 _TRACE_RTOL = 1e-10
 _RESIDUAL_RTOL = 1e-10
 
-DEFAULT_CIRCUIT_N_CAP = 8
-DEFAULT_CIRCUIT_R_CAP = 4
+CIRCUIT_N_CAP = 8
+CIRCUIT_R_CAP = 4
 
 
 def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
@@ -230,78 +230,39 @@ def _exact_matrix_power_trace(matrix: list[list[Fraction]], r: int) -> Fraction:
     return sum(power[i][i] for i in range(n))
 
 
-def trace_via_circuits(
-    ensemble: str,
-    entries: Mapping,
-    n: int,
-    r: int,
-    n_cap: int = DEFAULT_CIRCUIT_N_CAP,
-    r_cap: int = DEFAULT_CIRCUIT_R_CAP,
-) -> Fraction:
+def trace_via_circuits(ensemble: str, entries: Mapping, n: int, r: int) -> Fraction:
     """tr(A^r) as an exact sum over circuits, in rational arithmetic.
 
-    toeplitz: entries maps |i-j| -> X; the product over a circuit picks
-    X_{|pi(i)-pi(i-1)|}.  hankel: entries maps i+j-1 -> X with the product
-    picking X_{pi(i)+pi(i-1)-1}.  markov: entries maps vertex pairs (i, j),
-    i<j, to X; circuits run over the overlap graph with t-factor chains.
+    A circuit is a closed walk v_0, v_1, ..., v_r = v_0, and it adds the
+    product of its r edge weights.  toeplitz: entries maps |i-j| -> X, and
+    the walks run on 1..n with weight X_{|a-b|}.  hankel: entries maps
+    i+j-1 -> X, with weight X_{a+b-1}.  markov: entries maps vertex pairs
+    (i, j), i<j, to X, and the walks run over the overlap graph of vertex
+    pairs with weight t_{a,b} X_a (hmt.ensembles.markov_t).  Circuits are
+    capped at n <= CIRCUIT_N_CAP and r <= CIRCUIT_R_CAP.
     """
     if n < 1 or r < 1:
         raise InvalidArgumentError("n and r must be positive")
-    if n > n_cap or r > r_cap:
-        raise CapacityError(f"circuit enumeration capped at n <= {n_cap}, r <= {r_cap}")
+    if n > CIRCUIT_N_CAP or r > CIRCUIT_R_CAP:
+        raise CapacityError(
+            f"circuit enumeration capped at n <= {CIRCUIT_N_CAP}, r <= {CIRCUIT_R_CAP}")
     x = _exact_entries(ensemble, entries, n)
+    vertices = range(1, n + 1)
+    if ensemble == "toeplitz":
+        weight = lambda a, b: x[abs(a - b)]
+    elif ensemble == "hankel":
+        weight = lambda a, b: x[a + b - 1]
+    else:  # markov; _exact_entries has refused every other ensemble
+        vertices = markov_vertex_pairs(n)
+        weight = lambda a, b: markov_t(a, b) * x[a]
 
-    if ensemble in ("toeplitz", "hankel"):
-        total = Fraction(0)
-        path = [0] * (r + 1)
+    def walks(first, last, steps: int) -> Fraction:
+        """Weight products summed over the walks of `steps` edges from last to first."""
+        if steps == 1:
+            return weight(last, first)
+        return sum(w * walks(first, v, steps - 1) for v in vertices if (w := weight(last, v)))
 
-        def key_of(a: int, b: int) -> int:
-            return abs(a - b) if ensemble == "toeplitz" else a + b - 1
-
-        def rec(step: int, prod: Fraction):
-            nonlocal total
-            if step == r:
-                total += prod * x[key_of(path[r - 1], path[0])]
-                return
-            for v in range(1, n + 1):
-                path[step] = v
-                rec(step + 1, prod * x[key_of(path[step - 1], v)])
-
-        # circuits pi: {0..r} -> {1..n} with pi(0) = pi(r)
-        for start in range(1, n + 1):
-            path[0] = start
-            rec(1, Fraction(1))
-        return total
-
-    # markov; _exact_entries has refused every other ensemble
-    pairs = markov_vertex_pairs(n)
-
-    def t_of(a: tuple[int, int], b: tuple[int, int]) -> int:
-        if a == b:
-            return -2
-        if a[0] == b[0] or a[1] == b[1]:
-            return -1
-        if a[0] == b[1] or a[1] == b[0]:
-            return 1
-        return 0
-
-    total = Fraction(0)
-
-    def rec_m(chain: list[tuple[int, int]], prod: Fraction):
-        nonlocal total
-        if len(chain) == r:
-            t_close = t_of(chain[-1], chain[0])
-            if t_close:
-                total += prod * t_close * x[chain[-1]]
-            return
-        for b in pairs:
-            t = t_of(chain[-1], b)
-            if t:
-                rec_m(chain + [b], prod * t * x[chain[-1]])
-
-    for a in pairs:
-        rec_m([a], Fraction(1))
-    return total
+    return sum((walks(v, v, r) for v in vertices), Fraction(0))
 
 
 def _exact_entries(ensemble: str, entries: Mapping, n: int) -> dict:
@@ -359,14 +320,19 @@ class Histogram:
 def histogram(
     values: np.ndarray, bins: int, value_range: tuple[float, float] | None = None
 ) -> Histogram:
-    """Equal-width histogram over [min, max] or the given range."""
+    """Equal-width histogram over [min, max] or the given finite range (lo <= hi)."""
     values = np.asarray(values, float)
     if values.size == 0:
         raise InvalidArgumentError("cannot histogram an empty spectrum")
     if not np.isfinite(values).all():
         raise InvalidArgumentError("cannot histogram a spectrum with nan or inf values")
-    if bins < 1:
-        raise InvalidArgumentError(f"bins must be >= 1, got {bins}")
+    if not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise InvalidArgumentError(f"bins must be an integer >= 1, got {bins!r}")
+    if value_range is not None:
+        lo, hi = value_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+            raise InvalidArgumentError(
+                f"value_range must be finite with lo <= hi, got {value_range!r}")
     counts, edges = np.histogram(values, bins=bins, range=value_range)
     width = edges[1] - edges[0]
     inside = int(counts.sum())

@@ -34,7 +34,7 @@ from .words import PartitionWord, dihedral_orbit
 if TYPE_CHECKING:
     import numpy as np
 
-DEFAULT_DIMENSION_CAP = 7
+DIMENSION_CAP = 7
 
 # Monte Carlo draws in flight per call, in coordinates (1 MB of float64), so
 # the memory a call holds does not grow with the dimension; the stream is
@@ -546,21 +546,19 @@ def _facet_sum(rows, d: int) -> Fraction:
     return total / d
 
 
-def volume_exact(
-    system: SlabSystem, dim_cap: int = DEFAULT_DIMENSION_CAP
-) -> VolumeEstimate:
+def volume_exact(system: SlabSystem) -> VolumeEstimate:
     """Exact rational volume of the cube cross-section.
 
     A nonzero closure vector forces a dimension drop and an exact volume of
-    0.  Raises CapacityError above dim_cap free variables; use volume_mc
-    there instead.
+    0.  Raises CapacityError above DIMENSION_CAP free variables; use
+    volume_mc there instead.
     """
     if system.flat:
         return VolumeEstimate(Fraction(0), "exact")
     d = system.dimension
-    if d > dim_cap:
+    if d > DIMENSION_CAP:
         raise CapacityError(
-            f"{d} free variables exceed the exact-volume cap {dim_cap}; use volume_mc"
+            f"{d} free variables exceed the exact-volume cap {DIMENSION_CAP}; use volume_mc"
         )
     rows: list[tuple[tuple[int, ...], int]] = []
     for j in range(d):
@@ -621,6 +619,9 @@ def eulerian_number(n: int, m: int) -> int:
     return _eulerian_row(n)[m - 1]
 
 
+# Gauss-Legendre panels slab_volume_integral may sum before it refuses a tolerance
+SLAB_PANEL_CAP = 6_000_000
+
 _GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -633,14 +634,13 @@ def _gauss_panel(order: int):
     return _GL_NODES[order]
 
 
-def slab_volume_integral(
-    n: int, m: int, tol: float = 1e-7, max_panels: int = 6_000_000
-) -> float:
+def slab_volume_integral(n: int, m: int, tol: float = 1e-7) -> float:
     """Slab-slice volume via (2/pi) * int (sin t / t)^{n+1} cos((n+1-2m) t) dt.
 
     Composite Gauss-Legendre panels aligned to the zeros of sin t, truncated
-    once the |t|^-(n+1) envelope bounds the tail below tol/2.  Agrees with
-    eulerian_number(n, m)/n! to better than 1e-6.
+    once the |t|^-(n+1) envelope bounds the tail below tol/2, at most
+    SLAB_PANEL_CAP panels.  Agrees with eulerian_number(n, m)/n! to better
+    than 1e-6.
     """
     if not isinstance(n, int) or n < 1:
         raise InvalidArgumentError(f"n must be a positive integer, got {n!r}")
@@ -648,17 +648,15 @@ def slab_volume_integral(
         raise InvalidArgumentError(f"m must be an integer in 1..{n}, got {m!r}")
     if not (isinstance(tol, (int, float)) and 0 < tol < math.inf):
         raise InvalidArgumentError(f"tol must be finite and positive, got {tol!r}")
-    if not isinstance(max_panels, int) or max_panels < 1:
-        raise InvalidArgumentError(f"max_panels must be an integer >= 1, got {max_panels!r}")
     power = n + 1
     omega = n + 1 - 2 * m
     # tail bound: (2/pi) * integral_T^inf t^-(n+1) dt = (2/pi) T^-n / n
     t_cut = (4.0 / (math.pi * n * tol)) ** (1.0 / n)
     panels = max(20, math.ceil(t_cut / math.pi))
-    if panels > max_panels:
-        achieved = (2.0 / math.pi) * (max_panels * math.pi) ** (-n) / n
+    if panels > SLAB_PANEL_CAP:
+        achieved = (2.0 / math.pi) * (SLAB_PANEL_CAP * math.pi) ** (-n) / n
         raise NumericError(
-            f"tolerance {tol} needs {panels} panels (cap {max_panels}); "
+            f"tolerance {tol} needs {panels} panels (cap {SLAB_PANEL_CAP}); "
             f"achievable tolerance ~ {2 * achieved:.3g}"
         )
     import numpy as np

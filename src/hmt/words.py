@@ -17,7 +17,7 @@ from typing import Iterator
 
 from .errors import InvalidArgumentError
 
-DEFAULT_WORD_CAP = 8
+WORD_CAP = 8
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -132,16 +132,16 @@ def _words_tuple(k: int) -> tuple[PartitionWord, ...]:
     return tuple(PartitionWord(t) for t in iter_words(k))
 
 
-def enumerate_words(k: int, cap: int = DEFAULT_WORD_CAP) -> list[PartitionWord]:
+def enumerate_words(k: int) -> list[PartitionWord]:
     """All pair-partition words of length 2k, lexicographically ordered.
 
-    The count is (2k-1)!!.  k must satisfy 1 <= k <= cap (default 8; the
+    The count is (2k-1)!!.  k must satisfy 1 <= k <= WORD_CAP (8; the
     table at k=8 has 2,027,025 entries).
     """
     if not isinstance(k, int) or k < 1:
         raise InvalidArgumentError(f"k must be a positive integer, got {k!r}")
-    if k > cap:
-        raise InvalidArgumentError(f"k={k} exceeds the word-enumeration cap {cap}")
+    if k > WORD_CAP:
+        raise InvalidArgumentError(f"k={k} exceeds the word-enumeration cap {WORD_CAP}")
     return list(_words_tuple(k))
 
 
@@ -214,32 +214,42 @@ def height(w: PartitionWord) -> int:
     return total
 
 
-def is_irreducible(w: PartitionWord) -> bool:
-    """True iff no proper nonempty contiguous substring is a partition word.
+def partition_windows(w: PartitionWord) -> Iterator[tuple[int, int]]:
+    """Every nonempty window [start, stop) of w that is itself a partition word.
 
-    Counts of irreducible words give the free cumulants of the standard
-    normal distribution.
+    Windows come by start, then by stop; the whole word (0, 2k) is one.  From
+    each start the scan counts the letters open in the window: a letter opens
+    unless its partner lies inside the window, where it closes.  The window is
+    a partition word when none is open.  A letter whose partner lies before
+    start never closes, so the scan from that start ends there.
     """
-    letters = w.letters
-    n = len(letters)
-    pairs = w.occurrences()
+    n = len(w.letters)
     partner = [0] * n
-    for first, second in pairs:
+    for first, second in w.occurrences():
         partner[first] = second
         partner[second] = first
     for start in range(n):
         open_letters = 0
         for stop in range(start, n):
             mate = partner[stop]
-            if start <= mate < stop:
+            if mate < start:
+                break
+            if mate < stop:
                 open_letters -= 1
+                if not open_letters:
+                    yield start, stop + 1
             else:
                 open_letters += 1
-            if open_letters == 0:
-                if start == 0 and stop == n - 1:
-                    continue
-                return False
-    return True
+
+
+def is_irreducible(w: PartitionWord) -> bool:
+    """True iff no proper nonempty contiguous substring is a partition word.
+
+    Counts of irreducible words give the free cumulants of the standard
+    normal distribution.
+    """
+    whole = (0, len(w.letters))
+    return all(window == whole for window in partition_windows(w))
 
 
 def is_noncrossing(w: PartitionWord) -> bool:
@@ -265,19 +275,16 @@ def is_symmetric(w: PartitionWord) -> bool:
 
 
 def delete_subword(w: PartitionWord, start: int, stop: int) -> PartitionWord:
-    """Remove the window [start, stop) and re-canonicalize the remainder."""
-    if not _is_balanced(w.letters, start, stop):
+    """Remove the partition window [start, stop) and re-canonicalize the remainder.
+
+    Any window that partition_windows(w) does not yield is refused.
+    """
+    if (start, stop) not in partition_windows(w):
         raise InvalidArgumentError(f"window [{start}, {stop}) is not a partition subword")
     return PartitionWord(_relabelled(w.letters[:start] + w.letters[stop:]))
 
 
 def proper_subword_windows(w: PartitionWord) -> list[tuple[int, int]]:
     """All windows [start, stop) that are proper nonempty partition subwords."""
-    letters = w.letters
-    n = len(letters)
-    out = []
-    for start in range(n):
-        for stop in range(start + 2, n + 1, 2):
-            if (start, stop) != (0, n) and _is_balanced(letters, start, stop):
-                out.append((start, stop))
-    return out
+    whole = (0, len(w.letters))
+    return [window for window in partition_windows(w) if window != whole]

@@ -96,6 +96,12 @@ print(json.dumps({"bound": sorted(set(namespace) - {"__builtins__"}),
 """)
         assert result["bound"] == result["all"]
 
+    def test_all_names_each_lazy_export_once(self):
+        lazy = [name for names in hmt._LAZY.values() for name in names]
+        assert len(hmt.__all__) == len(set(hmt.__all__))
+        assert len(lazy) == len(set(lazy))
+        assert set(lazy) <= set(hmt.__all__)
+
     def test_submodules_resolve_as_attributes(self):
         result = run_fresh("""
 import json

@@ -426,6 +426,11 @@ class TestHistogram:
             histogram(np.array([]), 4)
         with pytest.raises(InvalidArgumentError):
             histogram(np.array([1.0]), 0)
+        with pytest.raises(InvalidArgumentError):
+            histogram(np.array([0.5]), 2.5)
+        for value_range in [(np.nan, 1.0), (0.0, np.inf), (-np.inf, 1.0), (1.0, 0.0)]:
+            with pytest.raises(InvalidArgumentError):
+                histogram(np.array([0.5, 1.0]), 3, value_range=value_range)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):

@@ -113,8 +113,6 @@ class TestVolumeExact:
     def test_dimension_cap(self):
         with pytest.raises(CapacityError):
             volume_exact(single_slab_system([1] * 8))
-        # explicit higher cap admits the same system
-        assert volume_exact(single_slab_system([1] * 8), dim_cap=8).value > 0
 
     def test_zero_weight_facets_are_not_solved(self):
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
@@ -493,7 +491,6 @@ class TestSlabIntegral:
 
     @pytest.mark.parametrize("options", [
         {"tol": 0}, {"tol": -1e-3}, {"tol": math.nan}, {"tol": math.inf},
-        {"max_panels": 0}, {"max_panels": -5},
     ])
     def test_rejects_bad_tolerance_and_panel_cap(self, options):
         with pytest.raises(InvalidArgumentError):
@@ -501,7 +498,7 @@ class TestSlabIntegral:
 
     def test_unreachable_tolerance(self):
         with pytest.raises(NumericError, match="achievable tolerance"):
-            slab_volume_integral(1, 1, tol=1e-12, max_panels=1000)
+            slab_volume_integral(1, 1, tol=1e-12)
 
 
 def _random_system(draw):

@@ -79,8 +79,6 @@ class TestEnumeration:
             enumerate_words(0)
         with pytest.raises(InvalidArgumentError):
             enumerate_words(9)
-        with pytest.raises(InvalidArgumentError):
-            enumerate_words(4, cap=3)
 
 
 class TestHeight:
@@ -230,6 +228,29 @@ class TestIrreducible:
     def test_matches_substring_scan(self, k):
         for w in enumerate_words(k):
             assert is_irreducible(w) == brute_irreducible(w), str(w)
+
+
+class TestPartitionWindows:
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_proper_windows_match_substring_scan(self, k):
+        for w in enumerate_words(k):
+            n = len(w)
+            want = [(start, stop) for start in range(n) for stop in range(start + 2, n + 1)
+                    if (start, stop) != (0, n)
+                    and brute_is_partition_window(w.letters, start, stop)]
+            assert proper_subword_windows(w) == want, str(w)
+
+    @pytest.mark.parametrize("start, stop", [
+        (-3, -1),  # negative: the slice would be "cc"
+        (3, 1),  # reversed
+        (6, 8),  # past the end
+        (4, 8),  # runs past the end
+        (2, 2),  # empty
+        (0, 2),  # not a partition word
+    ])
+    def test_delete_subword_refuses_other_windows(self, start, stop):
+        with pytest.raises(InvalidArgumentError, match="not a partition subword"):
+            delete_subword(W("abbcca"), start, stop)
 
 
 class TestNoncrossing:
