@@ -34,6 +34,16 @@ class EntryDistribution:
     tag: str
     mean: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        try:
+            mean = Fraction(self.mean)
+        except (ValueError, OverflowError, TypeError) as exc:  # nan, inf, non-numbers
+            raise InvalidArgumentError(
+                f"entry mean must be a finite number, got {self.mean!r}") from exc
+        if mean and self.tag != "shifted_gaussian":
+            raise InvalidArgumentError(f"the {self.tag} law has mean 0, got mean {mean}")
+        object.__setattr__(self, "mean", mean)
+
     def draw(self, gen, count: int) -> np.ndarray:
         """Fixed-consumption sampling: one uniform per draw (two for triangular)."""
         if self.tag == "rademacher":
@@ -115,19 +125,13 @@ def triangular() -> EntryDistribution:
 
 
 def shifted_gaussian(mean) -> EntryDistribution:
-    try:
-        exact = Fraction(mean)
-    except (ValueError, OverflowError, TypeError) as exc:  # nan, inf, non-numbers
-        raise InvalidArgumentError(f"entry mean must be a finite number, got {mean!r}") from exc
-    return EntryDistribution("shifted_gaussian", mean=exact)
+    return EntryDistribution("shifted_gaussian", mean)
 
 
 def distribution_from_tag(tag: str, mean=0) -> EntryDistribution:
     """The entry law named by a tag in DISTRIBUTIONS; mean is read by shifted_gaussian only."""
-    if tag == "shifted_gaussian":
-        return shifted_gaussian(mean)
     if tag in DISTRIBUTIONS:
-        return EntryDistribution(tag)
+        return EntryDistribution(tag, mean if tag == "shifted_gaussian" else 0)
     raise InvalidArgumentError(
         f"unknown distribution tag {tag!r}; expected one of {DISTRIBUTIONS}"
     )

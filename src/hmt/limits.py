@@ -27,6 +27,7 @@ from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
 from .volumes import (
     DIMENSION_CAP,
+    FLAT_VOLUME,
     VolumeEstimate,
     build_system,
     toeplitz_volume,
@@ -72,7 +73,6 @@ MC_WORD_CHARGE = 1 << 13
 # more than the fills gain: at k = 6 two threads take 1.4x as long as one at
 # 1,000 samples, 0.75x at 3,000 (2-core x86-64 VM).
 MC_POOL_MIN_DRAWS = 1 << 14
-_FLAT = VolumeEstimate(Fraction(0), "exact")  # a Hankel word that is not symmetric
 
 
 @dataclass(frozen=True)
@@ -189,9 +189,10 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
         for w, label in zip(enumerate_words(k), labels):
             first.setdefault(label, w)
         toeplitz = [VolumeEstimate(toeplitz_volume(w), "exact")
-                    if "toeplitz" in families or is_symmetric(w) else _FLAT for w in first.values()]
+                    if "toeplitz" in families or is_symmetric(w) else FLAT_VOLUME
+                    for w in first.values()]
         orbits = {"toeplitz": toeplitz, "hankel": [
-            v if is_symmetric(w) else _FLAT for v, w in zip(toeplitz, first.values())]}
+            v if is_symmetric(w) else FLAT_VOLUME for v, w in zip(toeplitz, first.values())]}
         return {family: [orbits[family][label] for label in labels] for family in families}
     from .parallel import ordered_map
 
@@ -202,7 +203,7 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
         kinds = [f for f in families if f != "hankel" or is_symmetric(w)]
         estimates = iter(volumes_mc([build_system(w, kind) for kind in kinds],
                                     samples, mix(TAG_VOLUME_MC, seed, k, index)))
-        return [next(estimates) if family in kinds else _FLAT for family in families]
+        return [next(estimates) if family in kinds else FLAT_VOLUME for family in families]
 
     per_word = ordered_map(one, len(words), mc_threads(samples * (k + 1)))
     return {family: [row[j] for row in per_word] for j, family in enumerate(families)}

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import generator
-from .words import PartitionWord, dihedral_orbit
+from .words import PartitionWord
 
 if TYPE_CHECKING:
     import numpy as np
@@ -140,6 +140,9 @@ class VolumeEstimate:
         return float(self.value)
 
 
+FLAT_VOLUME = VolumeEstimate(Fraction(0), "exact")  # a section a nonzero closure makes flat
+
+
 def _binding_slabs(system: SlabSystem) -> list[Slab]:
     """The slabs that some point of the closed cube violates, each once.
 
@@ -200,7 +203,7 @@ def volumes_mc(systems: Sequence[SlabSystem], samples: int,
     each chunk is drawn once and counted against all of them.  Only the
     slabs some cube point violates are tested (_binding_slabs), so a system
     left without one takes the value 1 of a full draw with no draw at all.
-    A symbolically nonzero closure short-circuits to an exact 0.
+    A flat system (a nonzero closure) short-circuits to FLAT_VOLUME.
     """
     if samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
@@ -208,7 +211,7 @@ def volumes_mc(systems: Sequence[SlabSystem], samples: int,
     counters: dict[int, list] = {}  # dimension -> [(system index, hit counter)]
     for i, system in enumerate(systems):
         if system.flat:
-            out[i] = VolumeEstimate(Fraction(0), "exact")
+            out[i] = FLAT_VOLUME
         elif slabs := _binding_slabs(system):
             counters.setdefault(system.dimension, []).append(
                 (i, _hit_counter(slabs, system.dimension)))
@@ -230,12 +233,7 @@ def volumes_mc(systems: Sequence[SlabSystem], samples: int,
 
 
 def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
-    """Monte Carlo volume: fraction of uniform cube draws satisfying all slabs.
-
-    Deterministic given (seed, samples): the one-system case of volumes_mc.
-    A symbolically nonzero closure short-circuits to an exact 0 without
-    sampling.
-    """
+    """Monte Carlo volume of one system: the one-system case of volumes_mc."""
     return volumes_mc((system,), samples, seed)[0]
 
 
@@ -256,29 +254,29 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
 # L(-N) = (-1)^(k+1) L(N-2) and L(-1) = 0, and counts at
 # N = 0..ceil((k-1)/2) fix the polynomial.
 
-def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int | None]]:
-    """Cost and plan of counting walks along the letters in this order.
+def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int]]:
+    """Negated cost and the plan of counting walks along the letters in this order.
 
-    The plan holds, per place, None when the place opens its letter, else
-    the index its letter has in the open letters, kept in order of opening.
-    The cost, the sum of 7 ** (letters open after each place), follows the
-    number of walk states at N = 3.
+    The plan gives each place the index of its letter among the open letters,
+    in order of opening, an opening letter taking the next index; it does not
+    read the letters' names.  The cost, the sum of 7 ** (letters open after
+    each place), follows the number of walk states at N = 3.
     """
     open_letters: list[int] = []
-    plan: list[int | None] = []
+    plan: list[int] = []
     cost = 0
     for letter in letters:
         if letter in open_letters:
             plan.append(open_letters.index(letter))
             open_letters.remove(letter)
         else:
-            plan.append(None)
+            plan.append(len(open_letters))
             open_letters.append(letter)
         cost += 7 ** len(open_letters)
-    return cost, plan
+    return -cost, plan
 
 
-def _walk_count(plan: list[int | None], n: int) -> int:
+def _walk_count(plan: list[int], n: int) -> int:
     """Walks in {0..n} that follow the plan, counted place by place.
 
     A state is (height, steps of the open letters): opening a letter steps
@@ -286,13 +284,16 @@ def _walk_count(plan: list[int | None], n: int) -> int:
     """
     heights = range(n + 1)
     states: dict[tuple[int, ...], int] = {(h,): 1 for h in heights}
-    for close in plan:
-        if close is None:
+    opened = 0
+    for index in plan:
+        if index == opened:
+            opened += 1
             # distinct (state, height) pairs give distinct states: no merging
             states = {(g, *state[1:], g - state[0]): count
                       for state, count in states.items() for g in heights}
             continue
-        j = close + 1
+        opened -= 1
+        j = index + 1
         merged: dict[tuple[int, ...], int] = {}
         for state, count in states.items():
             g = state[0] - state[j]
@@ -306,17 +307,17 @@ def _walk_count(plan: list[int | None], n: int) -> int:
 def toeplitz_volume(w: PartitionWord) -> Fraction:
     """Exact Toeplitz volume of a word, from counts of its lattice walks.
 
-    The volume is the same on the whole dihedral orbit, so the count runs on
-    the orbit member whose plan is cheapest, ties going to the greatest
-    letters (which visit fewer walk states than the least): every member of
-    an orbit counts along the same one.  The (k+1)-th finite
-    difference of the walk counts L(N) over k + 2 consecutive N, divided by
-    (k+1)!, is the volume, so (k+1)! times it is an integer.  Equal to
-    volume_exact(build_system(w, "toeplitz")).value, which the tests check.
+    The volume is the same on the whole dihedral orbit, so the count runs
+    along the greatest _walk_plan of the word's turns (its rotations and those
+    of its reversal): the cheapest plan, ties going to the greatest indices.
+    Plans read no letter names, so a whole orbit counts along one plan.  The
+    (k+1)-th finite difference of the counts L(N) over k + 2 consecutive N,
+    divided by (k+1)!, is the volume, so (k+1)! times it is an integer.
+    Equal to volume_exact(build_system(w, "toeplitz")).value, as tested.
     """
     k = w.k
-    member = max(dihedral_orbit(w.letters), key=lambda m: (-_walk_plan(m)[0], m))
-    plan = _walk_plan(member)[1]
+    turns = (t[i:] + t[:i] for t in (w.letters, w.letters[::-1]) for i in range(len(t)))
+    plan = max(map(_walk_plan, turns))[1]
     counts = [_walk_count(plan, n) for n in range(k // 2 + 1)]  # N = 0..ceil((k-1)/2)
     # L(N) from N = -len(counts) - 1 on: L(-N) = (-1)^(k+1) L(N-2), L(-1) = 0
     sign = (-1) ** (k + 1)
@@ -356,11 +357,7 @@ def toeplitz_volume(w: PartitionWord) -> Fraction:
 _EMPTY = None  # canonicalization result for an infeasible system
 
 # Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
-# most about 350 MB).  Word tables count walks and leave it empty.  Solving
-# the Toeplitz systems of every orbit's lex-greatest member through order 12
-# leaves 10,206 entries, of the symmetric orbits only 1,495, and of those
-# through order 14 20,249; every orbit through order 14 overflows it.  The
-# tests pin the order-10 counts; the order of the solves moves none of them.
+# most about 350 MB).  Word tables count walks and leave it empty.
 _MEMO_SIZE = 1 << 17
 
 
@@ -554,7 +551,7 @@ def volume_exact(system: SlabSystem) -> VolumeEstimate:
     volume_mc there instead.
     """
     if system.flat:
-        return VolumeEstimate(Fraction(0), "exact")
+        return FLAT_VOLUME
     d = system.dimension
     if d > DIMENSION_CAP:
         raise CapacityError(

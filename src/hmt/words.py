@@ -5,8 +5,9 @@ which every letter occurs exactly twice and first occurrences appear in
 increasing letter order.  Letters are small integers (0, 1, 2, ...); the
 a/b/c string form is a display layer only.  These words index every
 limiting-moment formula in the package.  A word's volumes are constant on
-its dihedral orbit (dihedral_orbit), so word tables compute one per orbit
-and read it by each word's orbit label (dihedral_labels).
+its dihedral orbit (dihedral_orbit, the only code that relabels a word's
+turns), so word tables compute one per orbit and read it by each word's
+orbit label (dihedral_labels).
 """
 
 from __future__ import annotations
@@ -72,13 +73,7 @@ class PartitionWord:
     @classmethod
     def from_string(cls, text: str) -> "PartitionWord":
         """Build from a display string such as 'abba'."""
-        ids: dict[str, int] = {}
-        out = []
-        for ch in text:
-            if ch not in ids:
-                ids[ch] = len(ids)
-            out.append(ids[ch])
-        return cls(tuple(out))
+        return cls(_relabelled(text))
 
     def occurrences(self) -> tuple[tuple[int, int], ...]:
         """(first, second) 0-based positions for each letter id in order."""
@@ -277,10 +272,12 @@ def is_symmetric(w: PartitionWord) -> bool:
 def delete_subword(w: PartitionWord, start: int, stop: int) -> PartitionWord:
     """Remove the partition window [start, stop) and re-canonicalize the remainder.
 
-    Any window that partition_windows(w) does not yield is refused.
+    Any window that proper_subword_windows(w) does not yield is refused, the
+    whole word too: deleting it would leave no word.
     """
-    if (start, stop) not in partition_windows(w):
-        raise InvalidArgumentError(f"window [{start}, {stop}) is not a partition subword")
+    if (start, stop) not in proper_subword_windows(w):
+        raise InvalidArgumentError(
+            f"window [{start}, {stop}) is not a partition subword shorter than the word")
     return PartitionWord(_relabelled(w.letters[:start] + w.letters[stop:]))
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -177,16 +178,33 @@ class TestDistributions:
         assert abs(draws.mean() - 1.0) < 0.01
         assert abs(draws.var() - 1.0) < 0.02
 
-    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, "one"])
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf, "one", None])
     def test_shifted_gaussian_rejects_non_finite_mean(self, mean):
         with pytest.raises(InvalidArgumentError):
             shifted_gaussian(mean)
         with pytest.raises(InvalidArgumentError):
             distribution_from_tag("shifted_gaussian", mean=mean)
+        with pytest.raises(InvalidArgumentError, match="finite number"):
+            EntryDistribution("shifted_gaussian", mean)
+
+    @pytest.mark.parametrize("tag", ["rademacher", "gaussian", "triangular"])
+    @pytest.mark.parametrize("mean", [Fraction(3), -0.5, 1])
+    def test_centred_laws_refuse_a_nonzero_mean(self, tag, mean):
+        # these laws draw mean-0 entries, so a nonzero mean would be ignored
+        with pytest.raises(InvalidArgumentError, match="has mean 0"):
+            EntryDistribution(tag, mean)
+        assert EntryDistribution(tag, 0.0) == EntryDistribution(tag)
+
+    def test_mean_becomes_an_exact_fraction(self):
+        dist = EntryDistribution("shifted_gaussian", 1.5)
+        assert type(dist.mean) is Fraction and dist.mean == Fraction(3, 2)
+        assert type(EntryDistribution("gaussian").mean) is Fraction
 
     def test_tags(self):
         assert distribution_from_tag("rademacher") == rademacher()
         assert distribution_from_tag("shifted_gaussian", mean=2).mean == 2
+        # the mean is read by shifted_gaussian only: --dist gaussian --mean 3 draws mean 0
+        assert distribution_from_tag("gaussian", mean=3) == gaussian()
         with pytest.raises(InvalidArgumentError):
             distribution_from_tag("cauchy")
 

@@ -207,6 +207,33 @@ class TestToeplitzVolume:
             toeplitz_volume(w)
             assert first.setdefault(label, plans[0]) == plans[0], str(w)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_counts_along_the_cheapest_turn_with_the_greatest_letters(self, monkeypatch, k):
+        # the count reads the word's raw turns, never relabelled; its plan must be
+        # that of the relabelled turn of least cost, ties going to the greatest letters
+        def cost(letters):  # sum of 7 ** (letters open after each place)
+            return sum(7 ** sum((letters[:t + 1].count(x) == 1) for x in set(letters))
+                       for t in range(len(letters)))
+
+        def plan(letters):  # each place's index among the open letters, in order of opening
+            open_letters, out = [], []
+            for letter in letters:
+                if letter in open_letters:
+                    out.append(open_letters.index(letter))
+                    open_letters.remove(letter)
+                else:
+                    out.append(len(open_letters))
+                    open_letters.append(letter)
+            return out
+
+        plans = []
+        monkeypatch.setattr(hmt.volumes, "_walk_count", lambda plan, n: plans.append(plan) or 0)
+        for w in enumerate_words(k):
+            plans.clear()
+            toeplitz_volume(w)
+            member = max(turns(w.letters), key=lambda m: (-cost(m), m))
+            assert plans and all(counted == plan(member) for counted in plans), str(w)
+
     def test_value_outside_unit_interval_raises(self, monkeypatch):
         # L(N) = 2 for every N makes the volume of aa 2
         monkeypatch.setattr(hmt.volumes, "_walk_count", lambda plan, n: 2)

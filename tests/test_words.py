@@ -247,9 +247,11 @@ class TestPartitionWindows:
         (4, 8),  # runs past the end
         (2, 2),  # empty
         (0, 2),  # not a partition word
+        (0, 6),  # the whole word: deleting it would leave no word
     ])
     def test_delete_subword_refuses_other_windows(self, start, stop):
-        with pytest.raises(InvalidArgumentError, match="not a partition subword"):
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"window \[{start}, {stop}\) is not a partition subword"):
             delete_subword(W("abbcca"), start, stop)
 
 
