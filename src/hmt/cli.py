@@ -34,7 +34,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -224,35 +224,49 @@ def _write_artifact(args: argparse.Namespace, rows: Iterable[dict], csv_columns:
     the text goes to stdout.  A CSV cell shows a float to 17 significant
     digits, a Fraction as p/q and a missing value or None as empty.  Rows
     may come from a generator, so that a long table never holds one dict
-    per row.
+    per row; JSON is written one row at a time, the bytes of one
+    json.dumps(payload, indent=2, sort_keys=True) of the whole payload.
     """
     fmt = fmt or args.format
     path = path or args.output
     if fmt == "json":
-        payload = {
-            "command": args.subcommand,
-            "config": {key: value for key, value in vars(args).items() if value is not None},
-            "results": list(rows),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True, default=float,
-                          allow_nan=False) + "\n"
+        chunks = _json_chunks(args, rows)
     else:
         lines = [",".join(csv_columns)]
         lines += [",".join([_csv_cell(row.get(col)) for col in csv_columns]) for row in rows]
-        text = "\n".join(lines) + "\n"
+        chunks = ["\n".join(lines) + "\n"]
     if path:
         try:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _json_chunks(args: argparse.Namespace, rows: Iterable[dict]) -> Iterator[str]:
+    """The JSON artifact in pieces, one per row of its results array.
+
+    "results" sorts last among the payload's keys, so the text of the
+    payload with an empty array ends in "[]\n}"; the rows go between the
+    brackets, each dumped alone and indented to its depth (two levels), as
+    one json.dumps of the whole payload would place them.
+    """
+    encode = json.JSONEncoder(indent=2, sort_keys=True, default=float, allow_nan=False).encode
+    config = {key: value for key, value in vars(args).items() if value is not None}
+    head = encode({"command": args.subcommand, "config": config, "results": []})
+    yield head[:-len("[]\n}")]
+    separator = "["
+    for row in rows:
+        yield f"{separator}\n    " + encode(row).replace("\n", "\n    ")
+        separator = ","
+    yield "[]\n}\n" if separator == "[" else "\n  ]\n}\n"
 
 
 def cmd_words(args: argparse.Namespace) -> int:
     kinds = ("toeplitz", "hankel")
-    k, method = check_request(kinds, 2 * args.k, args.method, args.samples)
+    k, method = check_request(kinds, 2 * args.k, args.method, args.samples, words=True)
     volumes = word_volumes(kinds, k, method, args.samples, args.seed)
 
     def rows():

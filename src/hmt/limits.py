@@ -1,7 +1,9 @@
 """Limiting moment sequences and free-cumulant conversions.
 
-The Toeplitz and Hankel limits are assembled word by word, from the
-exact (or Monte Carlo) cube cross-section volumes.  The Markov limit is
+The exact Toeplitz and Hankel limits come from one count of lattice walks
+over all pairings (hmt.volumes.pairing_walk_moments), with no word; their
+Monte Carlo estimates, and the `words` tables, are assembled word by word
+from the cube cross-section volumes (word_volumes).  The Markov limit is
 the free convolution of the semicircle and standard normal laws, so its
 moments come from the sum of their free cumulants; the word sum of
 2**height(w), which gives the same integers, is the tests' oracle for
@@ -26,10 +28,10 @@ from functools import lru_cache
 from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
 from .volumes import (
-    DIMENSION_CAP,
     FLAT_VOLUME,
     VolumeEstimate,
     build_system,
+    pairing_walk_moments,
     toeplitz_volume,
     volume_exact,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_exact
     volume_mc,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_mc
@@ -53,6 +55,17 @@ METHODS = ("auto", "exact", "mc")
 # and order 160 0.95 s (2-core x86-64 VM, CPython 3.11); the cost grows
 # about as order**2.5 as the integers lengthen.
 MARKOV_ORDER_CAP = 80
+# Largest exact orders: Toeplitz and Hankel read off the pairing walk count,
+# Markov its series cap, which holds for every method.  Cold CLI tables
+# (2-core x86-64 VM, CPython 3.11): toeplitz through order 20 in 1.4-1.8 s
+# (61 MB), hankel through order 16 in 0.7-1.1 s (48 MB); in-process, toeplitz
+# 22 takes 2.6-2.9 s (106 MB) and hankel 18 2.0-2.7 s (94 MB).  Hankel order 18
+# stays refused: perfbench times that refusal (hankel-m18-refused).
+EXACT_ORDER_CAPS = {"toeplitz": 20, "hankel": 16, "markov": MARKOV_ORDER_CAP}
+# Largest k of an exact `words` table, whose volumes come one orbit at a time:
+# `words --k 6 --method exact` takes about 2 s, and a toeplitz k = 7 table
+# 16.4 s (word_volumes(("toeplitz",), 7, "exact", ...)).
+WORDS_EXACT_K_CAP = 6
 
 # Monte Carlo draws (uniform coordinates) per word-route request, counted as
 # check_request charges them: two to two and a half minutes at the 1.1-1.5e8
@@ -117,16 +130,18 @@ def _check_even_order(order: int) -> int:
 
 
 def check_request(families: tuple[str, ...], order: int, method: str,
-                  samples: int) -> tuple[int, str]:
-    """Decide whether a word-route request may run, before any word is enumerated.
+                  samples: int, words: bool = False) -> tuple[int, str]:
+    """Decide whether a moment or word-table request may run, before any work.
 
-    families are the families whose word volumes it reads (a `words` table
-    reads toeplitz and hankel).  Returns (k, method), k = order / 2, with
-    "auto" resolved: exact volumes iff k + 1 <= the dimension cap.  Invalid
-    arguments are refused first, then the Markov series cap, the word cap,
-    and the dimension cap (exact) or MC_DRAW_BUDGET (mc).  Every cap grows
-    with the order, so the largest order of a table covers the orders below
-    it, whose draws add under a sixth from order 14 on.
+    families are the families whose moments it reads, or whose word volumes
+    when words is True (a `words` table reads toeplitz and hankel).  Returns
+    (k, method), k = order / 2, with "auto" resolved: exact up to the exact
+    cap, Monte Carlo above it.  Invalid arguments are refused first, then the
+    Markov series cap; then an exact request meets its exact cap (the
+    family's EXACT_ORDER_CAPS order, or WORDS_EXACT_K_CAP for a table of
+    words), and a Monte Carlo one the word cap and MC_DRAW_BUDGET.  Every cap
+    grows with the order, so the largest order of a table covers the orders
+    below it, whose draws add under a sixth from order 14 on.
     """
     for family in families:
         if family not in MOMENT_FAMILIES:
@@ -134,19 +149,24 @@ def check_request(families: tuple[str, ...], order: int, method: str,
     k = _check_even_order(order)
     if method not in METHODS:
         raise InvalidArgumentError(f"unknown method {method!r}")
+    exact_cap = WORDS_EXACT_K_CAP if words else min(EXACT_ORDER_CAPS[f] for f in families) // 2
     if method == "auto":
-        method = "exact" if k + 1 <= DIMENSION_CAP else "mc"
+        method = "exact" if k <= exact_cap else "mc"
     if method == "mc" and samples < 1:
         raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
     if "markov" in families:
         if order > MARKOV_ORDER_CAP:
             raise CapacityError(f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}")
+    elif method == "exact":
+        if k > exact_cap and words:
+            raise CapacityError(f"k={k} is above the exact word-table cap {exact_cap}; "
+                                f"use method mc")
+        if k > exact_cap:
+            raise CapacityError(f"order {order} is above the exact {families[0]} cap "
+                                f"{2 * exact_cap}")
     elif k > WORD_CAP:
         raise CapacityError(f"order {order} needs k={k} words, above the cap {WORD_CAP}")
-    elif method == "exact" and k + 1 > DIMENSION_CAP:
-        raise CapacityError(f"order {order} needs exact volumes in dimension {k + 1}, above "
-                            f"the cap {DIMENSION_CAP}; use method mc")
-    elif method == "mc":
+    else:
         # all (2k-1)!! words enumerated; built: (2k-1)!! Toeplitz, k! symmetric Hankel systems
         built = sum(math.factorial(k) if f == "hankel" else double_factorial_odd(k)
                     for f in families)
@@ -220,18 +240,19 @@ def limit_moment(
 
     markov reads the moment off the free-cumulant series of semicircle
     plus N(0, 1) (always an exact integer, whatever the method);
-    toeplitz/hankel sum word_volumes: exact rationals, or Monte Carlo
-    estimates with aggregate standard error
-    sqrt(sum stderr_w^2).  check_request vets the request first.
+    toeplitz/hankel: exact rationals from the pairing walk count
+    (pairing_walk_moments), or the sum of the Monte Carlo word_volumes with
+    aggregate standard error sqrt(sum stderr_w^2).  check_request vets the
+    request first.
     """
     k, method = check_request((family,), order, method, mc_samples)
     if k == 0:
         return Fraction(1)
     if family == "markov":
         return _markov_moments(order)[order]
-    volumes = word_volumes((family,), k, method, mc_samples, seed)[family]
     if method == "exact":
-        return sum((est.value for est in volumes), start=Fraction(0))
+        return pairing_walk_moments(family, k)[-1]
+    volumes = word_volumes((family,), k, method, mc_samples, seed)[family]
     total = var = 0.0
     for est in volumes:  # plain adds in word order: the MC pins fix them bit for bit
         total += float(est.value)
@@ -392,7 +413,9 @@ def moment_table(
 ) -> MomentTable:
     """Moments of one family through max_order (even orders; order 0 is 1).
 
-    check_request vets the table at its largest order, before any work.
+    check_request vets the table at its largest order, before any work.  An
+    exact Toeplitz or Hankel table comes from one pairing walk count; a Monte
+    Carlo table sums the word volumes of each order (limit_moment).
     """
     _check_even_order(max_order)
     if family in REFERENCE_FAMILIES:
@@ -407,11 +430,11 @@ def moment_table(
         return MomentTable(family=family, entries=_markov_moments(max_order), method="exact")
     table = MomentTable(family=family, method=method)
     table.entries[0] = Fraction(1)
+    if method == "exact":
+        for k, value in enumerate(pairing_walk_moments(family, max_order // 2), start=1):
+            table.entries[2 * k] = value
+        return table
     for order in range(2, max_order + 1, 2):
-        value = limit_moment(family, order, method=method, mc_samples=mc_samples, seed=seed)
-        if isinstance(value, MomentEstimate):
-            table.entries[order] = value.value
-            table.stderrs[order] = value.stderr
-        else:
-            table.entries[order] = value
+        estimate = limit_moment(family, order, method="mc", mc_samples=mc_samples, seed=seed)
+        table.entries[order], table.stderrs[order] = estimate.value, estimate.stderr
     return table

@@ -6,17 +6,21 @@ for the dependent variables and requiring them to stay in [0, 1] cuts a
 polytope out of the unit cube in the free coordinates; its volume is the
 word's weight in the limiting moment formulas.
 
-There are two exact engines, both plain Python.  A word's Toeplitz volume
-comes from counts of its lattice walks (toeplitz_volume), which read only
-its letters; word tables use it, and Hankel words take it through a parity
-rule (hmt.limits.word_volumes).  Any SlabSystem, hand-built ones with
-fractional vertices included, goes through a recursive facet decomposition
-in the style of Lasserre/Cohen-Hickey (volume_exact); the tests use it as
-the oracle of the walk counts, with which it shares no code.  Monte Carlo
-reads the slab rows of a system (volumes_mc); numpy loads the first time a
-float estimator (volume_mc, slab_volume_integral) runs.  The tests also
-check the exact volumes against Qhull on each word's walk polytope, which
-shares no code with this module.
+There are three exact engines, all plain Python.  The limit moments, sums
+of these volumes over all words, come from one count of lattice walks over
+all pairings at once (pairing_walk_moments), with no word at all.  A word's
+own Toeplitz volume comes from counts of its lattice walks
+(toeplitz_volume), which read only its letters; word tables use it, and
+Hankel words take it through a parity rule (hmt.limits.word_volumes).  Both
+counts read the leading coefficient of an Ehrhart polynomial the same way
+(_ehrhart_leading).  Any SlabSystem, hand-built ones with fractional
+vertices included, goes through a recursive facet decomposition in the
+style of Lasserre/Cohen-Hickey (volume_exact); the tests use it as the
+oracle of the walk counts, with which it shares no code.  Monte Carlo reads
+the slab rows of a system (volumes_mc); numpy loads the first time a float
+estimator (volume_mc, slab_volume_integral) runs.  The tests also check the
+exact volumes against Qhull on each word's walk polytope, which shares no
+code with this module.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .words import PartitionWord
 if TYPE_CHECKING:
     import numpy as np
 
+# Free coordinates volume_exact's facet recursion accepts; no moment or word
+# table calls the recursion, so this bounds volume_exact alone
 DIMENSION_CAP = 7
 
 # Monte Carlo draws in flight per call, in coordinates (1 MB of float64), so
@@ -238,7 +244,7 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Exact word volume: lattice walks and Ehrhart's polynomial
+# Exact volumes and moments: lattice walks and Ehrhart's polynomial
 # ---------------------------------------------------------------------------
 #
 # In the coordinates (x_0, y_1..y_k), letter c stepping +y_c at its first
@@ -252,7 +258,23 @@ def volume_mc(system: SlabSystem, samples: int, seed: int) -> VolumeEstimate:
 # (Ehrhart 1962; Beck-Robins 2007).  The interior points, the walks in
 # {1..N-1}, are the walks in {0..N-2} shifted, so reciprocity gives
 # L(-N) = (-1)^(k+1) L(N-2) and L(-1) = 0, and counts at
-# N = 0..ceil((k-1)/2) fix the polynomial.
+# N = 0..ceil((k-1)/2) fix the polynomial.  A sum of such counts over words
+# keeps the degree and the reciprocity, so a moment, the sum of the volumes
+# of all words of one length, is the leading coefficient of the count of
+# walks over all pairings at once.
+
+def _ehrhart_leading(counts: Sequence[int], k: int) -> Fraction:
+    """Leading coefficient of a walk count L of degree k + 1, from L(0..floor(k/2)).
+
+    Reciprocity, L(-1) = 0 and L(-N) = (-1)^(k+1) L(N-2), extends the counts
+    to k + 2 consecutive values; their (k+1)-th finite difference is (k+1)!
+    times the leading coefficient.
+    """
+    sign = (-1) ** (k + 1)
+    values = ([sign * count for count in reversed(counts)] + [0] + list(counts))[-(k + 2):]
+    difference = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j) * v for j, v in enumerate(values))
+    return Fraction(difference, math.factorial(k + 1))
+
 
 def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int]]:
     """Negated cost and the plan of counting walks along the letters in this order.
@@ -311,22 +333,103 @@ def toeplitz_volume(w: PartitionWord) -> Fraction:
     along the greatest _walk_plan of the word's turns (its rotations and those
     of its reversal): the cheapest plan, ties going to the greatest indices.
     Plans read no letter names, so a whole orbit counts along one plan.  The
-    (k+1)-th finite difference of the counts L(N) over k + 2 consecutive N,
-    divided by (k+1)!, is the volume, so (k+1)! times it is an integer.
+    volume is the leading coefficient of the counts L(N) (_ehrhart_leading),
+    so (k+1)! times it is an integer.
     Equal to volume_exact(build_system(w, "toeplitz")).value, as tested.
     """
-    k = w.k
     turns = (t[i:] + t[:i] for t in (w.letters, w.letters[::-1]) for i in range(len(t)))
     plan = max(map(_walk_plan, turns))[1]
-    counts = [_walk_count(plan, n) for n in range(k // 2 + 1)]  # N = 0..ceil((k-1)/2)
-    # L(N) from N = -len(counts) - 1 on: L(-N) = (-1)^(k+1) L(N-2), L(-1) = 0
-    sign = (-1) ** (k + 1)
-    values = ([sign * count for count in reversed(counts)] + [0] + counts)[-(k + 2):]
-    difference = sum((-1) ** (k + 1 - j) * math.comb(k + 1, j) * v for j, v in enumerate(values))
-    value = Fraction(difference, math.factorial(k + 1))
+    value = _ehrhart_leading([_walk_count(plan, n) for n in range(w.k // 2 + 1)], w.k)
     if not 0 <= value <= 1:
         raise NumericError(f"exact volume {value} escaped [0, 1]")
     return value
+
+
+def _pairing_walk_counts(k: int, n: int, hankel: bool) -> list[int]:
+    """L_t(n) for t = 1..k: the pairs (pairing of the places 1..2t, walk
+    i_0..i_2t in {0..n}) whose paired steps i_s - i_{s-1} are opposite.
+
+    Hankel keeps only the pairings of places of opposite parity, the words
+    whose Hankel volume is their Toeplitz volume (the others have volume 0).
+    One dict runs over the places 1..k.  A state is the height and the
+    multiset of the steps of the open pairs, a Hankel step tagged with the
+    parity its closing place needs; it maps to the number of partial pairings
+    and walks that reach it.  A place opens a pair, stepping to any height,
+    or closes an open pair by taking its step back, once per open pair with
+    that step.  Read backwards, the places 2t..t+1 of a pairing walk are the
+    places 1..t of another one, and at the middle both halves have the same
+    state, open steps and tags included.  So L_t is the sum over the states
+    after place t of count^2 times the ways to join the two halves' open
+    pairs, the product of the factorials of the multiplicities.
+
+    A state is one int: the height in the low bits, then a field per (tag,
+    step) of `width` bits counting the open pairs with that step, at most k.
+    """
+    width, low, steps = k.bit_length(), n.bit_length(), 2 * n + 1
+
+    def field(tag: int, step: int) -> int:
+        return low + width * (tag * steps + step + n)
+
+    # moves[parity][h]: the key deltas of the openings from height h, and the
+    # (field, key delta) of the closings; a place of that parity opens a pair
+    # whose closing place has the other parity and closes one that needs its own
+    moves = []
+    for parity in (0, 1):
+        open_tag, close_tag = (1 - parity, parity) if hankel else (0, 0)
+        moves.append([([g - h + (1 << field(open_tag, g - h)) for g in range(n + 1)],
+                       [(field(close_tag, h - g), g - h - (1 << field(close_tag, h - g)))
+                        for g in range(n + 1)]) for h in range(n + 1)])
+    heights, mask = (1 << low) - 1, (1 << width) - 1
+    # ways to join the open pairs of three fields at once, indexed by their bits
+    # (a quarter less time than one field at a time at orders 16-20)
+    joins_of = [1]
+    for _ in range(3):
+        joins_of = [j * math.factorial(m) for m in range(1 << width) for j in joins_of]
+    chunk = (1 << 3 * width) - 1
+    states = {h: 1 for h in range(n + 1)}
+    counts = []
+    for place in range(1, k + 1):
+        table = moves[place % 2]
+        merged: dict[int, int] = {}
+        get = merged.get
+        for key, count in states.items():
+            opening, closing = table[key & heights]
+            for delta in opening:
+                merged[key + delta] = get(key + delta, 0) + count
+            for shift, delta in closing:
+                pairs = (key >> shift) & mask
+                if pairs:
+                    merged[key + delta] = get(key + delta, 0) + count * pairs
+        states = merged
+        total = 0
+        for key, count in states.items():
+            joins = 1
+            fields = key >> low
+            while fields:
+                joins *= joins_of[fields & chunk]
+                fields >>= 3 * width
+            total += count * count * joins
+        counts.append(total)
+    return counts
+
+
+def pairing_walk_moments(family: str, k: int) -> list[Fraction]:
+    """Exact Toeplitz or Hankel limit moments of orders 2, 4, ..., 2k.
+
+    The moment of order 2t sums the volumes of the words of length 2t (for
+    Hankel, of the symmetric words, where p_H = p_T), so it is the leading
+    coefficient of the pairing walk count L_t(N) (_pairing_walk_counts),
+    read at N = 0..floor(t/2).  One count at each N gives every order, and
+    no word is enumerated.  There is no cap here; hmt.limits.check_request
+    holds the exact order caps.
+    """
+    if family not in ("toeplitz", "hankel"):
+        raise InvalidArgumentError(f"family must be 'toeplitz' or 'hankel', got {family!r}")
+    if not isinstance(k, int) or k < 0:
+        raise InvalidArgumentError(f"k must be a nonnegative integer, got {k!r}")
+    counts = [_pairing_walk_counts(k, n, family == "hankel") for n in range(k // 2 + 1)]
+    return [_ehrhart_leading([c[t - 1] for c in counts[:t // 2 + 1]], t)
+            for t in range(1, k + 1)]
 
 
 # ---------------------------------------------------------------------------

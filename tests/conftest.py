@@ -2,14 +2,21 @@
 
 import pytest
 
-from hmt.limits import moment_table
+from hmt.limits import EXACT_ORDER_CAPS, moment_table
 
 
 @pytest.fixture(scope="session")
 def order_twelve_tables():
-    """Exact moment tables through order 12, computed live once per session.
-
-    The toeplitz table is the costly one (walk counts of all 554 orbits at
-    k = 6), so every test that needs order 12 shares this one computation.
-    """
+    """Exact moment tables through order 12, computed live once per session."""
     return {family: moment_table(family, 12) for family in ("toeplitz", "hankel", "markov")}
+
+
+@pytest.fixture(scope="session")
+def largest_exact_tables():
+    """The exact toeplitz and hankel tables through their exact order caps (20 and 16).
+
+    One pairing walk count each, about a second apiece; tests that need
+    orders above 12 share them.
+    """
+    return {family: moment_table(family, EXACT_ORDER_CAPS[family])
+            for family in ("toeplitz", "hankel")}

@@ -248,10 +248,17 @@ class TestMomentsCommand:
         assert code == EXIT_INVALID
 
     def test_capacity_exceeded(self, capsys):
+        # one order above the exact toeplitz cap (order 20)
         code, _, err = run(
-            ["moments", "--family", "toeplitz", "--max-order", "14"], capsys
+            ["moments", "--family", "toeplitz", "--max-order", "22"], capsys
         )
         assert code == EXIT_CAPACITY
+
+    def test_exact_order_fourteen(self, capsys):
+        for family, value in (("toeplitz", "325719/10"), ("hankel", "1331087/720")):
+            code, out, _ = run(["moments", "--family", family, "--order", "14"], capsys)
+            assert code == EXIT_OK
+            assert parse_csv(out)[0]["value"] == value
 
 
 class TestSimulateCommand:
@@ -553,6 +560,26 @@ class TestConfigEcho:
             "dist": "shifted_gaussian", "mean": 0.5, "bins": 60, "scale": "sqrt_n",
             "max_order": 8, "output_prefix": prefix, "seed": DEFAULT_SEED, "threads": 1,
             "format": "csv"}
+
+
+class TestJsonRows:
+    """JSON artifacts are written one row at a time, with the bytes of one json.dumps."""
+
+    @pytest.mark.parametrize("rows", [
+        [],
+        [{"order": 0, "value": Fraction(1), "numerator": 1, "denominator": 1}],
+        [{"word": "abab", "p": {"value": 2 / 3, "numerator": 2}, "flags": [True, None]},
+         {"word": "aabb", "p": {"value": 1.0, "stderr": 0.25}, "flags": []}],
+    ], ids=["empty", "one", "nested"])
+    def test_streamed_bytes_equal_one_dump(self, rows):
+        args = build_parser().parse_args(["words", "--k", "2", "--format", "json"])
+        payload = {"command": "words",
+                   "config": {key: value for key, value in vars(args).items()
+                              if value is not None},
+                   "results": rows}
+        want = json.dumps(payload, indent=2, sort_keys=True, default=float,
+                          allow_nan=False) + "\n"
+        assert "".join(hmt.cli._json_chunks(args, iter(rows))) == want
 
 
 class TestReproducibility:

@@ -11,8 +11,10 @@ import hmt.words
 from hmt.errors import CapacityError, InvalidArgumentError
 from hmt.limits import (
     MARKOV_ORDER_CAP,
+    WORDS_EXACT_K_CAP,
     CumulantTable,
     MomentEstimate,
+    check_request,
     cumulants_to_moments,
     free_cumulants,
     hankel_moment_matrix_det,
@@ -81,25 +83,57 @@ class TestLimitMoments:
         with pytest.raises(CapacityError):
             limit_moment("markov", MARKOV_ORDER_CAP + 2)
         with pytest.raises(CapacityError):
-            limit_moment("toeplitz", 14)  # needs dimension 8 > default cap
+            limit_moment("toeplitz", 22)  # above the exact toeplitz cap of order 20
 
     @pytest.mark.parametrize("family, max_order, method", [
-        ("hankel", 18, "exact"),   # word cap
+        ("hankel", 18, "exact"),   # exact hankel cap (order 16)
         ("markov", MARKOV_ORDER_CAP + 2, "exact"),  # series cap
-        ("toeplitz", 14, "exact"),  # dimension cap
-        ("toeplitz", 18, "mc"),    # word cap, no dimension cap under mc
+        ("toeplitz", 22, "exact"),  # exact toeplitz cap (order 20)
+        ("toeplitz", 18, "mc"),    # word cap; the exact count would run
         ("toeplitz", 14, "mc"),    # Monte Carlo draws: 135,135 words * 100,000 * 8
         ("hankel", 16, "mc"),      # draws of the 8! = 40,320 sampled words
     ])
     def test_table_caps_checked_before_any_order(self, monkeypatch, family, max_order, method):
         calls = []
-        real = hmt.limits.limit_moment
-        monkeypatch.setattr(
-            hmt.limits, "limit_moment", lambda *a, **kw: calls.append(a) or real(*a, **kw)
-        )
+        for name in ("limit_moment", "pairing_walk_moments", "word_volumes"):
+            real = getattr(hmt.limits, name)
+            monkeypatch.setattr(hmt.limits, name,
+                                lambda *a, real=real, **kw: calls.append(a) or real(*a, **kw))
         with pytest.raises(CapacityError):
             moment_table(family, max_order, method=method)
         assert calls == []
+
+    @pytest.mark.parametrize("families, order, words, want", [
+        (("toeplitz",), 20, False, (10, "exact")),
+        (("hankel",), 16, False, (8, "exact")),
+        (("hankel",), 14, False, (7, "exact")),
+        (("toeplitz", "hankel"), 12, True, (6, "exact")),
+        (("toeplitz", "hankel"), 14, True, (7, "mc")),
+        (("markov",), 16, False, (8, "exact")),
+    ])
+    def test_auto_is_exact_up_to_the_exact_cap(self, families, order, words, want):
+        assert check_request(families, order, "auto", 1, words=words) == want
+
+    @pytest.mark.parametrize("family, order", [("toeplitz", 22), ("hankel", 18)])
+    def test_auto_above_the_exact_cap_meets_the_word_cap(self, family, order):
+        with pytest.raises(CapacityError, match="words, above the cap"):
+            check_request((family,), order, "auto", 1)
+
+    def test_word_tables_keep_their_own_exact_cap(self):
+        assert WORDS_EXACT_K_CAP == 6
+        with pytest.raises(CapacityError, match="word-table cap 6"):
+            check_request(("toeplitz", "hankel"), 14, "exact", 1, words=True)
+        # the same order as a moment runs exactly
+        assert check_request(("toeplitz",), 14, "exact", 1) == (7, "exact")
+
+    def test_exact_moments_enumerate_no_words(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exact moment enumerated words")
+
+        monkeypatch.setattr(hmt.limits, "word_volumes", refuse)
+        monkeypatch.setattr(hmt.limits, "enumerate_words", refuse)
+        assert limit_moment("hankel", 10) == F(2717, 36)
+        assert moment_table("toeplitz", 10).entries[10] == 415
 
 
 class TestMarkovSeriesRoute:
@@ -332,13 +366,21 @@ class TestHankelMomentMatrix:
             assert hankel_moment_matrix_det(table, n) > 0, (family, n)
 
 
+    @pytest.mark.parametrize("family, sizes", [("toeplitz", 6), ("hankel", 5)])
+    def test_positive_definite_through_the_exact_caps(self, family, sizes,
+                                                      largest_exact_tables):
+        # order 16 fixes the 5 x 5 matrix, order 20 the 6 x 6 one
+        table = largest_exact_tables[family]
+        for n in range(1, sizes + 1):
+            assert hankel_moment_matrix_det(table, n) > 0, (family, n)
+
+
 class TestRecordedMoments:
     """Live exact moments against values written down here."""
 
     ORDER_TWELVE = {"toeplitz": F(23840, 7), "hankel": F(1052, 3)}
 
     def test_order_ten_matches_live_recomputation(self):
-        # hankel order 10 is cheap to re-derive exactly (dimension 6)
         assert limit_moment("hankel", 10) == F(2717, 36)
 
     @pytest.mark.slow
@@ -361,8 +403,20 @@ class TestRecordedMoments:
         exact = float(self.ORDER_TWELVE[family])
         assert abs(total - exact) <= 5 * math.sqrt(var)
 
+    @pytest.mark.parametrize("family, order, value", [
+        ("toeplitz", 14, F(325719, 10)),
+        ("hankel", 14, F(1331087, 720)),
+        ("toeplitz", 16, F(112135066, 315)),
+        ("hankel", 16, F(9179819, 840)),
+        ("toeplitz", 18, F(3065263961, 700)),
+        ("toeplitz", 20, F(69174280444, 1155)),
+    ])
+    def test_orders_above_twelve_from_the_pairing_walk_count(self, largest_exact_tables,
+                                                             family, order, value):
+        assert largest_exact_tables[family].entries[order] == value
+
     def test_unrecorded_order_raises(self):
-        # order 14 needs exact volumes in dimension 8, above the default cap
-        for family in ("toeplitz", "hankel"):
+        # one order above each family's exact cap
+        for family, order in (("toeplitz", 22), ("hankel", 18)):
             with pytest.raises(CapacityError):
-                moment_table(family, 14)
+                moment_table(family, order)

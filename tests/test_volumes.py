@@ -1,5 +1,6 @@
 """Slab systems, exact and Monte Carlo volumes, Eulerian identities."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from hmt.volumes import (
     VolumeEstimate,
     build_system,
     eulerian_number,
+    pairing_walk_moments,
     single_slab_system,
     slab_volume_integral,
     toeplitz_volume,
@@ -26,7 +28,14 @@ from hmt.volumes import (
 )
 from hmt.words import PartitionWord, dihedral_labels, enumerate_words, is_noncrossing
 
-from test_walk_oracle import dihedral_classes, is_symmetric, polytope_volume, turns
+from test_walk_oracle import (
+    dihedral_classes,
+    is_symmetric,
+    pair_partitions,
+    pairing_walk_count,
+    polytope_volume,
+    turns,
+)
 
 W = PartitionWord.from_string
 
@@ -434,10 +443,10 @@ class TestHankelThroughToeplitz:
 
     @pytest.mark.slow
     def test_exact_hankel_order_fourteen(self):
-        # the k = 7 words have 8 free coordinates, above the cap that
-        # check_request applies; word_volumes itself has no cap
+        # k = 7 is above the exact cap of a words table; word_volumes itself has none
         volumes = word_volumes(("hankel",), 7, "exact", 1, 0)["hankel"]
-        assert sum(est.value for est in volumes) == Fraction(1331087, 720)
+        total = sum(est.value for est in volumes)
+        assert total == Fraction(1331087, 720) == pairing_walk_moments("hankel", 7)[-1]
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_monte_carlo_builds_hankel_for_symmetric_words(self, monkeypatch, k):
@@ -455,6 +464,64 @@ class TestHankelThroughToeplitz:
             want = volumes_mc([build_system(w, family) for family in families], samples,
                               mix(TAG_VOLUME_MC, seed, k, index))
             assert [got[family][index] for family in families] == want, str(w)
+
+
+def brute_force_walk_count(k: int, n: int, hankel: bool) -> int:
+    """Pairs (pairing, walk in {0..n}) with opposite paired steps, one by one.
+
+    Every pairing of the 2k places (for Hankel only those of opposite
+    parity), every step of each pair in -n..n, and every start height that
+    keeps the walk in {0..n}.
+    """
+    total = 0
+    for word in pair_partitions(k):
+        if hankel and not is_symmetric(word):
+            continue
+        for steps in itertools.product(range(-n, n + 1), repeat=k):
+            seen, at, low, high = set(), 0, 0, 0
+            for letter in word:
+                at += -steps[letter] if letter in seen else steps[letter]
+                seen.add(letter)
+                low, high = min(low, at), max(high, at)
+            total += max(0, n + 1 - (high - low))
+    return total
+
+
+class TestPairingWalkCount:
+    """Exact moments from one count of walks over all pairings, with no word."""
+
+    @pytest.mark.parametrize("hankel", [False, True], ids=["toeplitz", "hankel"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_counts_every_pairing_and_walk(self, n, hankel):
+        want = [brute_force_walk_count(k, n, hankel) for k in range(1, 5)]
+        assert hmt.volumes._pairing_walk_counts(4, n, hankel) == want
+
+    @pytest.mark.parametrize("hankel", [False, True], ids=["toeplitz", "hankel"])
+    @pytest.mark.parametrize("n", range(4))
+    def test_equals_the_oracle_count(self, n, hankel):
+        want = [pairing_walk_count(k, n, hankel) for k in range(1, 7)]
+        assert hmt.volumes._pairing_walk_counts(6, n, hankel) == want
+
+    def test_word_route_sums_equal_the_count_through_order_twelve(self):
+        # the two routes share _ehrhart_leading and nothing else
+        families = ("toeplitz", "hankel")
+        moments = {family: pairing_walk_moments(family, 6) for family in families}
+        for k in range(1, 7):
+            volumes = word_volumes(families, k, "exact", 1, 0)
+            for family in families:
+                total = sum(est.value for est in volumes[family])
+                assert total == moments[family][k - 1], (family, k)
+
+    def test_one_count_gives_every_order(self):
+        assert pairing_walk_moments("toeplitz", 5) == [1, Fraction(8, 3), 11, Fraction(908, 15),
+                                                       415]
+        assert pairing_walk_moments("hankel", 0) == []
+
+    @pytest.mark.parametrize("family, k", [("markov", 2), ("wigner", 2), ("toeplitz", -1),
+                                           ("hankel", 2.0)])
+    def test_rejects_other_families_and_bad_k(self, family, k):
+        with pytest.raises(InvalidArgumentError):
+            pairing_walk_moments(family, k)
 
 
 class TestEulerian:
