@@ -242,7 +242,20 @@ def _write_artifact(args: argparse.Namespace, rows: Iterable[dict], csv_columns:
         except OSError as exc:
             raise InvalidArgumentError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
+        _write_stdout(chunks)
+
+
+def _write_stdout(chunks: Iterable[str]) -> None:
+    """Write and flush text to stdout; a failed write (a closed pipe, a full
+    disk) is an invalid output target.  The unwritten text would fail again
+    when the interpreter flushes stdout at exit, so stdout then points at
+    os.devnull."""
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InvalidArgumentError(f"cannot write stdout: {exc.strerror or exc}") from exc
 
 
 def _json_chunks(args: argparse.Namespace, rows: Iterable[dict]) -> Iterator[str]:
@@ -375,15 +388,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                     "csv", f"{prefix}_histogram.csv")
     _write_artifact(args, rows, ["order", "mean", "stderr"], "json", f"{prefix}_moments.json")
 
-    sys.stdout.write(
+    summary = [
         f"simulate {args.ensemble} n={args.n} replicates={args.replicates} "
         f"scale={args.scale}: wrote {prefix}_eigenvalues.csv, "
         f"{prefix}_histogram.csv, {prefix}_moments.json\n"
-    )
-    for row in rows:
-        sys.stdout.write(
-            f"  m_{row['order']} = {row['mean']:.6g} +/- {row['stderr']:.3g}\n"
-        )
+    ]
+    summary += [f"  m_{row['order']} = {row['mean']:.6g} +/- {row['stderr']:.3g}\n"
+                for row in rows]
+    _write_stdout(summary)
     return EXIT_OK
 
 

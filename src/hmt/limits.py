@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
@@ -32,18 +31,17 @@ from .volumes import (
     VolumeEstimate,
     build_system,
     pairing_walk_moments,
-    toeplitz_volume,
+    toeplitz_volumes,
     volume_exact,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_exact
     volume_mc,  # no longer called here; perfbench/tracing.py wraps hmt.limits.volume_mc
     volumes_mc,
 )
 from .words import (
     WORD_CAP,
-    dihedral_labels,
     double_factorial_odd,
     enumerate_words,
     height,  # no longer called here; perfbench/tracing.py wraps hmt.limits.height
-    is_irreducible,
+    is_irreducible,  # no longer called here; perfbench/tracing.py wraps hmt.limits.is_irreducible
     is_symmetric,
 )
 
@@ -63,8 +61,9 @@ MARKOV_ORDER_CAP = 80
 # stays refused: perfbench times that refusal (hankel-m18-refused).
 EXACT_ORDER_CAPS = {"toeplitz": 20, "hankel": 16, "markov": MARKOV_ORDER_CAP}
 # Largest k of an exact `words` table, whose volumes come one orbit at a time:
-# `words --k 6 --method exact` takes about 2 s, and a toeplitz k = 7 table
-# 16.4 s (word_volumes(("toeplitz",), 7, "exact", ...)).
+# `words --k 6 --method exact` takes 1.2-2.1 s in a fresh interpreter, and the
+# k = 7 volumes 19-25 s with a 79 MB peak (word_volumes(("toeplitz", "hankel"),
+# 7, "exact", ...); 2-core x86-64 VM, CPython 3.11).
 WORDS_EXACT_K_CAP = 6
 
 # Monte Carlo draws (uniform coordinates) per word-route request, counted as
@@ -152,8 +151,8 @@ def check_request(families: tuple[str, ...], order: int, method: str,
     exact_cap = WORDS_EXACT_K_CAP if words else min(EXACT_ORDER_CAPS[f] for f in families) // 2
     if method == "auto":
         method = "exact" if k <= exact_cap else "mc"
-    if method == "mc" and samples < 1:
-        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    if method == "mc" and (not isinstance(samples, int) or samples < 1):
+        raise InvalidArgumentError(f"samples must be an integer >= 1, got {samples!r}")
     if "markov" in families:
         if order > MARKOV_ORDER_CAP:
             raise CapacityError(f"order {order} is above the Markov series cap {MARKOV_ORDER_CAP}")
@@ -190,33 +189,31 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
                  seed: int) -> dict[str, list[VolumeEstimate]]:
     """Per family, the volume of each word of length 2k, in enumerate_words(k) order.
 
-    A Hankel word has its Toeplitz volume if it is_symmetric, else an exact 0:
+    families are "toeplitz" and "hankel", method "exact" or "mc".  A Hankel
+    word has its Toeplitz volume if it is_symmetric, else an exact 0:
     x_i -> 1 - x_i at odd i maps the one polytope onto the other, as
     tests/test_volumes.py checks on build_system's Hankel systems.
-    exact: one toeplitz_volume per dihedral orbit that a family reads, on the
-    orbit's first word in enumerate_words(k) (a count of the orbit's lattice
-    walks, no slab system), read by each word's orbit label; the facet
-    recursion of volume_exact is the tests' oracle for it.
+    exact: toeplitz_volumes of all the words, one count of lattice walks per
+    dihedral orbit and no slab system, for both families; the facet recursion
+    of volume_exact is the tests' oracle for it.
     mc: one volumes_mc call per word for the systems it builds, on the word's
     own TAG_VOLUME_MC stream of (seed, k, index).  The systems have k + 1 free
     coordinates each and count the same points, drawn once; no estimate depends
     on the other systems.  The words run on mc_threads threads (the Philox fills
     release the GIL) and come back in word order, the same for any thread count.
     """
-    if method == "exact":
-        labels = dihedral_labels(k)
-        first = {}  # each orbit's first word, by label
-        for w, label in zip(enumerate_words(k), labels):
-            first.setdefault(label, w)
-        toeplitz = [VolumeEstimate(toeplitz_volume(w), "exact")
-                    if "toeplitz" in families or is_symmetric(w) else FLAT_VOLUME
-                    for w in first.values()]
-        orbits = {"toeplitz": toeplitz, "hankel": [
-            v if is_symmetric(w) else FLAT_VOLUME for v, w in zip(toeplitz, first.values())]}
-        return {family: [orbits[family][label] for label in labels] for family in families}
-    from .parallel import ordered_map
-
+    if not set(families) <= {"toeplitz", "hankel"} or method not in ("exact", "mc"):
+        raise InvalidArgumentError(f"no {method!r} word volumes for families {families!r}")
     words = enumerate_words(k)
+    if method == "exact":
+        values = toeplitz_volumes(words)
+        # one estimate per value, not per word: the 10,395 words of k = 6 read 554 orbits
+        estimates = {v: VolumeEstimate(v, "exact") for v in set(values)}
+        toeplitz = [estimates[v] for v in values]
+        volumes = {"toeplitz": toeplitz, "hankel": [
+            v if is_symmetric(w) else FLAT_VOLUME for v, w in zip(toeplitz, words)]}
+        return {family: volumes[family] for family in families}
+    from .parallel import ordered_map
 
     def one(index: int) -> list[VolumeEstimate]:
         w = words[index]
@@ -328,12 +325,6 @@ def moments_to_cumulants(m: MomentTable, up_to: int) -> CumulantTable:
     _check_even_order(up_to)
     _, k = _solve_series(_series_inputs(m.entries, up_to, "moment"), moments_given=True)
     return CumulantTable(family=m.family, entries={2 * r: k[r] for r in range(1, len(k))})
-
-
-@lru_cache(maxsize=None)
-def irreducible_count(k: int) -> int:
-    """Number of irreducible pair-partition words of length 2k."""
-    return sum(1 for w in enumerate_words(k) if is_irreducible(w))
 
 
 def free_cumulants(family: str, up_to: int) -> CumulantTable:

@@ -17,7 +17,10 @@ them.
 
 from __future__ import annotations
 
+import operator
 from typing import TYPE_CHECKING
+
+from .errors import InvalidArgumentError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -46,19 +49,28 @@ def splitmix64(x: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+def _key(value: int) -> int:
+    """A seed or stream index as 64 bits; anything but an integer is refused."""
+    try:
+        return operator.index(value) & MASK64
+    except TypeError:
+        raise InvalidArgumentError(f"seed must be an integer, got {value!r}") from None
+
+
 def mix(*values: int) -> int:
     """Fold integers into a single 64-bit stream key, order-sensitively."""
     state = 0
     for v in values:
-        state = splitmix64((state ^ (v & MASK64)) & MASK64)
+        state = splitmix64(state ^ _key(v))
     return state
 
 
 def generator(seed: int) -> Generator:
     """Counter-based generator for the given 64-bit key."""
+    key = _key(seed)
     from numpy.random import Generator, Philox
 
-    return Generator(Philox(key=seed & MASK64))
+    return Generator(Philox(key=key))
 
 
 def standard_normals(gen: Generator, size) -> np.ndarray:

@@ -8,10 +8,11 @@ word's weight in the limiting moment formulas.
 
 There are three exact engines, all plain Python.  The limit moments, sums
 of these volumes over all words, come from one count of lattice walks over
-all pairings at once (pairing_walk_moments), with no word at all.  A word's
-own Toeplitz volume comes from counts of its lattice walks
-(toeplitz_volume), which read only its letters; word tables use it, and
-Hankel words take it through a parity rule (hmt.limits.word_volumes).  Both
+all pairings at once (pairing_walk_moments), with no word at all.  Each
+word's own Toeplitz volume comes from counts of its lattice walks, which
+read only which places it pairs, one count per dihedral orbit
+(toeplitz_volumes); word tables use it, and Hankel words take it through a
+parity rule (hmt.limits.word_volumes).  Both
 counts read the leading coefficient of an Ehrhart polynomial the same way
 (_ehrhart_leading).  Any SlabSystem, hand-built ones with fractional
 vertices included, goes through a recursive facet decomposition in the
@@ -211,8 +212,8 @@ def volumes_mc(systems: Sequence[SlabSystem], samples: int,
     left without one takes the value 1 of a full draw with no draw at all.
     A flat system (a nonzero closure) short-circuits to FLAT_VOLUME.
     """
-    if samples < 1:
-        raise InvalidArgumentError(f"samples must be >= 1, got {samples}")
+    if not isinstance(samples, int) or samples < 1:
+        raise InvalidArgumentError(f"samples must be an integer >= 1, got {samples!r}")
     out: list[VolumeEstimate | None] = [None] * len(systems)
     counters: dict[int, list] = {}  # dimension -> [(system index, hit counter)]
     for i, system in enumerate(systems):
@@ -276,13 +277,14 @@ def _ehrhart_leading(counts: Sequence[int], k: int) -> Fraction:
     return Fraction(difference, math.factorial(k + 1))
 
 
-def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int]]:
+def _walk_plan(letters: Sequence[int]) -> tuple[int, bytes]:
     """Negated cost and the plan of counting walks along the letters in this order.
 
     The plan gives each place the index of its letter among the open letters,
     in order of opening, an opening letter taking the next index; it does not
     read the letters' names.  The cost, the sum of 7 ** (letters open after
-    each place), follows the number of walk states at N = 3.
+    each place), follows the number of walk states at N = 3.  A plan is bytes,
+    which order as its indices do: toeplitz_volumes files a value under it.
     """
     open_letters: list[int] = []
     plan: list[int] = []
@@ -295,10 +297,10 @@ def _walk_plan(letters: Sequence[int]) -> tuple[int, list[int]]:
             plan.append(len(open_letters))
             open_letters.append(letter)
         cost += 7 ** len(open_letters)
-    return -cost, plan
+    return -cost, bytes(plan)
 
 
-def _walk_count(plan: list[int], n: int) -> int:
+def _walk_count(plan: Sequence[int], n: int) -> int:
     """Walks in {0..n} that follow the plan, counted place by place.
 
     A state is (height, steps of the open letters): opening a letter steps
@@ -326,23 +328,33 @@ def _walk_count(plan: list[int], n: int) -> int:
     return sum(states.values())
 
 
-def toeplitz_volume(w: PartitionWord) -> Fraction:
-    """Exact Toeplitz volume of a word, from counts of its lattice walks.
+def toeplitz_volumes(words: Iterable[PartitionWord]) -> list[Fraction]:
+    """Exact Toeplitz volumes of words, in their order, from counts of lattice walks.
 
-    The volume is the same on the whole dihedral orbit, so the count runs
-    along the greatest _walk_plan of the word's turns (its rotations and those
-    of its reversal): the cheapest plan, ties going to the greatest indices.
-    Plans read no letter names, so a whole orbit counts along one plan.  The
-    volume is the leading coefficient of the counts L(N) (_ehrhart_leading),
-    so (k+1)! times it is an integer.
-    Equal to volume_exact(build_system(w, "toeplitz")).value, as tested.
+    A volume is constant on a word's turns (rotations and those of its
+    reversal).  Plans read no letter names, so a word's turns plan as the
+    members of its dihedral orbit.  A word with no filed plan counts along
+    the greatest _walk_plan of its turns (the cheapest, ties going to the
+    greatest indices) and files the value under each turn's plan, where the
+    orbit's other words pop it.  The value is the leading coefficient of the
+    counts L(N) (_ehrhart_leading), so (k+1)! times it is an integer; it
+    equals volume_exact(build_system(w, "toeplitz")).value, as tested.
     """
-    turns = (t[i:] + t[:i] for t in (w.letters, w.letters[::-1]) for i in range(len(t)))
-    plan = max(map(_walk_plan, turns))[1]
-    value = _ehrhart_leading([_walk_count(plan, n) for n in range(w.k // 2 + 1)], w.k)
-    if not 0 <= value <= 1:
-        raise NumericError(f"exact volume {value} escaped [0, 1]")
-    return value
+    filed: dict[bytes, Fraction] = {}  # plan -> volume of its orbit
+    out = []
+    for w in words:
+        letters = w.letters
+        value = filed.pop(_walk_plan(letters)[1], None)
+        if value is None:
+            plans = [_walk_plan(t[i:] + t[:i]) for t in (letters, letters[::-1])
+                     for i in range(len(t))]
+            plan = max(plans)[1]
+            value = _ehrhart_leading([_walk_count(plan, n) for n in range(w.k // 2 + 1)], w.k)
+            if not 0 <= value <= 1:
+                raise NumericError(f"exact volume {value} escaped [0, 1]")
+            filed.update(dict.fromkeys((p for _, p in plans), value))
+        out.append(value)
+    return out
 
 
 def _pairing_walk_counts(k: int, n: int, hankel: bool) -> list[int]:

@@ -1,13 +1,12 @@
-"""Pair-partition words: enumeration, dihedral orbits, height, irreducibility, crossing.
+"""Pair-partition words: enumeration, height, irreducibility, crossing.
 
 A pair partition of {1, ..., 2k} is encoded as a word of 2k letters in
 which every letter occurs exactly twice and first occurrences appear in
 increasing letter order.  Letters are small integers (0, 1, 2, ...); the
 a/b/c string form is a display layer only.  These words index every
 limiting-moment formula in the package.  A word's volumes are constant on
-its dihedral orbit (dihedral_orbit, the only code that relabels a word's
-turns), so word tables compute one per orbit and read it by each word's
-orbit label (dihedral_labels).
+its dihedral orbit, its rotations and those of its reversal; the exact
+word volumes (hmt.volumes.toeplitz_volumes) count one member per orbit.
 """
 
 from __future__ import annotations
@@ -144,38 +143,6 @@ def _relabelled(letters) -> tuple[int, ...]:
     """Letters renumbered 0, 1, 2, ... in order of first occurrence."""
     ids: dict[int, int] = {}
     return tuple(ids.setdefault(letter, len(ids)) for letter in letters)
-
-
-def dihedral_orbit(letters: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """The word's dihedral orbit: its rotations and those of its reversal, relabelled."""
-    n = len(letters)
-    return {_relabelled(t[i:] + t[:i]) for t in (letters, letters[::-1]) for i in range(n)}
-
-
-@lru_cache(maxsize=None)
-def dihedral_labels(k: int) -> tuple[int, ...]:
-    """Each word's dihedral orbit index, in enumerate_words(k) order.
-
-    Orbits are numbered in order of first appearance.  The Toeplitz and
-    Hankel volumes are constant on an orbit: rotating or reversing a word
-    relabels the closed walk x_0, ..., x_2k = x_0 whose steps its letters tie
-    together.  hmt.limits.word_volumes finds one volume per orbit, through
-    the orbit's first word.  A word not yet met in an earlier orbit is the
-    least member of its own; the other members wait, with the orbit's index,
-    until the pass reaches them.
-    """
-    pending: dict[tuple[int, ...], int] = {}
-    labels: list[int] = []
-    orbits = 0
-    for w in enumerate_words(k):
-        label = pending.pop(w.letters, orbits)
-        if label == orbits:
-            orbits += 1
-            orbit = dihedral_orbit(w.letters)
-            orbit.remove(w.letters)
-            pending.update(dict.fromkeys(orbit, label))
-        labels.append(label)
-    return tuple(labels)
 
 
 def _is_balanced(letters: tuple[int, ...], start: int, stop: int) -> bool:

@@ -106,8 +106,7 @@ class TestWordsCommand:
         def stub(k):
             raise Enumerated(k)
 
-        for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words"),
-                             (hmt.limits, "dihedral_labels")):
+        for module, name in ((hmt.cli, "enumerate_words"), (hmt.limits, "enumerate_words")):
             monkeypatch.setattr(module, name, stub)
         # Monte Carlo draws: MC_ENUM_CHARGE per word enumerated, (2k-1)!! of them,
         # plus MC_WORD_CHARGE + samples * (k + 1) per word system built, (2k-1)!!
@@ -519,6 +518,24 @@ class TestOutputPaths:
         # /dev/full passes the checks and fails the write itself (ENOSPC)
         err = self.refused(OUTPUT_COMMANDS["words"] + ["-o", "/dev/full"], capsys)
         assert "cannot write /dev/full: No space left on device" in err
+
+    def test_closed_stdout_pipe_exits_2(self):
+        # the k = 5 json table (about 360 KB) overfills a 64 KB pipe buffer, so
+        # its writes meet the pipe the reader closed after one line
+        src = str(Path(hmt.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hmt.cli", "words", "--k", "5", "--method", "exact",
+             "--format", "json"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_INVALID
+        # one line: no traceback, and no "Exception ignored" at interpreter exit
+        assert err == "hmt: invalid argument: cannot write stdout: Broken pipe\n"
 
 
 class TestConfigEcho:

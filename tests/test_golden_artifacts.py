@@ -29,6 +29,11 @@ GOLDEN = {
     # both families' exact values on all 945 words of k = 5
     "words --k 5 --method exact --format json":
         "df563c12a00bf047dcf9f223c3c1688708fd356ac4fd973d0d7dcbc2f63ee548",
+    # all 10,395 words of the largest exact table, 554 orbits
+    "words --k 6 --method exact":
+        "0bcf8f73bd9077923ee8c18a78a7814a8c16d25075cf848f9f789989f8c20ea7",
+    "words --k 6 --method exact --format json":
+        "cb8595b4b67857d7d61e19153c35a8f2b8e950a318dd560621eed47f0582ee56",
     "words --k 4 --method mc --samples 5000":
         "c05ccc6f767a97cca44a0357e4936c6f25dae2898c7178cd7aabc566f59cdab9",
     "moments --family toeplitz --max-order 10":

@@ -18,14 +18,14 @@ from hmt.limits import (
     cumulants_to_moments,
     free_cumulants,
     hankel_moment_matrix_det,
-    irreducible_count,
     limit_moment,
     moment_table,
     moments_to_cumulants,
     reference_moments,
+    word_volumes,
 )
 from hmt.rng import mix
-from hmt.volumes import build_system, volume_mc
+from hmt.volumes import build_system, single_slab_system, volume_mc
 from hmt.words import enumerate_words, height, is_irreducible, is_noncrossing
 
 F = Fraction
@@ -84,6 +84,23 @@ class TestLimitMoments:
             limit_moment("markov", MARKOV_ORDER_CAP + 2)
         with pytest.raises(CapacityError):
             limit_moment("toeplitz", 22)  # above the exact toeplitz cap of order 20
+
+    @pytest.mark.parametrize("call", [
+        lambda: volume_mc(single_slab_system([1, -1]), 2.5, 0),
+        lambda: volume_mc(single_slab_system([1, -1]), 10, 1.5),
+        lambda: limit_moment("toeplitz", 4, method="mc", mc_samples=2.5),
+        lambda: limit_moment("toeplitz", 4, method="mc", mc_samples=10, seed=1.5),
+    ], ids=["volume-samples", "volume-seed", "moment-samples", "moment-seed"])
+    def test_non_integer_samples_or_seed_refused(self, call):
+        with pytest.raises(InvalidArgumentError, match="must be an integer"):
+            call()
+
+    @pytest.mark.parametrize("families, method", [(("markov",), "exact"),
+                                                  (("toeplitz",), "nope"),
+                                                  (("toeplitz",), "auto")])
+    def test_word_volumes_refuses_what_it_cannot_read(self, families, method):
+        with pytest.raises(InvalidArgumentError):
+            word_volumes(families, 3, method, 1, 0)
 
     @pytest.mark.parametrize("family, max_order, method", [
         ("hankel", 18, "exact"),   # exact hankel cap (order 16)
@@ -236,7 +253,8 @@ class TestCumulantConversions:
         assert c.entries[2] == 2
         for r in range(2, 5):
             semicircle = 1 if r == 1 else 0
-            assert c.entries[2 * r] == semicircle + irreducible_count(r)
+            assert c.entries[2 * r] == semicircle + sum(is_irreducible(w)
+                                                        for w in enumerate_words(r))
 
     def test_gaussian_cumulants_count_irreducible_words(self):
         moments = moment_table("gaussian", 12)

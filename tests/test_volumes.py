@@ -14,6 +14,7 @@ from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.limits import catalan, word_volumes
 from hmt.rng import TAG_VOLUME_MC, generator, mix
 from hmt.volumes import (
+    FLAT_VOLUME,
     SlabSystem,
     VolumeEstimate,
     build_system,
@@ -21,12 +22,12 @@ from hmt.volumes import (
     pairing_walk_moments,
     single_slab_system,
     slab_volume_integral,
-    toeplitz_volume,
+    toeplitz_volumes,
     volume_exact,
     volume_mc,
     volumes_mc,
 )
-from hmt.words import PartitionWord, dihedral_labels, enumerate_words, is_noncrossing
+from hmt.words import PartitionWord, enumerate_words, is_noncrossing
 
 from test_walk_oracle import (
     dihedral_classes,
@@ -180,41 +181,64 @@ class TestOrbitInvariance:
 
 
 class TestToeplitzVolume:
-    """toeplitz_volume counts lattice walks; the facet recursion is its oracle."""
+    """toeplitz_volumes counts lattice walks; the facet recursion is its oracle."""
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_every_word_equals_the_recursion(self, k):
-        for w in enumerate_words(k):
-            assert toeplitz_volume(w) == volume_exact(build_system(w, "toeplitz")).value, str(w)
+        words = enumerate_words(k)
+        assert toeplitz_volumes(words) == [volume_exact(build_system(w, "toeplitz")).value
+                                           for w in words]
 
     def test_every_orbit_at_k5_equals_the_recursion(self):
         # each orbit's least member counted, its greatest member solved
         last = {PartitionWord(min(turns(w.letters))): w for w in enumerate_words(5)}
         assert len(last) == 79
-        for rep, w in last.items():
-            assert toeplitz_volume(rep) == volume_exact(build_system(w, "toeplitz")).value, str(rep)
+        for rep, value in zip(last, toeplitz_volumes(last)):
+            assert value == volume_exact(build_system(last[rep], "toeplitz")).value, str(rep)
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_scaled_by_factorial_is_an_integer(self, k):
         # the (k+1)-th difference of integer counts, over (k+1)!
-        for rep in map(PartitionWord, dihedral_classes(k)):
-            assert (toeplitz_volume(rep) * math.factorial(k + 1)).denominator == 1, str(rep)
+        reps = list(map(PartitionWord, dihedral_classes(k)))
+        for rep, value in zip(reps, toeplitz_volumes(reps)):
+            assert (value * math.factorial(k + 1)).denominator == 1, str(rep)
+
+    @staticmethod
+    def recorded_counts(monkeypatch):
+        """The (plan, N) of every walk count, each counted as 0 walks."""
+        counts = []
+        monkeypatch.setattr(hmt.volumes, "_walk_count",
+                            lambda plan, n: counts.append((plan, n)) or 0)
+        return counts
 
     @pytest.mark.parametrize("k", range(1, 5))
     def test_every_member_of_an_orbit_counts_along_one_plan(self, monkeypatch, k):
         # the member counted depends on the orbit only, not on the word given
-        plans, count = [], hmt.volumes._walk_count
-
-        def recording(plan, n):
-            plans.append(plan)
-            return count(plan, n)
-
-        monkeypatch.setattr(hmt.volumes, "_walk_count", recording)
+        counts = self.recorded_counts(monkeypatch)
         first = {}
-        for w, label in zip(enumerate_words(k), dihedral_labels(k)):
-            plans.clear()
-            toeplitz_volume(w)
-            assert first.setdefault(label, plans[0]) == plans[0], str(w)
+        for w in enumerate_words(k):
+            counts.clear()
+            toeplitz_volumes([w])
+            plan = counts[0][0]
+            assert first.setdefault(min(turns(w.letters)), plan) == plan, str(w)
+
+    @pytest.mark.parametrize("k, orbits", [(1, 1), (2, 2), (3, 5), (4, 17), (5, 79), (6, 554)])
+    def test_one_plan_per_orbit_a007769(self, monkeypatch, k, orbits):
+        # chord diagrams with k chords up to rotation and reflection: one plan
+        # each, counted once at each N = 0..k//2
+        counts = self.recorded_counts(monkeypatch)
+        toeplitz_volumes(enumerate_words(k))
+        assert len({plan for plan, _ in counts}) == orbits
+        assert len(set(counts)) == len(counts) == orbits * (k // 2 + 1)
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_member_of_an_orbit_reads_one_value(self, k):
+        value = dict(zip((w.letters for w in enumerate_words(k)),
+                         toeplitz_volumes(enumerate_words(k))))
+        for rep, size in dihedral_classes(k).items():
+            members = turns(rep)
+            assert len(members) == size
+            assert len({value[m] for m in members}) == 1, rep
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_counts_along_the_cheapest_turn_with_the_greatest_letters(self, monkeypatch, k):
@@ -239,15 +263,15 @@ class TestToeplitzVolume:
         monkeypatch.setattr(hmt.volumes, "_walk_count", lambda plan, n: plans.append(plan) or 0)
         for w in enumerate_words(k):
             plans.clear()
-            toeplitz_volume(w)
+            toeplitz_volumes([w])
             member = max(turns(w.letters), key=lambda m: (-cost(m), m))
-            assert plans and all(counted == plan(member) for counted in plans), str(w)
+            assert plans and all(list(counted) == plan(member) for counted in plans), str(w)
 
     def test_value_outside_unit_interval_raises(self, monkeypatch):
         # L(N) = 2 for every N makes the volume of aa 2
         monkeypatch.setattr(hmt.volumes, "_walk_count", lambda plan, n: 2)
         with pytest.raises(NumericError):
-            toeplitz_volume(W("aa"))
+            toeplitz_volumes([W("aa")])
 
 
 # a hand-built system whose slab bounds are not the word bounds 0 and 1
@@ -418,34 +442,25 @@ class TestHankelThroughToeplitz:
         monkeypatch.setattr(hmt.limits, "build_system", recording)
         return built
 
-    @staticmethod
-    def counted(monkeypatch):
-        words = []
-
-        def counting(w):
-            words.append(w)
-            return toeplitz_volume(w)
-
-        monkeypatch.setattr(hmt.limits, "toeplitz_volume", counting)
-        return words
-
-    @pytest.mark.parametrize("k, orbits", [(1, 1), (2, 1), (3, 3), (4, 5), (5, 17)])
-    def test_exact_hankel_solves_symmetric_orbits_as_toeplitz(self, monkeypatch, k, orbits):
-        built, counted = self.recorded(monkeypatch), self.counted(monkeypatch)
-        word_volumes(("hankel",), k, "exact", 1, 0)
-        assert len(counted) == orbits and not built
-        assert all(is_symmetric(w) for w in counted)
-
-    def test_exact_families_share_one_solve_per_orbit(self, monkeypatch):
-        built, counted = self.recorded(monkeypatch), self.counted(monkeypatch)
-        word_volumes(("toeplitz", "hankel"), 5, "exact", 1, 0)
-        assert len(counted) == 79 and not built
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_exact_hankel_reads_the_toeplitz_count(self, monkeypatch, k):
+        # one count per orbit, every orbit, and no system built
+        built, plans = self.recorded(monkeypatch), set()
+        count = hmt.volumes._walk_count
+        monkeypatch.setattr(hmt.volumes, "_walk_count",
+                            lambda plan, n: plans.add(plan) or count(plan, n))
+        volumes = word_volumes(("toeplitz", "hankel"), k, "exact", 1, 0)
+        assert len(plans) == len(dihedral_classes(k)) and not built
+        assert word_volumes(("hankel",), k, "exact", 1, 0)["hankel"] == volumes["hankel"]
+        for w, toeplitz, hankel in zip(enumerate_words(k), *volumes.values()):
+            assert hankel == (toeplitz if is_symmetric(w) else FLAT_VOLUME), str(w)
 
     @pytest.mark.slow
     def test_exact_hankel_order_fourteen(self):
-        # k = 7 is above the exact cap of a words table; word_volumes itself has none
-        volumes = word_volumes(("hankel",), 7, "exact", 1, 0)["hankel"]
-        total = sum(est.value for est in volumes)
+        # k = 7 is above the exact cap of a words table.  Symmetric words make
+        # whole orbits, so they count alone, in about a fifth of the time of all words
+        symmetric = [w for w in enumerate_words(7) if is_symmetric(w)]
+        total = sum(toeplitz_volumes(symmetric))
         assert total == Fraction(1331087, 720) == pairing_walk_moments("hankel", 7)[-1]
 
     @pytest.mark.parametrize("k", range(1, 6))

@@ -22,7 +22,7 @@ intersection and convex hull give the volume of the former.
 
 A second, exact oracle counts lattice walks over all pairings at once
 (pairing_walk_moment).  It shares no code with the package, but it shares
-the Ehrhart idea of ``toeplitz_volume``; Qhull shares neither.
+the Ehrhart idea of ``toeplitz_volumes``; Qhull shares neither.
 """
 
 import functools

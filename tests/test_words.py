@@ -2,17 +2,16 @@
 
 import pytest
 from collections import Counter
+from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
 from hmt.errors import InvalidArgumentError
 from hmt.limits import word_volumes
-from hmt.volumes import build_system, volume_exact
+from hmt.volumes import build_system, toeplitz_volumes, volume_exact
 from hmt.words import (
     PartitionWord,
     delete_subword,
-    dihedral_labels,
-    dihedral_orbit,
     double_factorial_odd,
     enumerate_words,
     height,
@@ -22,7 +21,7 @@ from hmt.words import (
     proper_subword_windows,
 )
 
-from test_walk_oracle import is_symmetric as oracle_is_symmetric, turns
+from test_walk_oracle import dihedral_classes, is_symmetric as oracle_is_symmetric, turns
 
 W = PartitionWord.from_string
 
@@ -123,42 +122,7 @@ class TestHeight:
 
 
 class TestDihedralOrbits:
-    """The orbit pass against orbits computed by turns, which shares no code with hmt.words."""
-
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_sizes_sum_to_word_count(self, k):
-        labels = dihedral_labels(k)
-        sizes = Counter(labels)
-        first = {}
-        for w, label in zip(enumerate_words(k), labels):
-            first.setdefault(label, w)
-        assert [sizes[label] for label in range(len(sizes))] == [
-            len(turns(w.letters)) for w in first.values()
-        ]
-        assert sum(sizes.values()) == double_factorial_odd(k)
-
-    def test_orbit_counts_are_a007769(self):
-        # chord diagrams with k chords up to rotation and reflection
-        counts = [1, 2, 5, 17, 79, 554]
-        assert [len(set(dihedral_labels(k))) for k in range(1, 7)] == counts
-
-    @pytest.mark.parametrize("k", range(1, 6))
-    def test_orbit_is_turns(self, k):
-        for w in enumerate_words(k):
-            assert dihedral_orbit(w.letters) == turns(w.letters), str(w)
-
-    @pytest.mark.parametrize("k", range(1, 7))
-    def test_members_are_turns_of_their_representative(self, k):
-        # the representative is the first word met with a label
-        labels = dihedral_labels(k)
-        assert len(labels) == double_factorial_odd(k)
-        first = {}
-        for w, label in zip(enumerate_words(k), labels):
-            rep = first.setdefault(label, w.letters)
-            assert w.letters in turns(rep), (str(w), rep)
-        # labels count orbits in order of first appearance, each first met at its least member
-        assert list(first) == list(range(len(first)))
-        assert all(rep == min(turns(rep)) for rep in first.values())
+    """Exact word volumes on orbits computed by turns, which shares no code with hmt."""
 
     @pytest.mark.parametrize("family", ["toeplitz", "hankel"])
     @pytest.mark.parametrize("k", range(1, 5))
@@ -170,10 +134,10 @@ class TestDihedralOrbits:
     def test_examples(self):
         # aabb and abba turn into each other; abab is an orbit of its own
         assert enumerate_words(2) == [W("aabb"), W("abab"), W("abba")]
-        assert dihedral_labels(2) == (0, 1, 0)
-        assert dihedral_orbit(W("abba").letters) == {W("aabb").letters, W("abba").letters}
-        label = dict(zip(enumerate_words(3), dihedral_labels(3)))
-        assert label[W("abcbca")] == label[W("aabcbc")]
+        assert turns(W("abba").letters) == {W("aabb").letters, W("abba").letters}
+        assert toeplitz_volumes(enumerate_words(2)) == [1, Fraction(2, 3), 1]
+        volume = dict(zip(enumerate_words(3), toeplitz_volumes(enumerate_words(3))))
+        assert volume[W("abcbca")] == volume[W("aabcbc")]
 
 
 def tuple_canonical(letters):
@@ -290,10 +254,9 @@ class TestSymmetric:
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_constant_on_dihedral_orbits(self, k):
-        # word_volumes reads it off each orbit's first word
-        first = {}
-        for w, label in zip(enumerate_words(k), dihedral_labels(k)):
-            assert is_symmetric(w) == is_symmetric(first.setdefault(label, w)), str(w)
+        # word_volumes gives symmetric words the count of their orbit
+        for rep in dihedral_classes(k):
+            assert len({is_symmetric(PartitionWord(m)) for m in turns(rep)}) == 1, rep
 
 
 @given(st.integers(min_value=1, max_value=5), st.data())
