@@ -20,7 +20,9 @@ Only the commands that need numbers from numpy load it: `simulate` and
 `norm-scan` load numpy and scipy (samplers, eigensolvers) when they start,
 and `words`/`moments` with `--method mc` load numpy for the Monte Carlo
 volumes.  Argument parsing, `--version`, exact `words` tables and exact
-`moments` (including every refusal) run in plain Python.
+`moments` (including every refusal) run in plain Python.  `main` builds the
+parser of the command its first argument names, and all four commands' only
+when that names none (no arguments, `-h`, `--version`, an unknown command).
 
 Exit codes: 0 success, 2 invalid arguments (an output path that cannot be
 written included), 3 capacity/budget exceeded, 4 numerical failure.
@@ -109,91 +111,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_CAPACITY = 3
 EXIT_NUMERIC = 4
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hmt",
-        description=(
-            "Limiting spectral moments of random Hankel, Markov and Toeplitz "
-            "matrices: word tables, exact/Monte-Carlo moments, ensemble "
-            "simulation and spectral-norm scans."
-        ),
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
-    )
-    parser.add_argument("--version", action="version", version=f"hmt {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p, with_format=True):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="master seed; all randomness derives from it")
-        p.add_argument("--threads", type=int, default=1,
-                       help="replicates (and matrices) simulate and norm-scan hold at "
-                            "once; only sampling overlaps, as eigensolves hold the GIL: "
-                            "2 threads cut norm-scan by about 10%%, not simulate, and "
-                            "add memory; words and moments ignore it, their Monte "
-                            "Carlo volumes use every usable CPU (outputs depend on neither)")
-        if with_format:
-            p.add_argument("-o", "--output", default=None,
-                           help="output path (default: stdout)")
-            p.add_argument("--format", choices=("csv", "json"), default="csv",
-                           help="artifact format")
-
-    p_words = sub.add_parser(
-        "words", help="per-word table: height, predicates, p_T, p_H",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p_words.add_argument("--k", type=int, required=True, help="half-length of the words")
-    p_words.add_argument("--method", choices=("auto", "exact", "mc"), default="auto",
-                         help="volume method; auto switches to mc above the exact cap")
-    p_words.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
-                         help="Monte Carlo samples per word")
-    add_common(p_words)
-
-    p_mom = sub.add_parser(
-        "moments", help="limiting moments of one family up to an order",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p_mom.add_argument("--family", choices=MOMENT_FAMILIES, required=True)
-    p_mom.add_argument("--max-order", dest="max_order", type=int, default=8,
-                       help="largest (even) order to emit")
-    p_mom.add_argument("--order", type=int, default=None,
-                       help="emit a single order instead of the whole table")
-    p_mom.add_argument("--method", choices=("exact", "mc"), default="exact")
-    p_mom.add_argument("--samples", type=int, default=DEFAULT_MC_SAMPLES,
-                       help="Monte Carlo samples per word")
-    add_common(p_mom)
-
-    p_sim = sub.add_parser(
-        "simulate", help="sample an ensemble, emit spectra/histogram/moment artifacts",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p_sim.add_argument("--ensemble", choices=ENSEMBLES, required=True)
-    p_sim.add_argument("--n", type=int, required=True, help="matrix size")
-    p_sim.add_argument("--replicates", type=int, default=20)
-    p_sim.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p_sim.add_argument("--mean", type=float, default=0.0,
-                       help="entry mean (shifted_gaussian only)")
-    p_sim.add_argument("--bins", type=int, default=60, help="histogram bins")
-    p_sim.add_argument("--scale", choices=("sqrt_n", "n"), default="sqrt_n",
-                       help="eigenvalue scaling: 1/sqrt(n) or 1/n")
-    p_sim.add_argument("--max-order", dest="max_order", type=int, default=8,
-                       help="largest even empirical moment to emit")
-    p_sim.add_argument("--output-prefix", dest="output_prefix", required=True,
-                       help="artifact path prefix; writes <prefix>_eigenvalues.csv, "
-                            "<prefix>_histogram.csv, <prefix>_moments.json")
-    add_common(p_sim, with_format=False)
-    # simulate has no --format, but its _moments.json has always echoed this one
-    p_sim.set_defaults(format="csv")
-
-    p_norm = sub.add_parser(
-        "norm-scan", help="spectral-norm ratios of Markov matrices over sizes",
-        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p_norm.add_argument("--ns", type=str, default="256,1024,4096",
-                        help="comma-separated matrix sizes")
-    p_norm.add_argument("--replicates", type=int, default=3)
-    p_norm.add_argument("--dist", choices=DISTRIBUTIONS, default="gaussian")
-    p_norm.add_argument("--mean", type=float, default=0.0,
-                        help="entry mean (shifted_gaussian only)")
-    add_common(p_norm)
-    return parser
 
 
 def _volume_json(est: VolumeEstimate) -> dict:
@@ -465,19 +382,97 @@ def _check_args(args: argparse.Namespace) -> None:
                 raise InvalidArgumentError(f"{flag} {path}: {target} is a directory")
 
 
-_HANDLERS = {
-    "words": cmd_words,
-    "moments": cmd_moments,
-    "simulate": cmd_simulate,
-    "norm-scan": cmd_norm_scan,
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_SAMPLES = _arg("--samples", type=int, default=DEFAULT_MC_SAMPLES,
+                help="Monte Carlo samples per word")
+_DIST = _arg("--dist", choices=DISTRIBUTIONS, default="gaussian")
+_MEAN = _arg("--mean", type=float, default=0.0, help="entry mean (shifted_gaussian only)")
+_SEED_THREADS = (
+    _arg("--seed", type=int, default=DEFAULT_SEED,
+         help="master seed; all randomness derives from it"),
+    _arg("--threads", type=int, default=1,
+         help="replicates (and matrices) simulate and norm-scan hold at "
+              "once; only sampling overlaps, as eigensolves hold the GIL: "
+              "2 threads cut norm-scan by about 10%%, not simulate, and "
+              "add memory; words and moments ignore it, their Monte "
+              "Carlo volumes use every usable CPU (outputs depend on neither)"),
+)
+_SHARED = (*_SEED_THREADS,
+           _arg("-o", "--output", default=None, help="output path (default: stdout)"),
+           _arg("--format", choices=("csv", "json"), default="csv", help="artifact format"))
+
+# name -> (help, handler, arguments in help order)
+COMMANDS = {
+    "words": ("per-word table: height, predicates, p_T, p_H", cmd_words, (
+        _arg("--k", type=int, required=True, help="half-length of the words"),
+        _arg("--method", choices=("auto", "exact", "mc"), default="auto",
+             help="volume method; auto switches to mc above the exact cap"),
+        _SAMPLES, *_SHARED)),
+    "moments": ("limiting moments of one family up to an order", cmd_moments, (
+        _arg("--family", choices=MOMENT_FAMILIES, required=True),
+        _arg("--max-order", dest="max_order", type=int, default=8,
+             help="largest (even) order to emit"),
+        _arg("--order", type=int, default=None,
+             help="emit a single order instead of the whole table"),
+        _arg("--method", choices=("exact", "mc"), default="exact"),
+        _SAMPLES, *_SHARED)),
+    "simulate": ("sample an ensemble, emit spectra/histogram/moment artifacts", cmd_simulate, (
+        _arg("--ensemble", choices=ENSEMBLES, required=True),
+        _arg("--n", type=int, required=True, help="matrix size"),
+        _arg("--replicates", type=int, default=20),
+        _DIST, _MEAN,
+        _arg("--bins", type=int, default=60, help="histogram bins"),
+        _arg("--scale", choices=("sqrt_n", "n"), default="sqrt_n",
+             help="eigenvalue scaling: 1/sqrt(n) or 1/n"),
+        _arg("--max-order", dest="max_order", type=int, default=8,
+             help="largest even empirical moment to emit"),
+        _arg("--output-prefix", dest="output_prefix", required=True,
+             help="artifact path prefix; writes <prefix>_eigenvalues.csv, "
+                  "<prefix>_histogram.csv, <prefix>_moments.json"),
+        *_SEED_THREADS)),
+    "norm-scan": ("spectral-norm ratios of Markov matrices over sizes", cmd_norm_scan, (
+        _arg("--ns", type=str, default="256,1024,4096", help="comma-separated matrix sizes"),
+        _arg("--replicates", type=int, default=3),
+        _DIST, _MEAN, *_SHARED)),
 }
 
 
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or of all of them when command is None."""
+    parser = argparse.ArgumentParser(
+        prog="hmt",
+        description=(
+            "Limiting spectral moments of random Hankel, Markov and Toeplitz "
+            "matrices: word tables, exact/Monte-Carlo moments, ensemble "
+            "simulation and spectral-norm scans."
+        ),
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+    )
+    parser.add_argument("--version", action="version", version=f"hmt {__version__}")
+    # one command's parser shows every name in its usage line, as the full one does
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="subcommand", required=True, metavar=metavar)
+    for name in (command,) if command else COMMANDS:
+        text, _, arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=text, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        if name == "simulate":
+            # simulate has no --format, but its _moments.json has always echoed this one
+            p.set_defaults(format="csv")
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
         _check_args(args)
-        return _HANDLERS[args.subcommand](args)
+        return COMMANDS[args.subcommand][1](args)
     except InvalidArgumentError as exc:
         print(f"hmt: invalid argument: {exc}", file=sys.stderr)
         return EXIT_INVALID

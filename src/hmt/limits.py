@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 
 from .errors import CapacityError, InvalidArgumentError
 from .rng import TAG_VOLUME_MC, mix
@@ -193,9 +194,10 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
     word has its Toeplitz volume if it is_symmetric, else an exact 0:
     x_i -> 1 - x_i at odd i maps the one polytope onto the other, as
     tests/test_volumes.py checks on build_system's Hankel systems.
-    exact: toeplitz_volumes of all the words, one count of lattice walks per
-    dihedral orbit and no slab system, for both families; the facet recursion
-    of volume_exact is the tests' oracle for it.
+    exact: toeplitz_volumes of the words, one count of lattice walks per
+    dihedral orbit and no slab system; a Hankel-only table counts the k!
+    symmetric words alone (whole orbits, as turns and reversal keep symmetry).
+    The facet recursion of volume_exact is the tests' oracle for the count.
     mc: one volumes_mc call per word for the systems it builds, on the word's
     own TAG_VOLUME_MC stream of (seed, k, index).  The systems have k + 1 free
     coordinates each and count the same points, drawn once; no estimate depends
@@ -206,12 +208,16 @@ def word_volumes(families: tuple[str, ...], k: int, method: str, samples: int,
         raise InvalidArgumentError(f"no {method!r} word volumes for families {families!r}")
     words = enumerate_words(k)
     if method == "exact":
-        values = toeplitz_volumes(words)
+        symmetric = [is_symmetric(w) for w in words]
+        counted = [True] * len(words) if "toeplitz" in families else symmetric
+        values = toeplitz_volumes(compress(words, counted))
         # one estimate per value, not per word: the 10,395 words of k = 6 read 554 orbits
         estimates = {v: VolumeEstimate(v, "exact") for v in set(values)}
-        toeplitz = [estimates[v] for v in values]
-        volumes = {"toeplitz": toeplitz, "hankel": [
-            v if is_symmetric(w) else FLAT_VOLUME for v, w in zip(toeplitz, words)]}
+        value = iter([estimates[v] for v in values])
+        # an uncounted word is flat, and only a Hankel-only table has one
+        counts = [next(value) if c else FLAT_VOLUME for c in counted]
+        volumes = {"toeplitz": counts, "hankel": [
+            v if s else FLAT_VOLUME for v, s in zip(counts, symmetric)]}
         return {family: volumes[family] for family in families}
     from .parallel import ordered_map
 

@@ -1,5 +1,6 @@
 """CLI subcommands: artifacts, schema validity, reproducibility, exit codes."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -733,3 +734,74 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main(["moments", "--family", "circulant"])
         assert exc.value.code == 2
+
+
+class TestOneCommandParser:
+    """main builds the parser of the command argv[0] names, and all four only
+    when it names none; each gives the namespace and text of the full parser."""
+
+    ARGVS = [
+        ["words", "--k", "3"],
+        ["words", "--k", "5", "--method", "mc", "--samples", "200", "--seed", "7",
+         "--format", "json", "-o", "table.json"],
+        ["words", "--k", "2", "--threads", "2", "--output", "table.csv"],
+        ["moments", "--family", "hankel"],
+        ["moments", "--family", "toeplitz", "--order", "6", "--method", "mc",
+         "--samples", "50"],
+        ["moments", "--family", "markov", "--max-order", "14", "--format", "json"],
+        ["simulate", "--ensemble", "hankel", "--n", "8", "--output-prefix", "run"],
+        ["simulate", "--ensemble", "markov", "--n", "5", "--replicates", "3", "--dist",
+         "shifted_gaussian", "--mean", "0.5", "--bins", "5", "--scale", "n",
+         "--max-order", "4", "--seed", "1", "--threads", "2", "--output-prefix", "run"],
+        ["norm-scan"],
+        ["norm-scan", "--ns", "5,9", "--replicates", "2", "--dist", "rademacher",
+         "--format", "json", "-o", "norms.csv"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_namespace_equals_the_full_parser(self, argv):
+        one = build_parser(argv[0]).parse_args(argv)
+        assert vars(one) == vars(build_parser().parse_args(argv))
+
+    @staticmethod
+    def text(parse, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["mom"], ["--seed", "3", "moments"], ["moments"],
+        ["moments", "--family", "x"], ["moments", "--family", "hankel", "extra"],
+        ["simulate", "--help"], ["simulate", "--n", "x"], ["words", "--k"],
+        ["norm-scan", "--format", "xml"],
+    ], ids=" ".join)
+    def test_text_equals_the_full_parser(self, argv, capsys, monkeypatch):
+        # on any Python: the pinned hashes of test_golden_artifacts hold on 3.11 alone
+        monkeypatch.setenv("COLUMNS", "80")
+        want = self.text(build_parser().parse_args, argv, capsys)
+        assert self.text(main, argv, capsys) == want
+
+    @staticmethod
+    def counted(monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        return built
+
+    def test_a_command_builds_two_parsers(self, capsys, monkeypatch):
+        built = self.counted(monkeypatch)
+        assert main(["moments", "--family", "hankel", "--max-order", "18"]) == EXIT_CAPACITY
+        assert built == ["hmt", "hmt moments"]
+
+    @pytest.mark.parametrize("argv", [["mom"], ["--version"], ["-h"]])
+    def test_no_command_builds_all_five(self, argv, capsys, monkeypatch):
+        built = self.counted(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert built == ["hmt", "hmt words", "hmt moments", "hmt simulate", "hmt norm-scan"]

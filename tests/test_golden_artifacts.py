@@ -12,6 +12,7 @@ solves and were captured from full n x n ones.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,51 @@ def test_benchmark_monte_carlo_words_hash(workers, capsys, monkeypatch):
     assert main(BENCH_MC_WORDS.split()) == EXIT_OK
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == BENCH_MC_WORDS_SHA256
+
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+# argv -> (exit code, SHA-256 of stdout, of stderr) at COLUMNS=80: help, usage
+# and error text, which main builds from one command's parser when argv names
+# one and from all four otherwise.  Captured with Python 3.11's argparse, whose
+# layout other minor versions change ("options:" was "optional arguments:").
+PARSER_TEXT = {
+    "--help": (0, "c2aefbc7e92197c85c7725655d34686754a639215b93dc59ee753039ecf752c0", EMPTY),
+    "-h": (0, "c2aefbc7e92197c85c7725655d34686754a639215b93dc59ee753039ecf752c0", EMPTY),
+    "--version": (0, "0ebf304b7cf3021de79fec6c0ba443b51244d5c04a2a55938444db7d0c8c01ea", EMPTY),
+    "words --help":
+        (0, "0e785289de3c12532a1ba53e616be9f280122e16b33a5b80d25aa91a6a9d38a0", EMPTY),
+    "moments --help":
+        (0, "646bb85d0457e99fccd3c140dac319c4f832cd84d4642d5f534261bc48d620d4", EMPTY),
+    "simulate --help":
+        (0, "33a018e754fb94a92be4e8f52350185714935a9413cc75004fb9999d57d2f87e", EMPTY),
+    "norm-scan --help":
+        (0, "356d43b6277a41f1ca440ba8fff3bdbd938008ee0c712578356fc0e653b9ee79", EMPTY),
+    "": (2, EMPTY, "b375597f8610190206c7b227797ae8cca1647f36a3759deb4a4a8811a2443d96"),
+    "mom": (2, EMPTY, "be9322443f511c68634795a95a4f651dd2c14d2b4c17f87ab2ca8050d34a70a4"),
+    "moments": (2, EMPTY, "5c6a686a5fedaceade93aa4b927aaff2c6eee077fcbc6fafe8a7000922b1afc0"),
+    "moments --family x":
+        (2, EMPTY, "8d876ff7d67139645de7788d12ff0b41fb92a56c16cd7b02da042cee1f237837"),
+    "simulate --n x":
+        (2, EMPTY, "fd3a3136e24f4857b9429ecd414b7bff4e0ef149a147110c33c8f9547a91d476"),
+    "words --k": (2, EMPTY, "2bcd0a34d69d894b2c92755edf0a3db86872fea6cee657fff73683ec9856f2e6"),
+    # the top-level usage line, from a parser that holds one command
+    "moments --family hankel extra":
+        (2, EMPTY, "96adcecb8a436b85fe536dd65d4d7a217523c8d449dc1c6a4dfde3ba6b5f1f9e"),
+    "--seed 3 moments":
+        (2, EMPTY, "6c4094956a9833fbad56218ae8d2462160b58c9aa08b33d085c9a8c7a06896fb"),
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse's help layout differs between Python minor versions")
+@pytest.mark.parametrize("command", list(PARSER_TEXT))
+def test_parser_text_hash(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(command.split())
+    out, err = capsys.readouterr()
+    digest = [hashlib.sha256(text.encode()).hexdigest() for text in (out, err)]
+    assert (exc.value.code, *digest) == PARSER_TEXT[command]
 
 
 LAWS = {

@@ -455,12 +455,27 @@ class TestHankelThroughToeplitz:
         for w, toeplitz, hankel in zip(enumerate_words(k), *volumes.values()):
             assert hankel == (toeplitz if is_symmetric(w) else FLAT_VOLUME), str(w)
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_exact_hankel_alone_counts_the_symmetric_words(self, monkeypatch, k):
+        both = word_volumes(("toeplitz", "hankel"), k, "exact", 1, 0)["hankel"]
+        counted, count = [], hmt.limits.toeplitz_volumes
+
+        def recording(words):
+            words = list(words)
+            counted.extend(words)
+            return count(words)
+
+        monkeypatch.setattr(hmt.limits, "toeplitz_volumes", recording)
+        assert word_volumes(("hankel",), k, "exact", 1, 0)["hankel"] == both
+        assert len(counted) == math.factorial(k) and all(is_symmetric(w) for w in counted)
+
     @pytest.mark.slow
     def test_exact_hankel_order_fourteen(self):
         # k = 7 is above the exact cap of a words table.  Symmetric words make
-        # whole orbits, so they count alone, in about a fifth of the time of all words
-        symmetric = [w for w in enumerate_words(7) if is_symmetric(w)]
-        total = sum(toeplitz_volumes(symmetric))
+        # whole orbits, so a Hankel-only table counts them alone, in about a
+        # tenth of the time of all words
+        volumes = word_volumes(("hankel",), 7, "exact", 1, 0)["hankel"]
+        total = sum(estimate.value for estimate in volumes)
         assert total == Fraction(1331087, 720) == pairing_walk_moments("hankel", 7)[-1]
 
     @pytest.mark.parametrize("k", range(1, 6))
