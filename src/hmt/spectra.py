@@ -241,8 +241,7 @@ def trace_via_circuits(ensemble: str, entries: Mapping, n: int, r: int) -> Fract
     pairs with weight t_{a,b} X_a (hmt.ensembles.markov_t).  Circuits are
     capped at n <= CIRCUIT_N_CAP and r <= CIRCUIT_R_CAP.
     """
-    if n < 1 or r < 1:
-        raise InvalidArgumentError("n and r must be positive")
+    _check_size_and_power(n, r)
     if n > CIRCUIT_N_CAP or r > CIRCUIT_R_CAP:
         raise CapacityError(
             f"circuit enumeration capped at n <= {CIRCUIT_N_CAP}, r <= {CIRCUIT_R_CAP}")
@@ -263,6 +262,11 @@ def trace_via_circuits(ensemble: str, entries: Mapping, n: int, r: int) -> Fract
         return sum(w * walks(first, v, steps - 1) for v in vertices if (w := weight(last, v)))
 
     return sum((walks(v, v, r) for v in vertices), Fraction(0))
+
+
+def _check_size_and_power(n: int, r: int) -> None:
+    if not all(isinstance(x, int) and x >= 1 for x in (n, r)):
+        raise InvalidArgumentError(f"n and r must be positive integers, got n={n!r}, r={r!r}")
 
 
 def _exact_entries(ensemble: str, entries: Mapping, n: int) -> dict:
@@ -288,6 +292,7 @@ def _exact_entries(ensemble: str, entries: Mapping, n: int) -> dict:
 
 def exact_trace_power(ensemble: str, entries: Mapping, n: int, r: int) -> Fraction:
     """Direct tr(A^r) by exact matrix multiplication; oracle for the circuits."""
+    _check_size_and_power(n, r)
     x = _exact_entries(ensemble, entries, n)
     if ensemble == "toeplitz":
         grid = [[x[abs(i - j)] for j in range(n)] for i in range(n)]

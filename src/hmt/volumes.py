@@ -12,22 +12,23 @@ all pairings at once (pairing_walk_moments), with no word at all.  Each
 word's own Toeplitz volume comes from counts of its lattice walks, which
 read only which places it pairs, one count per dihedral orbit
 (toeplitz_volumes); word tables use it, and Hankel words take it through a
-parity rule (hmt.limits.word_volumes).  Both
-counts read the leading coefficient of an Ehrhart polynomial the same way
-(_ehrhart_leading).  Any SlabSystem, hand-built ones with fractional
-vertices included, goes through a recursive facet decomposition in the
-style of Lasserre/Cohen-Hickey (volume_exact); the tests use it as the
-oracle of the walk counts, with which it shares no code.  Monte Carlo reads
-the slab rows of a system (volumes_mc); numpy loads the first time a float
-estimator (volume_mc, slab_volume_integral) runs.  The tests also check the
-exact volumes against Qhull on each word's walk polytope, which shares no
-code with this module.
+parity rule (hmt.limits.word_volumes).  Both counts read the leading
+coefficient of an Ehrhart polynomial the same way (_ehrhart_leading).  Any
+SlabSystem of integer rows, hand-built ones with fractional vertices
+included, goes through Lasserre's facet recursion in its plain form,
+memoized but with no pruning (volume_exact).  No command calls it; the
+tests use it as the oracle of the walk counts, with which it shares no
+code.  Monte Carlo reads the slab rows of a system (volumes_mc); numpy
+loads the first time a float estimator (volume_mc, slab_volume_integral)
+runs.  The tests also check the exact volumes against Qhull on each word's
+walk polytope, which shares no code with this module.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -453,26 +454,19 @@ def pairing_walk_moments(family: str, k: int) -> list[Fraction]:
 #
 #     vol_d = (1/d) * sum_i  b_i * vol_{d-1}(facet_i projected) / |a_{i,j}|
 #
-# (divergence theorem with the field x/d; the projection drops one pivot
-# coordinate j with a_{i,j} != 0).  A facet with b_i = 0 passes through
-# the origin and carries weight 0, so it is never solved: at the top level
-# that is every x_j >= 0 and every slab's lower side.  Subsystems are
-# canonicalized, deduplicated, split into independent variable blocks, and
-# memoized.
-#
-# Rows are normalized (divided by gcd(a, b)) in two places only: once at
-# the top level in volume_exact, since a hand-built slab such as
-# (2a, -c, 2 - c) can have gcd > 1, and in _substitute for the rows it
-# combines with the pivot.  Every other row is normalized already: a row
-# that _substitute passes through loses a zero column, which keeps its
-# gcd, and the projection onto a block drops only zero columns.  A combined
-# row whose coefficients all cancel stays as it is, for _canonical to drop
-# (0 <= b) or to judge infeasible (b < 0).
+# (Lasserre 1983: divergence theorem with the field x/d; the projection
+# drops one pivot coordinate j with a_{i,j} != 0).  A facet with b_i = 0
+# passes through the origin and carries weight 0, so it is never solved: at
+# the top level that is every x_j >= 0 and every slab's lower side.  Rows
+# are divided by gcd(a, b), once in volume_exact and in _substitute where it
+# combines them, so rows on one hyperplane facing one way are equal; only
+# the tightest b of each a is kept, since a facet counted twice would count
+# its term twice.  Redundant rows stay: their facets are empty or flat.  A
+# system is memoized on its sorted rows, and one variable is an interval.
 
-_EMPTY = None  # canonicalization result for an infeasible system
-
-# Bound on memoized facet sums, about 2.7 KB of resident memory each (so at
-# most about 350 MB).  Word tables count walks and leave it empty.
+# Bound on memoized facet sums, about 2.3 KB each as tracemalloc counts them
+# (the 633 orbits through k = 6 fill 55,975), so at most about 300 MB.  No
+# command or word table calls the recursion, so they leave it empty.
 _MEMO_SIZE = 1 << 17
 
 
@@ -485,114 +479,6 @@ def _normalize_row(a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
             a = tuple(x // g for x in a)
             b //= g
     return a, b
-
-
-def _tighten(bounds: list, j: int, num: int, den: int, upper: bool) -> None:
-    """Keep the tighter of bounds[j] and num/den (den > 0), compared in integers."""
-    cur = bounds[j]
-    if cur is None or (num * cur[1] < cur[0] * den if upper else num * cur[1] > cur[0] * den):
-        bounds[j] = (num, den)
-
-
-def _canonical(rows: Iterable[tuple[tuple[int, ...], int]], d: int):
-    """Deduplicate and prune a system of normalized rows; None if infeasible/flat.
-
-    Returns (rows, lo, hi): the surviving rows as (a, b, support) triples,
-    support listing the variables with a_j != 0, and the box lo[j] <= x_j <=
-    hi[j] that the singleton rows set.  An all-zero row is dropped when
-    0 <= b holds and makes the system infeasible otherwise.  Bounds are
-    integer pairs (num, den) with den > 0, or None; the box tests run over a
-    common denominator, so no rational arithmetic happens here.
-    """
-    best: dict[tuple[int, ...], int] = {}
-    for a, b in rows:
-        cur = best.get(a)
-        if cur is None or b < cur:
-            best[a] = b
-    # variable bounds from singleton rows: c x_j <= b
-    lo: list[tuple[int, int] | None] = [None] * d
-    hi: list[tuple[int, int] | None] = [None] * d
-    multi = []
-    out = []
-    for a, b in best.items():
-        zeros = a.count(0)
-        if zeros == d:
-            if b < 0:
-                return _EMPTY
-            continue
-        if zeros < d - 1:
-            multi.append((a, b))
-            continue
-        c = sum(a)  # the one nonzero coefficient
-        j = a.index(c)
-        out.append((a, b, (j,)))
-        if c > 0:
-            _tighten(hi, j, b, c, upper=True)
-        else:
-            _tighten(lo, j, -b, -c, upper=False)
-    for low, high in zip(lo, hi):
-        if low is not None and high is not None and low[0] * high[1] >= high[0] * low[1]:
-            return _EMPTY  # empty box or zero-width slab: volume 0 either way
-    for a, b in multi:
-        nz = tuple(j for j, x in enumerate(a) if x)
-        if all(lo[j] is not None and hi[j] is not None for j in nz):
-            den = 1
-            for j in nz:
-                den = math.lcm(den, lo[j][1], hi[j][1])
-            # extremes of a . x over the box, scaled by den
-            mx = mn = 0
-            for j in nz:
-                x = a[j]
-                (pn, pd), (qn, qd) = (hi[j], lo[j]) if x > 0 else (lo[j], hi[j])
-                mx += x * pn * (den // pd)
-                mn += x * qn * (den // qd)
-            if mn > b * den:
-                return _EMPTY
-            if mx <= b * den:
-                continue  # implied by the box: facet carries no volume
-        out.append((a, b, nz))
-    return out, lo, hi
-
-
-def _components(rows, d):
-    """Blocks of variables linked by shared multi-variable rows, with their rows.
-
-    rows are _canonical's (a, b, support) triples.  Each block is a pair
-    (variables, rows); blocks come in order of their least variable.
-    """
-    parent = list(range(d))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for _, _, nz in rows:
-        for j in nz[1:]:
-            ra, rb = find(nz[0]), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    root = [find(j) for j in range(d)]
-    blocks: dict[int, tuple[list[int], list]] = {}
-    for j, r in enumerate(root):
-        blocks.setdefault(r, ([], []))[0].append(j)
-    for row in rows:
-        blocks[root[row[2][0]]][1].append(row)
-    return blocks.values()
-
-
-def _relabel(rows, variables):
-    """Memo key of a block: its rows projected onto its variables, sorted.
-
-    The variables are ordered by the sorted (a_j, b) pairs of the rows that
-    involve them, ties broken by their old index.
-    """
-    sigs = sorted(
-        (tuple(sorted((a[j], b) for a, b, _ in rows if a[j])), j) for j in variables
-    )
-    order = [j for _, j in sigs]
-    return tuple(sorted((tuple(a[j] for j in order), b) for a, b, _ in rows)), len(order)
 
 
 def _substitute(rows, pivot_idx, j):
@@ -622,38 +508,32 @@ def _substitute(rows, pivot_idx, j):
     return out
 
 
-def _volume_system(raw_rows, d: int) -> Fraction:
-    canon = _canonical(raw_rows, d)
-    if canon is _EMPTY:
+def _volume_system(rows, d: int) -> Fraction:
+    """Volume of {x in R^d : a . x <= b for each normalized row (a, b)}, bounded."""
+    best: dict[tuple[int, ...], int] = {}
+    for a, b in rows:
+        if a not in best or b < best[a]:
+            best[a] = b
+    if best.pop((0,) * d, 0) < 0:
         return Fraction(0)
-    rows, lo, hi = canon
-    total = Fraction(1)
-    for variables, block in _components(rows, d):
-        if len(variables) > 1:
-            total *= _facet_sum(*_relabel(block, variables))
-            if total == 0:
-                return Fraction(0)
-            continue
-        # a lone variable's rows are all singletons: its interval is the box
-        j = variables[0]
-        if lo[j] is None or hi[j] is None:
-            raise NumericError("unbounded interval in volume recursion")
-        (ln, ld), (hn, hd) = lo[j], hi[j]
-        total *= Fraction(hn * ld - ln * hd, hd * ld)
-    return total
+    if d == 0:
+        return Fraction(1)
+    if d == 1:
+        hi = min(Fraction(b, c) for (c,), b in best.items() if c > 0)
+        lo = max(Fraction(b, c) for (c,), b in best.items() if c < 0)
+        return max(hi - lo, Fraction(0))
+    return _facet_sum(tuple(sorted(best.items())), d)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _facet_sum(rows, d: int) -> Fraction:
-    """Volume of a connected block with d >= 2 variables."""
+    """Volume of a system of d >= 2 variables: its sorted, deduplicated rows."""
     total = Fraction(0)
     for idx, (a, b) in enumerate(rows):
         if b == 0:
             continue  # the facet's term is 0 * vol: no need to solve it
-        j = max(range(len(a)), key=lambda l: abs(a[l]))
-        sub = _substitute(rows, idx, j)
-        v = _volume_system(sub, d - 1)
-        if v != 0:
+        j = max(range(d), key=lambda l: abs(a[l]))
+        if v := _volume_system(_substitute(rows, idx, j), d - 1):
             total += Fraction(b, abs(a[j])) * v
     return total / d
 
@@ -663,7 +543,10 @@ def volume_exact(system: SlabSystem) -> VolumeEstimate:
 
     A nonzero closure vector forces a dimension drop and an exact volume of
     0.  Raises CapacityError above DIMENSION_CAP free variables; use
-    volume_mc there instead.
+    volume_mc there instead.  Slab coefficients and bounds must be integers
+    (InvalidArgumentError otherwise); volume_mc also takes real ones.  With
+    no free variables the section is the cube's one point, of volume 1 when
+    every slab holds there and 0 otherwise.
     """
     if system.flat:
         return FLAT_VOLUME
@@ -678,9 +561,15 @@ def volume_exact(system: SlabSystem) -> VolumeEstimate:
         rows.append((unit, 1))
         rows.append((tuple(-x for x in unit), 0))
     for a, lo, hi in _slab_rows(system):
+        try:
+            a, lo, hi = tuple(map(operator.index, a)), operator.index(lo), operator.index(hi)
+        except TypeError:
+            raise InvalidArgumentError(
+                f"volume_exact needs integer slabs, got {(a, lo, hi)!r}; use volume_mc"
+            ) from None
         # lo <= a . x <= hi  ->  -a . x <= -lo and a . x <= hi
         rows.append(_normalize_row(tuple(-x for x in a), -lo))
-        rows.append(_normalize_row(tuple(a), hi))
+        rows.append(_normalize_row(a, hi))
     value = _volume_system(rows, d)
     if not 0 <= value <= 1:
         raise NumericError(f"exact volume {value} escaped [0, 1]")

