@@ -85,13 +85,13 @@ DEFAULT_MC_SAMPLES = 100_000
 # --replicates) * n^2: at most 512 MB of float64.  Samplers draw a matrix 2^16
 # entries at a time and hold no second n x n array, and Lanczos reads it in
 # place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at 581 MB RSS,
-# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate` holds
-# more per matrix: the full solve (Hankel, Markov, Wigner) gives LAPACK a copy
-# of the C-ordered matrix, 2 n^2 entries, and the Toeplitz split holds the
-# matrix and one half-size block, n^2 + n^2/4.  At n = 4096, `--replicates 1`
-# peaks at 320 MB RSS for hankel (61 MB interpreter + 2 x 128 MB) and 223 MB
-# for toeplitz (61 + 128 + 32 MB); at n = 8192 a replicate needs about 1 GB
-# or 640 MB, and two threads are refused.
+# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate`'s full
+# solve (Hankel, Markov, Wigner) overwrites the matrix it drew, so it too
+# holds n^2 entries per replicate in flight; only the Toeplitz split holds
+# more, the matrix and one half-size block, n^2 + n^2/4.  At n = 4096,
+# `--replicates 1` peaks at 192 MB RSS for hankel (61 MB interpreter + 128 MB)
+# and 223 MB for toeplitz (61 + 128 + 32 MB); at n = 8192 a replicate needs
+# about 512 or 640 MB, and two threads are refused.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
@@ -278,7 +278,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     def one(rep: int) -> np.ndarray:
         sample = sample_matrix(args.ensemble, args.n, dist, mix(TAG_REPLICATE, args.seed, rep))
-        return empirical_spectrum(sample, scale=args.scale)
+        # the matrix is this replicate's alone, so the solve may overwrite it
+        return empirical_spectrum(sample, scale=args.scale, overwrite_a=True)
 
     spectra = ordered_map(one, args.replicates, args.threads)
     rows = []
@@ -334,8 +335,11 @@ def cmd_norm_scan(args: argparse.Namespace) -> int:
 
     _load_numeric()
     dist = distribution_from_tag(args.dist, args.mean)
-    rows = []
-    for n in sizes:
+    # each distinct size runs once, largest first: its matrices are then drawn
+    # before the smaller ones' have raised glibc's mmap threshold, so no
+    # heap the small sizes left behind stays resident beside them
+    rows = {}
+    for n in sorted(set(sizes), reverse=True):
         def one(rep: int, n=n):
             sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, args.seed, n, rep))
             return spectral_norm(sample.matrix)
@@ -345,10 +349,10 @@ def cmd_norm_scan(args: argparse.Namespace) -> int:
         row = {"n": n, "replicates": len(norms)}
         for name, ratios in (("ratio_sqrt_2nlogn", norms / denom), ("ratio_n", norms / n)):
             row[f"{name}_mean"], row[f"{name}_stderr"] = _mean_stderr(ratios)
-        rows.append(row)
+        rows[n] = row
     columns = ["n", "ratio_sqrt_2nlogn_mean", "ratio_sqrt_2nlogn_stderr",
                "ratio_n_mean", "ratio_n_stderr", "replicates"]
-    _write_artifact(args, rows, columns)
+    _write_artifact(args, [rows[n] for n in sizes], columns)
     return EXIT_OK
 
 

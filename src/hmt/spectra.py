@@ -14,7 +14,11 @@ the centre column and by the centre entry.  Two solves of size n/2 cost
 about a quarter of one of size n.  The split is taken only when the input
 equals its own 180-degree rotation exactly, which an O(n) comparison of
 the first and the reversed last row rules out at once for Hankel, Markov
-and Wigner matrices; every other input takes the full solve.
+and Wigner matrices; every other input takes the full solve.  LAPACK
+works on Fortran-ordered arrays, so it would get a transposed copy of a
+C-ordered matrix; one that equals its transpose exactly goes in as the view
+`a.T` instead, which a caller that owns the matrix (`overwrite_a`) lets the
+solve overwrite, so that the matrix is the only n x n array the solve holds.
 The spectral norm needs one eigenvalue, the largest in magnitude, so it
 comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
 matrix-vector products rather than an O(n^3) tridiagonalization.  Each
@@ -56,9 +60,9 @@ CIRCUIT_N_CAP = 8
 CIRCUIT_R_CAP = 4
 
 
-def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
-    """The matrix as a float array and its largest |a_ij|, once it is square,
-    finite and symmetric.
+def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """The matrix as a float array, its largest |a_ij| and whether it equals
+    its transpose exactly, once it is square, finite and symmetric.
 
     Symmetry is checked to 1e-12 relative to max(1, max |a_ij|), one
     _SYMMETRY_TILE x _SYMMETRY_TILE tile against its mirror tile at a time,
@@ -75,16 +79,18 @@ def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float]:
     tol = _SYMMETRY_RTOL * max(1.0, top)
     n, t = a.shape[0], _SYMMETRY_TILE
     buf = np.empty((min(n, t), min(n, t)))
+    worst = 0.0
     for i in range(0, n, t):
         for j in range(i, n, t):
             tile = a[i:i + t, j:j + t]
             diff = buf[:tile.shape[0], :tile.shape[1]]
             np.subtract(tile, a[j:j + t, i:i + t].T, out=diff)
             np.abs(diff, out=diff)
-            if float(diff.max()) > tol:
+            worst = max(worst, float(diff.max()))
+            if worst > tol:
                 raise InvalidArgumentError(
                     "matrix is not symmetric within 1e-12 relative tolerance")
-    return a, top
+    return a, top, worst == 0.0
 
 
 def _is_centrosymmetric(a: np.ndarray) -> bool:
@@ -133,7 +139,7 @@ def _frobenius(x: np.ndarray) -> float:
     return math.sqrt(ddot(flat, flat))
 
 
-def _eigh(a: np.ndarray) -> np.ndarray:
+def _eigh(a: np.ndarray, exact: bool = False, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a checked matrix, guarded by the trace identity.
 
     A centrosymmetric matrix is solved as its two half-size blocks; the
@@ -141,14 +147,22 @@ def _eigh(a: np.ndarray) -> np.ndarray:
     The blocks are fresh and exactly symmetric, so LAPACK works in place on
     their transposes, which are Fortran-ordered, instead of on copies.  Each
     block is made, solved and freed before the next, so one is held at a time.
+    Any other matrix takes one full solve, of the Fortran-ordered view `a.T`
+    when `exact` says a C-ordered matrix equals its transpose (module
+    docstring), in place with `overwrite_a`.  A nearly symmetric matrix is
+    copied, since the view would hand LAPACK a's other triangle.  The guard's
+    trace and Frobenius norm are read before any solve can overwrite a.
     """
+    fro = _frobenius(a)
+    trace = float(np.trace(a))
     if _is_centrosymmetric(a):
         eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus).T, overwrite=True)
                                for plus in (True, False)])
+    elif exact and a.flags.c_contiguous:
+        eigs = _solve(a.T, overwrite=overwrite_a)
     else:
         eigs = _solve(a)
-    fro = _frobenius(a)
-    resid = abs(float(eigs.sum()) - float(np.trace(a)))
+    resid = abs(float(eigs.sum()) - trace)
     if not resid <= _TRACE_RTOL * max(fro, 1e-300):
         raise NumericError(
             f"eigenvalue sum misses the trace by {resid:.3g} (> 1e-10 * ||A||_F)"
@@ -156,14 +170,19 @@ def _eigh(a: np.ndarray) -> np.ndarray:
     return np.sort(eigs)
 
 
-def eigvalsh(matrix: np.ndarray) -> np.ndarray:
+def eigvalsh(matrix: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix.
 
     Guards: the input must be finite and symmetric to 1e-12 relative
     tolerance, and the eigenvalue sum must reproduce the trace to
-    1e-10 * Frobenius norm.
+    1e-10 * Frobenius norm.  The matrix is left unchanged unless
+    `overwrite_a` is true, as in scipy.linalg.eigh: then a C-ordered float
+    matrix that equals its transpose exactly is solved in place, destroying
+    it, and the solve holds no second n x n array.  The eigenvalues are the
+    same bits either way.
     """
-    return _eigh(_checked_symmetric(matrix)[0])
+    a, _, exact = _checked_symmetric(matrix)
+    return _eigh(a, exact, overwrite_a)
 
 
 def spectral_norm(matrix: np.ndarray) -> float:
@@ -178,7 +197,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     `eigvalsh`, and the result must satisfy ||A v - lambda v|| <= 1e-10 *
     ||A||_F with the full matrix.  Smaller matrices use `eigh`.
     """
-    a, top = _checked_symmetric(matrix)
+    a, top, _ = _checked_symmetric(matrix)
     n = a.shape[0]
     if n < 3:
         eigs = _eigh(a)
@@ -207,12 +226,18 @@ def spectral_norm(matrix: np.ndarray) -> float:
     return abs(lam)
 
 
-def empirical_spectrum(sample: EnsembleSample, scale: str = "sqrt_n") -> np.ndarray:
-    """Eigenvalues of the sample scaled by 1/sqrt(n), 1/n or 1 ("none"), sorted ascending."""
+def empirical_spectrum(sample: EnsembleSample, scale: str = "sqrt_n",
+                       overwrite_a: bool = False) -> np.ndarray:
+    """Eigenvalues of the sample scaled by 1/sqrt(n), 1/n or 1 ("none"), sorted ascending.
+
+    The sample's matrix is left unchanged unless `overwrite_a` is true, when
+    eigvalsh may solve it in place: a caller that has no further use for
+    the matrix then holds one n x n array for the solve, not two.
+    """
     if scale not in ("sqrt_n", "n", "none"):
         raise InvalidArgumentError(f"unknown scale {scale!r}")
     factor = {"sqrt_n": 1.0 / math.sqrt(sample.n), "n": 1.0 / sample.n, "none": 1.0}[scale]
-    return eigvalsh(sample.matrix) * factor
+    return eigvalsh(sample.matrix, overwrite_a=overwrite_a) * factor
 
 
 # ---------------------------------------------------------------------------

@@ -374,7 +374,33 @@ class TestSimulateCommand:
                      norm_scan("1", 2**14), norm_scan("64,1", 2**13)):
             with pytest.raises(Sampled):
                 main(argv)
-        assert calls == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 4096, 1, 16, 16, 1, 64]
+        # norm-scan samples its largest size first, whatever the --ns order
+        assert calls == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 8192, 1, 16, 16, 1, 64]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_full_solve_holds_one_matrix(self, tmp_path):
+        # the drawn matrix is solved in place: at n = 2048 (32 MiB of float64)
+        # the child peaks about 1.0 x 32 MiB above an n = 16 twin, where a
+        # solve on a copy would peak about 2 x 32 MiB above it.  The child
+        # reads its peak as VmHWM, not ru_maxrss: Linux keeps ru_maxrss across
+        # execve, so a child would report at least the RSS of this process.
+        src = str(Path(hmt.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = ("import re, sys; from hmt.cli import main; code = main(sys.argv[1:]); "
+                 "print(re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]); "
+                 "sys.exit(code)")
+        peaks = {}
+        for n in (16, 2048):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, "simulate", "--ensemble", "hankel", "--n", str(n),
+                 "--replicates", "1", "--output-prefix", str(tmp_path / str(n))],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == EXIT_OK, proc.stderr
+            peaks[n] = int(proc.stdout.split()[-1]) * 1024
+        matrix_bytes = 2048 * 2048 * 8
+        assert peaks[2048] - peaks[16] < 1.5 * matrix_bytes, peaks
 
     def test_overflowing_moment_writes_no_file(self, capsys, tmp_path):
         # 2^1600 overflows a double: the moments would hold inf, which JSON cannot
@@ -410,6 +436,28 @@ class TestNormScanCommand:
         for row in rows:
             assert float(row["ratio_sqrt_2nlogn_mean"]) > 0
             assert int(row["replicates"]) == 2
+
+    def test_rows_follow_ns_order(self, capsys, monkeypatch):
+        # each distinct size is sampled once, largest first; the rows keep the
+        # --ns order and equal those of one-size runs
+        def rows(ns):
+            code, out, _ = run(["norm-scan", "--ns", ns, "--replicates", "2", "--seed", "5",
+                                "--format", "json"], capsys)
+            assert code == EXIT_OK
+            return json.loads(out)["results"]
+
+        calls = []
+        sample = hmt.cli.sample_matrix
+
+        def spy(ensemble, n, *args):
+            calls.append(n)
+            return sample(ensemble, n, *args)
+
+        monkeypatch.setattr(hmt.cli, "sample_matrix", spy)
+        scan = rows("256,64,256")
+        assert calls == [256, 256, 64, 64]
+        assert [row["n"] for row in scan] == [256, 64, 256]
+        assert scan == [rows("256")[0], rows("64")[0], rows("256")[0]]
 
     def test_json_schema_valid(self, capsys, schema):
         code, out, _ = run(

@@ -79,6 +79,46 @@ class TestEigvalsh:
         for r in (2, 3, 4):
             assert np.sum(eigvalsh(a)**r) == pytest.approx(np.sum(eigvalsh(b)**r), rel=1e-12)
 
+    @pytest.mark.parametrize("ensemble, n", [("hankel", 200), ("markov", 101), ("wigner", 150)])
+    def test_full_solve_keeps_lapack_bits(self, ensemble, n, monkeypatch):
+        # an exactly symmetric matrix reaches LAPACK as the Fortran-ordered
+        # view a.T; a nearly symmetric one as itself.  Either way the
+        # eigenvalues are the bits of a solve on the C-ordered array.
+        a = sample_matrix(ensemble, n, gaussian(), mix(137, n)).matrix
+        assert np.array_equal(a, a.T) and a.flags.c_contiguous
+        near = a.copy()
+        near[3, 7] += 1e-14 * np.abs(a).max()
+        want = [scipy.linalg.eigh(m, eigvals_only=True, driver="ev").tobytes() for m in (a, near)]
+        handed = []
+        full = scipy.linalg.eigh
+
+        def spy(b, *args, **kwargs):
+            handed.append(b)
+            return full(b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        for m, bits in zip((a, near), want):
+            before = m.tobytes()
+            assert eigvalsh(m).tobytes() == bits
+            assert m.tobytes() == before
+        assert handed[0].flags.f_contiguous and np.shares_memory(handed[0], a)
+        assert handed[1] is near
+        # given ownership, the solve may destroy the matrix, never the bits
+        owned = [m.copy() for m in (a, near)]
+        for m, bits in zip(owned, want):
+            assert eigvalsh(m, overwrite_a=True).tobytes() == bits
+        assert owned[0].tobytes() != a.tobytes()  # solved in place
+        assert owned[1].tobytes() == near.tobytes()  # solved on a copy
+
+    def test_empirical_spectrum_passes_ownership_on(self):
+        sample = sample_matrix("hankel", 64, gaussian(), mix(139, 64))
+        kept = sample.matrix.copy()
+        want = empirical_spectrum(sample)
+        assert sample.matrix.tobytes() == kept.tobytes()
+        got = empirical_spectrum(sample, overwrite_a=True)
+        assert got.tobytes() == want.tobytes()
+        assert sample.matrix.tobytes() != kept.tobytes()
+
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
             eigvalsh(np.array([[0.0, 1.0], [0.5, 0.0]]))
