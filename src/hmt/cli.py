@@ -23,6 +23,8 @@ volumes.  Argument parsing, `--version`, exact `words` tables and exact
 `moments` (including every refusal) run in plain Python.  `main` builds the
 parser of the command its first argument names, and all four commands' only
 when that names none (no arguments, `-h`, `--version`, an unknown command).
+Importing this module adds `argparse` to what `import hmt` loads (see the
+package docstring), and `json` loads only when a JSON artifact is written.
 
 Exit codes: 0 success, 2 invalid arguments (an output path that cannot be
 written included), 3 capacity/budget exceeded, 4 numerical failure.
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import importlib
-import json
 import math
 import os
 import sys
@@ -85,13 +86,13 @@ DEFAULT_MC_SAMPLES = 100_000
 # --replicates) * n^2: at most 512 MB of float64.  Samplers draw a matrix 2^16
 # entries at a time and hold no second n x n array, and Lanczos reads it in
 # place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at 581 MB RSS,
-# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate`'s full
-# solve (Hankel, Markov, Wigner) overwrites the matrix it drew, so it too
-# holds n^2 entries per replicate in flight; only the Toeplitz split holds
-# more, the matrix and one half-size block, n^2 + n^2/4.  At n = 4096,
-# `--replicates 1` peaks at 192 MB RSS for hankel (61 MB interpreter + 128 MB)
-# and 223 MB for toeplitz (61 + 128 + 32 MB); at n = 8192 a replicate needs
-# about 512 or 640 MB, and two threads are refused.
+# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate`'s solve
+# overwrites the matrix it drew, so it too holds n^2 entries per replicate in
+# flight: the full solve (Hankel, Markov, Wigner) works in the matrix, and
+# the Toeplitz split forms its two half-size blocks in the matrix's bottom
+# half.  At n = 4096, `--replicates 1` peaks at 191 MB RSS for either (61 MB
+# interpreter + 128 MB); at n = 8192 a replicate needs about 512 MB, and two
+# threads are refused.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
@@ -181,8 +182,11 @@ def _json_chunks(args: argparse.Namespace, rows: Iterable[dict]) -> Iterator[str
     "results" sorts last among the payload's keys, so the text of the
     payload with an empty array ends in "[]\n}"; the rows go between the
     brackets, each dumped alone and indented to its depth (two levels), as
-    one json.dumps of the whole payload would place them.
+    one json.dumps of the whole payload would place them.  json is imported
+    here, so that no other command loads it.
     """
+    import json
+
     encode = json.JSONEncoder(indent=2, sort_keys=True, default=float, allow_nan=False).encode
     config = {key: value for key, value in vars(args).items() if value is not None}
     head = encode({"command": args.subcommand, "config": config, "results": []})

@@ -21,11 +21,11 @@ cumulants or backward from moments, one exact order at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 
 from .errors import CapacityError, InvalidArgumentError
+from .records import FrozenRecord, Record
 from .rng import TAG_VOLUME_MC, mix
 from .volumes import (
     FLAT_VOLUME,
@@ -88,22 +88,36 @@ MC_WORD_CHARGE = 1 << 13
 MC_POOL_MIN_DRAWS = 1 << 14
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(FrozenRecord):
     """Monte Carlo moment with the aggregated per-word standard error."""
 
+    __slots__ = ("value", "stderr")
     value: float
     stderr: float
 
+    def __init__(self, value: float, stderr: float):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "stderr", stderr)
 
-@dataclass
-class MomentTable:
-    """Even moments of one family; exact rationals or MC values with errors."""
 
+class MomentTable(Record):
+    """Even moments of one family; exact rationals or MC values with errors.
+
+    entries and stderrs default to a new empty dict per table.
+    """
+
+    __slots__ = ("family", "entries", "stderrs", "method")
     family: str
-    entries: dict[int, Fraction | float] = field(default_factory=dict)
-    stderrs: dict[int, float] = field(default_factory=dict)
-    method: str = "exact"
+    entries: dict[int, Fraction | float]
+    stderrs: dict[int, float]
+    method: str
+
+    def __init__(self, family: str, entries: dict[int, Fraction | float] | None = None,
+                 stderrs: dict[int, float] | None = None, method: str = "exact"):
+        self.family = family
+        self.entries = {} if entries is None else entries
+        self.stderrs = {} if stderrs is None else stderrs
+        self.method = method
 
     def moment(self, order: int) -> Fraction | float:
         if order % 2 == 1:
@@ -111,12 +125,19 @@ class MomentTable:
         return self.entries[order]
 
 
-@dataclass
-class CumulantTable:
-    """Even free cumulants of a symmetric measure, exact rationals."""
+class CumulantTable(Record):
+    """Even free cumulants of a symmetric measure, exact rationals.
 
+    entries defaults to a new empty dict per table.
+    """
+
+    __slots__ = ("family", "entries")
     family: str
-    entries: dict[int, Fraction] = field(default_factory=dict)
+    entries: dict[int, Fraction]
+
+    def __init__(self, family: str, entries: dict[int, Fraction] | None = None):
+        self.family = family
+        self.entries = {} if entries is None else entries
 
 
 def catalan(k: int) -> int:

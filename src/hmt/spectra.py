@@ -18,7 +18,9 @@ and Wigner matrices; every other input takes the full solve.  LAPACK
 works on Fortran-ordered arrays, so it would get a transposed copy of a
 C-ordered matrix; one that equals its transpose exactly goes in as the view
 `a.T` instead, which a caller that owns the matrix (`overwrite_a`) lets the
-solve overwrite, so that the matrix is the only n x n array the solve holds.
+solve overwrite, so that the matrix is the only n x n array the solve holds;
+such a caller's centrosymmetric matrix holds the two blocks in its own
+bottom half, which they no longer need.
 The spectral norm needs one eigenvalue, the largest in magnitude, so it
 comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
 matrix-vector products rather than an O(n^3) tridiagonalization.  Each
@@ -107,22 +109,31 @@ def _is_centrosymmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(a[i:i + t], rotated[i:i + t]) for i in range(0, (n + 1) // 2, t))
 
 
-def _centrosymmetric_block(a: np.ndarray, plus: bool) -> np.ndarray:
+def _centrosymmetric_block(a: np.ndarray, plus: bool, in_place: bool) -> np.ndarray:
     """A + BJ (bordered for odd n) or A - BJ: the two symmetric blocks whose
-    spectra together make up a's."""
+    spectra together make up a's.
+
+    Both are read from a's top m = n // 2 rows and centre column, and the
+    bordered one from its centre entry too.  Each block is a fresh C-ordered
+    array, unless `in_place` says a is C-ordered and its own to destroy.
+    Then the blocks are carved from a's rows m to n - 1, whose (n - m) * n
+    entries hold both: A + BJ from their first entries, overwriting the
+    centre entry (which is read first), and A - BJ right after it.
+    """
     n = a.shape[0]
-    m = n // 2
-    a_top = a[:m, :m]
-    bj = a[:m, n - m:][:, ::-1]
-    if not plus:
-        return a_top - bj
-    if n % 2 == 0:
-        return a_top + bj
-    p = np.empty((m + 1, m + 1))
-    np.add(a_top, bj, out=p[:m, :m])
-    p[:m, m] = p[m, :m] = math.sqrt(2.0) * a[:m, m]
-    p[m, m] = a[m, m]
-    return p
+    m, p = n // 2, n - n // 2
+    size, start = (p, 0) if plus else (m, p * p)
+    centre = a[m, m]
+    if in_place:
+        block = a[m:].reshape(-1)[start:start + size * size].reshape(size, size)
+    else:
+        block = np.empty((size, size))
+    combine = np.add if plus else np.subtract
+    combine(a[:m, :m], a[:m, p:][:, ::-1], out=block[:m, :m])
+    if size > m:
+        block[:m, m] = block[m, :m] = math.sqrt(2.0) * a[:m, m]
+        block[m, m] = centre
+    return block
 
 
 def _solve(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -144,22 +155,26 @@ def _eigh(a: np.ndarray, exact: bool = False, overwrite_a: bool = False) -> np.n
 
     A centrosymmetric matrix is solved as its two half-size blocks; the
     guard compares their pooled eigenvalues with the full matrix's trace.
-    The blocks are fresh and exactly symmetric, so LAPACK works in place on
-    their transposes, which are Fortran-ordered, instead of on copies.  Each
-    block is made, solved and freed before the next, so one is held at a time.
-    Any other matrix takes one full solve, of the Fortran-ordered view `a.T`
-    when `exact` says a C-ordered matrix equals its transpose (module
-    docstring), in place with `overwrite_a`.  A nearly symmetric matrix is
-    copied, since the view would hand LAPACK a's other triangle.  The guard's
-    trace and Frobenius norm are read before any solve can overwrite a.
+    The blocks are C-ordered and exactly symmetric, so LAPACK works in place
+    on their transposes, which are Fortran-ordered, instead of on copies.
+    Each block is made, solved and freed before the next, so one is held at
+    a time.  Any other matrix takes one full solve, of the Fortran-ordered
+    view `a.T` when `exact` says a C-ordered matrix equals its transpose
+    (module docstring).  With `overwrite_a` such a matrix is destroyed: the
+    full solve works in it, and the split carves its blocks from its bottom
+    half, so neither allocates an array of a's size or of a block's.  A
+    nearly symmetric matrix is copied, since the view would hand LAPACK a's
+    other triangle.  The guard's trace and Frobenius norm are read before
+    any solve can overwrite a.
     """
     fro = _frobenius(a)
     trace = float(np.trace(a))
+    in_place = overwrite_a and exact and a.flags.c_contiguous
     if _is_centrosymmetric(a):
-        eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus).T, overwrite=True)
+        eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus, in_place).T, overwrite=True)
                                for plus in (True, False)])
     elif exact and a.flags.c_contiguous:
-        eigs = _solve(a.T, overwrite=overwrite_a)
+        eigs = _solve(a.T, overwrite=in_place)
     else:
         eigs = _solve(a)
     resid = abs(float(eigs.sum()) - trace)
@@ -178,7 +193,8 @@ def eigvalsh(matrix: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     1e-10 * Frobenius norm.  The matrix is left unchanged unless
     `overwrite_a` is true, as in scipy.linalg.eigh: then a C-ordered float
     matrix that equals its transpose exactly is solved in place, destroying
-    it, and the solve holds no second n x n array.  The eigenvalues are the
+    it, and the solve holds no second n x n array; a Toeplitz (centrosymmetric)
+    one holds no half-size block beside it either.  The eigenvalues are the
     same bits either way.
     """
     a, _, exact = _checked_symmetric(matrix)

@@ -29,11 +29,11 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import CapacityError, InvalidArgumentError, NumericError
+from .records import FrozenRecord
 from .rng import generator
 from .words import PartitionWord
 
@@ -57,8 +57,7 @@ _MC_CHUNK = 1 << 17
 Slab = tuple[tuple[int, ...], int, int]
 
 
-@dataclass(frozen=True)
-class SlabSystem:
+class SlabSystem(FrozenRecord):
     """Dependent variables as integer slabs over the free cube coordinates.
 
     slabs maps each dependent variable to a triple (a, lo, hi) meaning
@@ -68,9 +67,16 @@ class SlabSystem:
     vanish for the cross-section to have full dimension.
     """
 
+    __slots__ = ("free_vars", "slabs", "closure")
     free_vars: tuple[int, ...]
-    slabs: Mapping[int, Slab] = field(default_factory=dict)
-    closure: tuple[int, ...] | None = None
+    slabs: Mapping[int, Slab]
+    closure: tuple[int, ...] | None
+
+    def __init__(self, free_vars: tuple[int, ...], slabs: Mapping[int, Slab] | None = None,
+                 closure: tuple[int, ...] | None = None):
+        object.__setattr__(self, "free_vars", free_vars)
+        object.__setattr__(self, "slabs", {} if slabs is None else slabs)
+        object.__setattr__(self, "closure", closure)
 
     @property
     def dimension(self) -> int:
@@ -135,14 +141,21 @@ def _slab_rows(system: SlabSystem) -> list[Slab]:
 # Volume estimates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class VolumeEstimate:
+class VolumeEstimate(FrozenRecord):
     """A volume in [0, 1]: exact rational, or an estimate with its error."""
 
+    __slots__ = ("value", "method", "stderr", "samples")
     value: Fraction | float
     method: str  # "exact" | "mc"
-    stderr: float | None = None
-    samples: int | None = None
+    stderr: float | None
+    samples: int | None
+
+    def __init__(self, value: Fraction | float, method: str, stderr: float | None = None,
+                 samples: int | None = None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "stderr", stderr)
+        object.__setattr__(self, "samples", samples)
 
     def __float__(self) -> float:
         return float(self.value)

@@ -11,34 +11,35 @@ word volumes (hmt.volumes.toeplitz_volumes) count one member per orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidArgumentError
+from .records import FrozenRecord
 
 WORD_CAP = 8
 
 _ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
-class PartitionWord:
+class PartitionWord(FrozenRecord):
     """Canonical pair-partition word of length 2k.
 
     letters[i] is the integer id of the letter in position i; ids are
     assigned in order of first occurrence and each id occurs exactly twice.
     """
 
+    __slots__ = ("letters",)
     letters: tuple[int, ...]
 
-    def __post_init__(self):
-        n = len(self.letters)
+    def __init__(self, letters: tuple[int, ...]):
+        object.__setattr__(self, "letters", letters)
+        n = len(letters)
         if n == 0 or n % 2 != 0:
             raise InvalidArgumentError(f"word length must be positive and even, got {n}")
         seen: dict[int, int] = {}
         next_id = 0
-        for pos, letter in enumerate(self.letters):
+        for pos, letter in enumerate(letters):
             if letter == next_id:
                 seen[letter] = 1
                 next_id += 1
@@ -46,7 +47,7 @@ class PartitionWord:
                 seen[letter] += 1
                 if seen[letter] > 2:
                     raise InvalidArgumentError(
-                        f"letter {letter} occurs more than twice in {self.letters}"
+                        f"letter {letter} occurs more than twice in {letters}"
                     )
             else:
                 raise InvalidArgumentError(

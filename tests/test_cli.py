@@ -377,13 +377,12 @@ class TestSimulateCommand:
         # norm-scan samples its largest size first, whatever the --ns order
         assert calls == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 8192, 1, 16, 16, 1, 64]
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
-    def test_full_solve_holds_one_matrix(self, tmp_path):
-        # the drawn matrix is solved in place: at n = 2048 (32 MiB of float64)
-        # the child peaks about 1.0 x 32 MiB above an n = 16 twin, where a
-        # solve on a copy would peak about 2 x 32 MiB above it.  The child
-        # reads its peak as VmHWM, not ru_maxrss: Linux keeps ru_maxrss across
-        # execve, so a child would report at least the RSS of this process.
+    @staticmethod
+    def simulate_peaks(tmp_path, ensemble: str) -> dict[int, int]:
+        """VmHWM in bytes of `simulate --replicates 1` at n = 16 and 2048, each
+        run in a fresh interpreter.  The child reads its peak as VmHWM, not
+        ru_maxrss: Linux keeps ru_maxrss across execve, so a child would
+        report at least the RSS of this process."""
         src = str(Path(hmt.__file__).resolve().parents[1])
         env = dict(os.environ,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -393,14 +392,31 @@ class TestSimulateCommand:
         peaks = {}
         for n in (16, 2048):
             proc = subprocess.run(
-                [sys.executable, "-c", child, "simulate", "--ensemble", "hankel", "--n", str(n),
-                 "--replicates", "1", "--output-prefix", str(tmp_path / str(n))],
+                [sys.executable, "-c", child, "simulate", "--ensemble", ensemble, "--n", str(n),
+                 "--replicates", "1", "--output-prefix", str(tmp_path / f"{ensemble}{n}")],
                 env=env, capture_output=True, text=True, timeout=300,
             )
             assert proc.returncode == EXIT_OK, proc.stderr
             peaks[n] = int(proc.stdout.split()[-1]) * 1024
+        return peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_full_solve_holds_one_matrix(self, tmp_path):
+        # the drawn matrix is solved in place: at n = 2048 (32 MiB of float64)
+        # the child peaks about 1.0 x 32 MiB above an n = 16 twin, where a
+        # solve on a copy would peak about 2 x 32 MiB above it
+        peaks = self.simulate_peaks(tmp_path, "hankel")
         matrix_bytes = 2048 * 2048 * 8
         assert peaks[2048] - peaks[16] < 1.5 * matrix_bytes, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_toeplitz_split_holds_one_matrix(self, tmp_path):
+        # the two half-size blocks (8 MiB each at n = 2048) are carved from the
+        # drawn matrix's bottom half: the child peaks about 1.0 x 32 MiB above
+        # an n = 16 twin, where one fresh block at a time peaks about 1.25 x
+        peaks = self.simulate_peaks(tmp_path, "toeplitz")
+        matrix_bytes = 2048 * 2048 * 8
+        assert peaks[2048] - peaks[16] < 1.1 * matrix_bytes, peaks
 
     def test_overflowing_moment_writes_no_file(self, capsys, tmp_path):
         # 2^1600 overflows a double: the moments would hold inf, which JSON cannot

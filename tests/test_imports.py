@@ -21,20 +21,25 @@ from hmt.cli import EXIT_CAPACITY, EXIT_OK
 SRC = str(Path(hmt.__file__).resolve().parents[1])
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# runs each argv (a JSON list in argv[1]) through hmt.cli.main in this
-# interpreter, then prints the exit codes and which of numpy/scipy loaded
+# runs each command (one per argument, split on spaces) through hmt.cli.main
+# in this interpreter, then prints the exit codes, which of numpy/scipy
+# loaded, and which of dataclasses, inspect and json loaded, which start-up
+# does without.  json is looked up before the snippet imports it to print.
 RUN_COMMANDS = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 import hmt, hmt.cli
 codes = []
-for argv in json.loads(sys.argv[1]):
+for command in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            codes.append(hmt.cli.main(argv))
+            codes.append(hmt.cli.main(command.split(" ")))
         except SystemExit as exc:
             codes.append(exc.code)
-loaded = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
-print(json.dumps({"codes": codes, "loaded": loaded}))
+top = {name.split(".")[0] for name in sys.modules}
+loaded = sorted(top & {"numpy", "scipy"})
+stdlib = sorted(top & {"dataclasses", "inspect", "json"})
+import json
+print(json.dumps({"codes": codes, "loaded": loaded, "stdlib": stdlib}))
 """
 
 
@@ -49,7 +54,7 @@ def run_fresh(code: str, *args: str):
 
 
 def run_commands(*argvs: list[str]) -> dict:
-    return run_fresh(RUN_COMMANDS, json.dumps(argvs))
+    return run_fresh(RUN_COMMANDS, *(" ".join(argv) for argv in argvs))
 
 
 class TestNumericStackLoadsOnUse:
@@ -64,10 +69,16 @@ class TestNumericStackLoadsOnUse:
         )
         assert result["codes"] == [0, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_CAPACITY, EXIT_OK]
         assert result["loaded"] == []
+        # the value classes are plain classes, and json loads only for a JSON artifact
+        assert result["stdlib"] == []
+
+    def test_json_artifact_loads_json_only(self):
+        result = run_commands(["words", "--k", "2", "--method", "exact", "--format", "json"])
+        assert result == {"codes": [EXIT_OK], "loaded": [], "stdlib": ["json"]}
 
     def test_monte_carlo_words_load_numpy_only(self):
         result = run_commands(["words", "--k", "3", "--method", "mc", "--samples", "100"])
-        assert result == {"codes": [EXIT_OK], "loaded": ["numpy"]}
+        assert result["codes"] == [EXIT_OK] and result["loaded"] == ["numpy"]
 
 
 class TestLazyExports:

@@ -262,6 +262,28 @@ class TestCentrosymmetricSplit:
         assert solved_sizes == ([(n + 1) // 2, n // 2] if ensemble == "toeplitz" else [n])
         assert a.tobytes() == before
 
+    @pytest.mark.parametrize("n", [2, 3, 40, 41, 1024, 1025])
+    def test_owned_matrix_holds_its_blocks(self, n, monkeypatch):
+        # given ownership, both blocks are carved from the matrix's rows
+        # n // 2 onwards and solved there; the top rows they are read from are
+        # kept, and the eigenvalues are the bits of a solve on fresh blocks
+        t = sample_matrix("toeplitz", n, gaussian(), mix(133, n)).matrix
+        want = eigvalsh(t)
+        owned = t.copy()
+        handed = []
+        full = scipy.linalg.eigh
+
+        def spy(b, *args, **kwargs):
+            handed.append(b)
+            return full(b, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        assert eigvalsh(owned, overwrite_a=True).tobytes() == want.tobytes()
+        assert [b.shape[0] for b in handed] == [(n + 1) // 2, n // 2]
+        assert all(np.shares_memory(b, owned[n // 2:]) for b in handed)
+        assert owned[:n // 2].tobytes() == t[:n // 2].tobytes()
+        assert owned.tobytes() != t.tobytes()
+
     def test_one_block_held_at_a_time(self):
         # each 1024 x 1024 block is 8.4 MB; holding both would peak near 17 MB
         a = sample_matrix("toeplitz", 2048, gaussian(), mix(131, 2048)).matrix
