@@ -12,8 +12,10 @@ rounds differently; eigenvalues and norms agree to about 1e-14 relative.
 `simulate` and `norm-scan` hold at once.  Monte Carlo word volumes (`words`
 and `moments` with `--method mc`, `words --method auto` above the exact
 cap) run on one thread per usable CPU once each word draws at least
-limits.MC_POOL_MIN_DRAWS coordinates, whatever `--threads` says.  Every
-replicate and every word reads its own seeded stream and the results are
+limits.MC_POOL_MIN_DRAWS coordinates, whatever `--threads` says, and so
+does the draw of each Markov or Wigner matrix's triangle once it holds 2^20
+entries (n >= 1449).  Every replicate, every word and every block of rows
+reads its own seeded stream or its own stretch of one, and the results are
 gathered in a fixed order, so no output depends on either count.
 
 Only the commands that need numbers from numpy load it: `simulate` and
@@ -83,10 +85,12 @@ def _load_numeric() -> None:
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
 # Cap on the entries of the sampled matrices in flight, min(--threads,
-# --replicates) * n^2: at most 512 MB of float64.  Samplers draw a matrix 2^16
-# entries at a time and hold no second n x n array, and Lanczos reads it in
-# place, so `norm-scan --ns 512,2048,8192 --replicates 3` peaks at 581 MB RSS,
-# the matrix plus the interpreter (11 s on a 2-core VM).  `simulate`'s solve
+# --replicates) * n^2: at most 512 MB of float64.  Samplers write each row
+# of a matrix from draws of at most 2^13 entries (one run of them per row
+# block of a large Markov or Wigner triangle, each on its own thread) and
+# hold no second n x n array, and Lanczos reads it in place, so `norm-scan
+# --ns 512,2048,8192 --replicates 3` peaks at 580 MB RSS, the matrix plus the
+# interpreter (about 8 s on a 2-core VM).  `simulate`'s solve
 # overwrites the matrix it drew, so it too holds n^2 entries per replicate in
 # flight: the full solve (Hankel, Markov, Wigner) works in the matrix, and
 # the Toeplitz split forms its two half-size blocks in the matrix's bottom
@@ -404,9 +408,12 @@ _SEED_THREADS = (
     _arg("--threads", type=int, default=1,
          help="replicates (and matrices) simulate and norm-scan hold at "
               "once; only sampling overlaps, as eigensolves hold the GIL: "
-              "2 threads cut norm-scan by about 10%%, not simulate, and "
-              "add memory; words and moments ignore it, their Monte "
-              "Carlo volumes use every usable CPU (outputs depend on neither)"),
+              "on 2 cores, 2 threads cut norm-scan by about 12%% and a "
+              "markov simulate by 5%%, not hankel or toeplitz, and hold a "
+              "matrix per thread; words and moments ignore it.  Monte "
+              "Carlo word volumes and each Markov or Wigner draw of 2^20 "
+              "or more entries use every usable CPU (outputs depend on "
+              "neither)"),
 )
 _SHARED = (*_SEED_THREADS,
            _arg("-o", "--output", default=None, help="output path (default: stdout)"),

@@ -17,14 +17,21 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox
 
+from . import parallel
 from .errors import InvalidArgumentError
 from .rng import DISTRIBUTIONS, ENSEMBLES, TAG_ENSEMBLE, generator, mix, standard_normals
 
 _SQRT6 = np.sqrt(6.0)
-# values per `draw` call in draw_segments: 2^16 float64s, 512 KB
-_CHUNK = 1 << 16
+# values per `draw` call in draw_segments: 2^13 float64s, 64 KB, which stay
+# in cache until copied into their rows and leave little heap behind in the
+# thread of each row block
+_CHUNK = 1 << 13
 # side of the square tiles in which _symmetric_from_upper mirrors the triangle
 _TILE = 64
+# fewest entries, to within a row, of a block of rows of the strict upper
+# triangle drawn on its own thread: below 2^20 entries (n <= 1448) the
+# triangle is one block
+_BLOCK_MIN = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -61,19 +68,24 @@ class EntryDistribution:
             return draws
         raise InvalidArgumentError(f"unknown distribution tag {self.tag!r}")
 
-    def draw_segments(self, gen, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    def draw_segments(self, gen, sizes: Iterable[int], ahead: int | None = None
+                      ) -> Iterator[np.ndarray]:
         """The values of one `draw(gen, sum(sizes))` call, one segment at a time.
 
         Both leave gen at the same stream position.  Consecutive segments are
         drawn together, about _CHUNK values per `draw` call, and yielded as
         slices of that chunk; a segment longer than _CHUNK is a chunk of its
         own.  The one-uniform laws consume the stream in order; triangular
-        takes its second uniforms from a copy of gen skipped ahead by
-        sum(sizes) draws, which advances in step with gen, and where gen
-        resumes once the last segment is out.
+        takes its second uniforms from a copy of gen skipped ahead by `ahead`
+        draws (default sum(sizes)), which advances in step with gen, and
+        where gen resumes once the last segment is out.  A block of a longer
+        draw passes that draw's length as `ahead`, so its second uniforms are
+        the ones the whole draw would pair with its first.
         """
         sizes = list(sizes)
-        second = _skipped(gen, sum(sizes)) if self.tag == "triangular" else None
+        second = None
+        if self.tag == "triangular":
+            second = _skipped(gen, sum(sizes) if ahead is None else ahead)
         start = 0
         while start < len(sizes):
             stop, total = start + 1, sizes[start]
@@ -152,7 +164,8 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     Stream layouts: hankel consumes entries X_1..X_{2n-1} in index order
     (constant along anti-diagonals); toeplitz consumes X_0..X_{n-1}
     (constant along diagonals); markov and wigner consume the strict upper
-    triangle row-major; wigner_plus_diag appends n diagonal normals and one
+    triangle row-major (in row blocks on up to usable_cpus() threads, with
+    the bits of one draw); wigner_plus_diag appends n diagonal normals and one
     scalar normal after the triangle.
     """
     if ensemble not in ENSEMBLES:
@@ -169,7 +182,7 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
         stream = dist.draw(gen, n)
         matrix = sliding_window_view(np.concatenate([stream[:0:-1], stream]), n)[::-1].copy()
     else:
-        matrix = _symmetric_from_upper(dist.draw_segments(gen, range(n - 1, 0, -1)), n)
+        matrix = _symmetric_from_upper(dist, gen, n)
         if ensemble == "markov":
             # diagonal = negated off-diagonal row sum: rows sum to zero.  A sum
             # that overflows is left to the solvers' non-finite check.
@@ -182,18 +195,53 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n)
 
 
-def _symmetric_from_upper(rows: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Zero-diagonal symmetric matrix whose strict upper triangle has the given rows.
+def _row_blocks(n: int) -> list[tuple[int, int, int]]:
+    """(first row, end row, stream offset) of each block the strict upper
+    triangle of an n x n matrix is drawn in.
 
-    Each row segment is written into its own row as it is drawn, so every
-    write is contiguous.  The strict upper triangle is then mirrored into
-    the lower one _TILE x _TILE tiles at a time, each tile from its
-    transposed partner, which stays in cache.  Neither an n x n temporary
-    nor the n(n-1)/2 stream is held.
+    Contiguous rows and about equal entry counts: total // _BLOCK_MIN
+    blocks, at least one and at most usable_cpus(), each starting at the
+    first row boundary at or past its share.  The offset is the number of
+    entries in the rows above the block.
+    """
+    total = n * (n - 1) // 2
+    count = max(1, min(parallel.usable_cpus(), total // _BLOCK_MIN))
+    # above[r]: entries of the triangle in rows 0..r-1
+    above = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
+    firsts = [int(r) for r in np.searchsorted(above, np.arange(count) * total // count)]
+    ends = [*firsts[1:], n - 1]
+    return [(first, end, int(above[first])) for first, end in zip(firsts, ends)]
+
+
+def _symmetric_from_upper(dist: EntryDistribution, gen, n: int) -> np.ndarray:
+    """Zero-diagonal symmetric n x n matrix whose strict upper triangle is one
+    `dist.draw(gen, n(n-1)/2)` call, row-major; gen is left where that call
+    leaves it.
+
+    The rows are cut into _row_blocks, each drawn on its own thread from gen
+    skipped ahead by the block's offset (Philox is counter-based), with
+    triangular's second uniforms a whole triangle further on; so the bits
+    are those of one draw for any number of blocks, and a lone block draws
+    from gen itself in the caller's thread.  Each block writes its row
+    segments into their own rows as they are drawn, so every write is
+    contiguous, and gen resumes from the last block's stream.  The strict
+    upper triangle is then mirrored into the lower one _TILE x _TILE tiles
+    at a time, each tile from its transposed partner, which stays in cache.
+    Neither an n x n temporary nor the n(n-1)/2 stream is held.
     """
     matrix = np.zeros((n, n))
-    for i, row in enumerate(rows):
-        matrix[i, i + 1:] = row
+    total = n * (n - 1) // 2
+    blocks = _row_blocks(n)
+    gens = [gen, *(_skipped(gen, offset) for _, _, offset in blocks[1:])]
+
+    def fill(j: int) -> None:
+        first, end, _ = blocks[j]
+        rows = dist.draw_segments(gens[j], range(n - 1 - first, n - 1 - end, -1), total)
+        for i, row in enumerate(rows, first):
+            matrix[i, i + 1:] = row
+
+    parallel.ordered_map(fill, len(blocks), len(blocks))
+    gen.bit_generator.state = gens[-1].bit_generator.state
     t = _TILE
     for i in range(0, n, t):
         diagonal = matrix[i:i + t, i:i + t]

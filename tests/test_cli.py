@@ -410,6 +410,17 @@ class TestSimulateCommand:
         assert peaks[2048] - peaks[16] < 1.5 * matrix_bytes, peaks
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_threaded_draw_holds_one_matrix(self, tmp_path):
+        # at n = 2048 the markov triangle is drawn in row blocks, one thread
+        # each where two or more CPUs are usable; every block writes its rows
+        # into the one matrix, so the child still peaks about 1.0 x 32 MiB
+        # above an n = 16 twin, with no second matrix and no per-block buffer
+        # of that size
+        peaks = self.simulate_peaks(tmp_path, "markov")
+        matrix_bytes = 2048 * 2048 * 8
+        assert peaks[2048] - peaks[16] < 1.1 * matrix_bytes, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
     def test_toeplitz_split_holds_one_matrix(self, tmp_path):
         # the two half-size blocks (8 MiB each at n = 2048) are carved from the
         # drawn matrix's bottom half: the child peaks about 1.0 x 32 MiB above

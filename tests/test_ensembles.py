@@ -2,14 +2,19 @@
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import hmt.ensembles
+import hmt.parallel
 from hmt.ensembles import (
     _CHUNK,
+    _row_blocks,
+    _symmetric_from_upper,
     EntryDistribution,
     distribution_from_tag,
     gaussian,
@@ -207,6 +212,56 @@ class TestDistributions:
         assert distribution_from_tag("gaussian", mean=3) == gaussian()
         with pytest.raises(InvalidArgumentError):
             distribution_from_tag("cauchy")
+
+
+class TestRowBlocks:
+    LAWS = [rademacher(), gaussian(), triangular(), shifted_gaussian(Fraction(-5, 2))]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("dist", LAWS, ids=lambda dist: dist.tag)
+    def test_same_bits_for_any_worker_count(self, dist, workers, monkeypatch):
+        # blocks of a single entry allowed, so n = 37 splits into `workers`
+        # row blocks; their offsets 341, 231 and 456 put two boundaries inside
+        # a four-draw Philox block
+        monkeypatch.setattr(hmt.ensembles, "_BLOCK_MIN", 1)
+        monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: workers)
+        n = 37
+        offsets = [offset for _, _, offset in _row_blocks(n)]
+        assert len(offsets) == workers
+        assert workers == 1 or any(offset % 4 for offset in offsets)
+        whole, blocked = generator(5), generator(5)
+        want = np.zeros((n, n))
+        want[np.triu_indices(n, 1)] = dist.draw(whole, n * (n - 1) // 2)
+        want += want.T
+        # thread switches as often as the interpreter allows, so a row block
+        # that wrote over another's rows would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = _symmetric_from_upper(dist, blocked, n)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == want.tobytes()
+        # gen resumes where the single draw leaves it, triangular's second stream included
+        assert np.array_equal(blocked.random(5), whole.random(5))
+
+    def test_blocks_cover_the_triangle(self, monkeypatch):
+        monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: 8)
+        assert _row_blocks(1) == [(0, 0, 0)]
+        assert _row_blocks(1448) == [(0, 1447, 0)]  # 1,047,628 entries: one block
+        for n, count in [(1449, 2), (2100, 4), (4096, 8)]:
+            blocks = _row_blocks(n)
+            assert len(blocks) == count
+            assert blocks[0][:2] == (0, blocks[1][0]) and blocks[-1][1] == n - 1
+            sizes = []
+            for (first, end, offset), (following, _, next_offset) in zip(blocks, blocks[1:]):
+                assert end == following
+                assert next_offset - offset == sum(range(n - end, n - first))
+                sizes.append(next_offset - offset)
+            sizes.append(n * (n - 1) // 2 - blocks[-1][2])
+            # equal shares, each cut to within a row: none more than a row under the minimum
+            assert max(sizes) - min(sizes) < 2 * n
+            assert min(sizes) > hmt.ensembles._BLOCK_MIN - n
 
 
 class TestMarkovQ:

@@ -102,13 +102,13 @@ PARSER_TEXT = {
     "-h": (0, "c2aefbc7e92197c85c7725655d34686754a639215b93dc59ee753039ecf752c0", EMPTY),
     "--version": (0, "0ebf304b7cf3021de79fec6c0ba443b51244d5c04a2a55938444db7d0c8c01ea", EMPTY),
     "words --help":
-        (0, "0e785289de3c12532a1ba53e616be9f280122e16b33a5b80d25aa91a6a9d38a0", EMPTY),
+        (0, "e7d40a614f8895cc5bed9b4cdbbebba325aae80692430d5fcaab5f6fdd984a71", EMPTY),
     "moments --help":
-        (0, "646bb85d0457e99fccd3c140dac319c4f832cd84d4642d5f534261bc48d620d4", EMPTY),
+        (0, "2b92d511149135f51227ae00ba452bcff0fa3613ae4fdd56e22808e9874513c8", EMPTY),
     "simulate --help":
-        (0, "33a018e754fb94a92be4e8f52350185714935a9413cc75004fb9999d57d2f87e", EMPTY),
+        (0, "fed21adc01eb2bd7b01190756d7c6b2cdefe459bc4fba9481a4780c29f139966", EMPTY),
     "norm-scan --help":
-        (0, "356d43b6277a41f1ca440ba8fff3bdbd938008ee0c712578356fc0e653b9ee79", EMPTY),
+        (0, "3392eb2fcb1fa5ac9500ff191752a8063b4b527cbbc907a8d11bb852b75f1b8b", EMPTY),
     "": (2, EMPTY, "b375597f8610190206c7b227797ae8cca1647f36a3759deb4a4a8811a2443d96"),
     "mom": (2, EMPTY, "be9322443f511c68634795a95a4f651dd2c14d2b4c17f87ab2ca8050d34a70a4"),
     "moments": (2, EMPTY, "5c6a686a5fedaceade93aa4b927aaff2c6eee077fcbc6fafe8a7000922b1afc0"),
@@ -317,6 +317,39 @@ MATRIX_SHA256 = {
         "f6e8b741ad177c8c4113a9be59a1d57df5844cc89aa2f37f8b3f0382a4a35f9c",
     ("wigner_plus_diag", "triangular", 1030):
         "9956ed4422d7385cbab3ebcee86823ea706cf62839206d199702ba4226a6e45c",
+    # n = 2100: the 2,203,950-entry triangle is drawn in row blocks, one per
+    # usable CPU up to 4, each from its own skip of the stream; the pins are
+    # those of the triangle drawn in one piece
+    ("markov", "rademacher", 2100):
+        "9e39045a845d377368d13f2fa72e372c394ff747faa954cf94b4c1b2ae526cf0",
+    ("markov", "gaussian", 2100):
+        "d0910ee5c3ae05dc01015c5f40868afd2b11f7073bdb522eaec89bcee2c8b1a9",
+    ("markov", "triangular", 2100):
+        "29adb19256e0fc6df071b94400975de48e8c963862ede11f46db6052827bee51",
+    ("markov", "shifted_gaussian_1", 2100):
+        "f55d738f315e9f89002a5bf8964ef85d0de03d7c7663e3a081c98076e5ca1ba9",
+    ("markov", "shifted_gaussian_-5/2", 2100):
+        "60939c081e9971d17189f2870740de1e1305129ff49f25a8bc22bbc42d439667",
+    ("wigner", "rademacher", 2100):
+        "ccdc5b52f47aadd3c10471d132200fa67d1fe9af767e1b584a6656afb336a15d",
+    ("wigner", "gaussian", 2100):
+        "0223032cfe7393d87021da8410a68167bec66542d4b936e47e777a698b287ee1",
+    ("wigner", "triangular", 2100):
+        "d2a615b2fe9d0f29ed2cf597998436881b0df9f25e81ff80c6ad583192b93ae8",
+    ("wigner", "shifted_gaussian_1", 2100):
+        "d41f0e6a48e9cceb35b791b969017c48d139ee3262766132c80bc601aa79e84e",
+    ("wigner", "shifted_gaussian_-5/2", 2100):
+        "63ec1261d114d06d4c5b96616b9a49a5c180b6cc3a8b4471a9489c927dad4b9a",
+    ("wigner_plus_diag", "rademacher", 2100):
+        "256ed33163bbcda775da577d99ba6b49f128c5d41bf2de08a700c8b08ef60ee8",
+    ("wigner_plus_diag", "gaussian", 2100):
+        "da859d43f4d36f1dab51ad39b43b1d92b10a886852a14349070febeb9969e1c6",
+    ("wigner_plus_diag", "triangular", 2100):
+        "50fb550023430c1f049f72c718ef8ff544a74709145c6727935af8a8d989c2d3",
+    ("wigner_plus_diag", "shifted_gaussian_1", 2100):
+        "38b756066f31f6872f53f23c892c2ff18f4d6a07f407b489e21baf80b0aa9ccc",
+    ("wigner_plus_diag", "shifted_gaussian_-5/2", 2100):
+        "7f0b890a297a3dd1a25047dacf0975b0b794a181969420ec1ef98b27a2540213",
 }
 
 
