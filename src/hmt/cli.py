@@ -90,13 +90,15 @@ DEFAULT_MC_SAMPLES = 100_000
 # block of a large Markov or Wigner triangle, each on its own thread) and
 # hold no second n x n array, and Lanczos reads it in place, so `norm-scan
 # --ns 512,2048,8192 --replicates 3` peaks at 580 MB RSS, the matrix plus the
-# interpreter (about 8 s on a 2-core VM).  `simulate`'s solve
-# overwrites the matrix it drew, so it too holds n^2 entries per replicate in
-# flight: the full solve (Hankel, Markov, Wigner) works in the matrix, and
-# the Toeplitz split forms its two half-size blocks in the matrix's bottom
-# half.  At n = 4096, `--replicates 1` peaks at 191 MB RSS for either (61 MB
-# interpreter + 128 MB); at n = 8192 a replicate needs about 512 MB, and two
-# threads are refused.
+# interpreter (about 8 s on a 2-core VM).  `simulate` holds at most n^2
+# entries per replicate in flight: the full solve of a Markov or Wigner
+# matrix overwrites the matrix it drew, a Hankel sample is a window of
+# 2n - 1 entries whose one n^2 copy is made at solve time and overwritten
+# there, and the Toeplitz split forms its two n^2/4 half-size blocks from
+# its window one at a time.  At n = 4096, `--replicates 1` peaks at 192 MB
+# RSS for Hankel (61 MB interpreter + 128 MB) and 95 MB for Toeplitz
+# (+ 32 MB); at n = 8192 a Hankel, Markov or Wigner replicate needs about
+# 512 MB, and two threads are refused.  The budget charges every ensemble n^2.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate

@@ -28,10 +28,14 @@ _SQRT6 = np.sqrt(6.0)
 _CHUNK = 1 << 13
 # side of the square tiles in which _symmetric_from_upper mirrors the triangle
 _TILE = 64
-# fewest entries, to within a row, of a block of rows of the strict upper
-# triangle drawn on its own thread: below 2^20 entries (n <= 1448) the
-# triangle is one block
+# the strict upper triangle is drawn in total // _BLOCK_MIN blocks of rows,
+# each on its own thread: below 2^20 entries (n <= 1448) it is one block
 _BLOCK_MIN = 1 << 19
+# cost of a row of the triangle beyond its entries, in entries: a row's
+# segment write and the first touch of its pages.  The two row blocks of
+# n = 4096, each drawn alone, took 88 and 96 ms cut at equal entry counts
+# and 93 and 92 ms weighed with 256 per row (median of 21, 2-core x86-64 VM)
+_ROW_COST = 256
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,11 @@ def distribution_from_tag(tag: str, mean=0) -> EntryDistribution:
 
 @dataclass(frozen=True)
 class EnsembleSample:
-    """A sampled symmetric n x n matrix of the named ensemble."""
+    """A sampled symmetric n x n matrix of the named ensemble.
+
+    A Hankel or Toeplitz matrix is a read-only view of its 2n - 1 entries
+    (sample_matrix); take `.copy()` of it to write.
+    """
 
     matrix: np.ndarray
     ensemble: str
@@ -167,6 +175,14 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     triangle row-major (in row blocks on up to usable_cpus() threads, with
     the bits of one draw); wigner_plus_diag appends n diagonal normals and one
     scalar normal after the triangle.
+
+    A Hankel or Toeplitz matrix is returned as the read-only
+    `sliding_window_view` of a stream of 2n - 1 numbers (Toeplitz's is
+    X_{n-1}..X_1, X_0, X_1..X_{n-1}), not as an n x n array: it holds
+    2n - 1 float64s, and writing to it raises ValueError, so a caller that
+    needs a writable or C-ordered matrix takes `.copy()`.  Its `.tobytes()`
+    are those of that copy.  Markov and Wigner matrices are C-ordered
+    arrays of their own.
     """
     if ensemble not in ENSEMBLES:
         raise InvalidArgumentError(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
@@ -176,11 +192,11 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
 
     if ensemble == "hankel":
         # row i is stream[i:i + n]
-        matrix = sliding_window_view(dist.draw(gen, 2 * n - 1), n).copy()
+        matrix = sliding_window_view(dist.draw(gen, 2 * n - 1), n)
     elif ensemble == "toeplitz":
         # window i of (X_{n-1}, .., X_1, X_0, X_1, .., X_{n-1}) is row n-1-i
         stream = dist.draw(gen, n)
-        matrix = sliding_window_view(np.concatenate([stream[:0:-1], stream]), n)[::-1].copy()
+        matrix = sliding_window_view(np.concatenate([stream[:0:-1], stream]), n)[::-1]
     else:
         matrix = _symmetric_from_upper(dist, gen, n)
         if ensemble == "markov":
@@ -199,16 +215,17 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     """(first row, end row, stream offset) of each block the strict upper
     triangle of an n x n matrix is drawn in.
 
-    Contiguous rows and about equal entry counts: total // _BLOCK_MIN
-    blocks, at least one and at most usable_cpus(), each starting at the
-    first row boundary at or past its share.  The offset is the number of
-    entries in the rows above the block.
+    Contiguous rows and about equal work, a row weighing its entries plus
+    _ROW_COST: total // _BLOCK_MIN blocks, at least one and at most
+    usable_cpus(), each starting at the first row boundary at or past its
+    share.  The offset is the number of entries in the rows above the block.
     """
     total = n * (n - 1) // 2
     count = max(1, min(parallel.usable_cpus(), total // _BLOCK_MIN))
-    # above[r]: entries of the triangle in rows 0..r-1
+    # above[r]: entries of the triangle in rows 0..r-1; work[r]: their weight
     above = np.concatenate([[0], np.cumsum(np.arange(n - 1, 0, -1))])
-    firsts = [int(r) for r in np.searchsorted(above, np.arange(count) * total // count)]
+    work = above + _ROW_COST * np.arange(n)
+    firsts = [int(r) for r in np.searchsorted(work, np.arange(count) * int(work[-1]) // count)]
     ends = [*firsts[1:], n - 1]
     return [(first, end, int(above[first])) for first, end in zip(firsts, ends)]
 

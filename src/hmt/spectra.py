@@ -20,7 +20,15 @@ C-ordered matrix; one that equals its transpose exactly goes in as the view
 `a.T` instead, which a caller that owns the matrix (`overwrite_a`) lets the
 solve overwrite, so that the matrix is the only n x n array the solve holds;
 such a caller's centrosymmetric matrix holds the two blocks in its own
-bottom half, which they no longer need.
+bottom half, which they no longer need.  A Hankel or Toeplitz sample is a
+read-only view of its 2n - 1 entries (hmt.ensembles.sample_matrix).  The
+guards read those 2n - 1 numbers alone, with the outcome the tiles give on
+a copy: a Hankel window is symmetric, a Toeplitz one as far as its stream
+agrees with its own reversal, and either is centrosymmetric when its stream
+is a palindrome.  The
+split forms each half block straight from the window, and a full solve
+copies it once, C-ordered, into the array LAPACK overwrites; the
+eigenvalues are the bits of a solve on that copy.
 The spectral norm needs one eigenvalue, the largest in magnitude, so it
 comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
 matrix-vector products rather than an O(n^3) tridiagonalization.  Each
@@ -43,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -68,31 +76,68 @@ def _checked_symmetric(matrix: np.ndarray) -> tuple[np.ndarray, float, bool]:
 
     Symmetry is checked to 1e-12 relative to max(1, max |a_ij|), one
     _SYMMETRY_TILE x _SYMMETRY_TILE tile against its mirror tile at a time,
-    through one reused tile buffer, so no n x n temporary is made.
-    Non-finite entries raise NumericError.
+    through one reused tile buffer, so no n x n temporary is made.  A window
+    of one stream (_window) is checked on its 2n - 1 numbers alone, with the
+    same differences and so the same outcome.  Non-finite entries raise
+    NumericError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise InvalidArgumentError(f"expected a non-empty square matrix, got shape {a.shape}")
-    lo, hi = float(a.min()), float(a.max())
+    n = a.shape[0]
+    window = _window(a)
+    entries = a if window is None else window[0]
+    lo, hi = float(entries.min()), float(entries.max())
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise NumericError("matrix has non-finite entries")
     top = max(-lo, hi)
     tol = _SYMMETRY_RTOL * max(1.0, top)
+    if window is None:
+        diffs = _mirror_differences(a)
+    elif window[1]:
+        # a[i, j] - a[j, i] is s[c + k] - s[c - k] for k = j - i, c = n - 1
+        diffs = [np.abs(entries[n - 1:] - entries[n - 1::-1])]
+    else:
+        diffs = []  # a Hankel window: a[i, j] = s[i + j] = a[j, i]
+    worst = 0.0
+    for diff in diffs:
+        worst = max(worst, float(diff.max()))
+        if worst > tol:
+            raise InvalidArgumentError("matrix is not symmetric within 1e-12 relative tolerance")
+    return a, top, worst == 0.0
+
+
+def _mirror_differences(a: np.ndarray) -> Iterator[np.ndarray]:
+    """|a_ij - a_ji| over the tiles on and above the diagonal, one
+    _SYMMETRY_TILE x _SYMMETRY_TILE tile at a time, in one reused buffer."""
     n, t = a.shape[0], _SYMMETRY_TILE
     buf = np.empty((min(n, t), min(n, t)))
-    worst = 0.0
     for i in range(0, n, t):
         for j in range(i, n, t):
             tile = a[i:i + t, j:j + t]
             diff = buf[:tile.shape[0], :tile.shape[1]]
             np.subtract(tile, a[j:j + t, i:i + t].T, out=diff)
-            np.abs(diff, out=diff)
-            worst = max(worst, float(diff.max()))
-            if worst > tol:
-                raise InvalidArgumentError(
-                    "matrix is not symmetric within 1e-12 relative tolerance")
-    return a, top, worst == 0.0
+            yield np.abs(diff, out=diff)
+
+
+def _window(a: np.ndarray) -> tuple[np.ndarray, bool] | None:
+    """(s, toeplitz) when square a, n >= 2, is a window of one stream s of
+    2n - 1 numbers, else None.
+
+    Such an a has contiguous rows, each one entry before (toeplitz) or
+    after the row above it, as hmt.ensembles samples Toeplitz and Hankel
+    matrices.  Then a[i, j] = s[n - 1 - i + j] with s its last row followed
+    by the rest of its first (toeplitz), or a[i, j] = s[i + j] with s its
+    first row followed by the rest of its last column, so s holds each
+    entry a reads once.
+    """
+    n = a.shape[0]
+    step, column = a.strides
+    if n < 2 or column != a.itemsize or abs(step) != a.itemsize:
+        return None
+    if step < 0:
+        return np.concatenate([a[-1], a[0, 1:]]), True
+    return np.concatenate([a[0], a[1:, -1]]), False
 
 
 def _is_centrosymmetric(a: np.ndarray) -> bool:
@@ -100,8 +145,13 @@ def _is_centrosymmetric(a: np.ndarray) -> bool:
 
     Row i must equal row n-1-i reversed.  The first row is compared alone,
     then the top half _SYMMETRY_TILE rows at a time, so no n x n temporary
-    is made.
+    is made.  A window of one stream s (_window) is centrosymmetric exactly
+    when s reads the same reversed, since a[::-1, ::-1] is the window of s
+    reversed.
     """
+    window = _window(a)
+    if window is not None:
+        return np.array_equal(window[0], window[0][::-1])
     n, t = a.shape[0], _SYMMETRY_TILE
     if n < 2 or not np.array_equal(a[0], a[-1, ::-1]):
         return False
@@ -115,10 +165,11 @@ def _centrosymmetric_block(a: np.ndarray, plus: bool, in_place: bool) -> np.ndar
 
     Both are read from a's top m = n // 2 rows and centre column, and the
     bordered one from its centre entry too.  Each block is a fresh C-ordered
-    array, unless `in_place` says a is C-ordered and its own to destroy.
-    Then the blocks are carved from a's rows m to n - 1, whose (n - m) * n
-    entries hold both: A + BJ from their first entries, overwriting the
-    centre entry (which is read first), and A - BJ right after it.
+    array, unless `in_place` says a is C-ordered, writable and its own to
+    destroy.  Then the blocks are carved from a's rows m to n - 1, whose
+    (n - m) * n entries hold both: A + BJ from their first entries,
+    overwriting the centre entry (which is read first), and A - BJ right
+    after it.
     """
     n = a.shape[0]
     m, p = n // 2, n - n // 2
@@ -145,9 +196,16 @@ def _solve(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    """||x||_F, from scipy's BLAS `ddot` rather than numpy's (module docstring)."""
-    flat = x.ravel(order="K")
-    return math.sqrt(ddot(flat, flat))
+    """||x||_F, from scipy's BLAS `ddot` rather than numpy's (module docstring).
+
+    A contiguous x is one vector.  Any other (a Hankel or Toeplitz window)
+    is taken one row at a time, the rows' sums of squares added with fsum,
+    since flattening it would copy it.
+    """
+    if x.flags.c_contiguous or x.flags.f_contiguous:
+        flat = x.ravel(order="K")
+        return math.sqrt(ddot(flat, flat))
+    return math.sqrt(math.fsum(ddot(row, row) for row in x))
 
 
 def _eigh(a: np.ndarray, exact: bool = False, overwrite_a: bool = False) -> np.ndarray:
@@ -158,23 +216,26 @@ def _eigh(a: np.ndarray, exact: bool = False, overwrite_a: bool = False) -> np.n
     The blocks are C-ordered and exactly symmetric, so LAPACK works in place
     on their transposes, which are Fortran-ordered, instead of on copies.
     Each block is made, solved and freed before the next, so one is held at
-    a time.  Any other matrix takes one full solve, of the Fortran-ordered
-    view `a.T` when `exact` says a C-ordered matrix equals its transpose
-    (module docstring).  With `overwrite_a` such a matrix is destroyed: the
-    full solve works in it, and the split carves its blocks from its bottom
-    half, so neither allocates an array of a's size or of a block's.  A
-    nearly symmetric matrix is copied, since the view would hand LAPACK a's
-    other triangle.  The guard's trace and Frobenius norm are read before
-    any solve can overwrite a.
+    a time.  Any other matrix takes one full solve.  When `exact` says a
+    equals its transpose, LAPACK solves the Fortran-ordered view b.T, where
+    b is a if a is C-ordered and else a's one C-ordered copy, which the
+    solve overwrites (module docstring).  With `overwrite_a` a
+    writable C-ordered a is destroyed: the full solve works in it, and the
+    split carves its blocks from its bottom half, so neither allocates an
+    array of a's size or of a block's.  A nearly symmetric matrix is
+    copied, since the view would hand LAPACK a's other triangle.  The
+    guard's trace and Frobenius norm are read before any solve can
+    overwrite a.
     """
     fro = _frobenius(a)
     trace = float(np.trace(a))
-    in_place = overwrite_a and exact and a.flags.c_contiguous
+    in_place = overwrite_a and exact and a.flags.c_contiguous and a.flags.writeable
     if _is_centrosymmetric(a):
         eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus, in_place).T, overwrite=True)
                                for plus in (True, False)])
-    elif exact and a.flags.c_contiguous:
-        eigs = _solve(a.T, overwrite=in_place)
+    elif exact:
+        b = np.ascontiguousarray(a)
+        eigs = _solve(b.T, overwrite=in_place or b is not a)
     else:
         eigs = _solve(a)
     resid = abs(float(eigs.sum()) - trace)
@@ -191,11 +252,16 @@ def eigvalsh(matrix: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     Guards: the input must be finite and symmetric to 1e-12 relative
     tolerance, and the eigenvalue sum must reproduce the trace to
     1e-10 * Frobenius norm.  The matrix is left unchanged unless
-    `overwrite_a` is true, as in scipy.linalg.eigh: then a C-ordered float
-    matrix that equals its transpose exactly is solved in place, destroying
-    it, and the solve holds no second n x n array; a Toeplitz (centrosymmetric)
-    one holds no half-size block beside it either.  The eigenvalues are the
-    same bits either way.
+    `overwrite_a` is true, as in scipy.linalg.eigh: then a writable
+    C-ordered float matrix that equals its transpose exactly is solved in
+    place, destroying it, and the solve holds no second n x n array; a
+    Toeplitz (centrosymmetric) one holds no half-size block beside it
+    either.  A read-only or strided matrix, such as a Hankel or Toeplitz
+    window from sample_matrix, is never written: the guards read a
+    window's 2n - 1 numbers, the split forms fresh half-size blocks from it
+    one at a time, and a full solve works in one C-ordered copy.  The
+    eigenvalues are the bits of the same call on
+    `np.ascontiguousarray(matrix)`, with or without `overwrite_a`.
     """
     a, _, exact = _checked_symmetric(matrix)
     return _eigh(a, exact, overwrite_a)
@@ -248,7 +314,10 @@ def empirical_spectrum(sample: EnsembleSample, scale: str = "sqrt_n",
 
     The sample's matrix is left unchanged unless `overwrite_a` is true, when
     eigvalsh may solve it in place: a caller that has no further use for
-    the matrix then holds one n x n array for the solve, not two.
+    the matrix then holds one n x n array for the solve, not two.  A Hankel
+    or Toeplitz sample, a read-only window, is left unchanged either way;
+    its solve holds one n x n copy (Hankel) or one half-size block at a
+    time (Toeplitz).
     """
     if scale not in ("sqrt_n", "n", "none"):
         raise InvalidArgumentError(f"unknown scale {scale!r}")

@@ -70,6 +70,23 @@ class TestSamplers:
             anti = np.diagonal(flipped, offset=offset)
             assert np.all(anti == anti[0])
 
+    @pytest.mark.parametrize("ensemble", ["hankel", "toeplitz"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 1025])
+    def test_structured_sample_is_a_read_only_window(self, ensemble, n):
+        # the matrix is a view of its 2n - 1 entries, not an n x n array
+        m = sample_matrix(ensemble, n, gaussian(), seed=5).matrix
+        assert m.shape == (n, n) and not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, n - 1] = 1.0
+        base = m
+        while base.base is not None:
+            base = base.base
+        assert isinstance(base, np.ndarray) and base.flags.owndata
+        assert base.dtype == np.float64 and base.shape == (2 * n - 1,)
+        copy = m.copy()
+        assert copy.flags.writeable and copy.flags.c_contiguous
+        assert copy.tobytes() == m.tobytes()
+
     def test_markov_row_sums_zero(self):
         sample = sample_matrix("markov", 40, triangular(), seed=9)
         off = sample.matrix.copy()
@@ -221,7 +238,7 @@ class TestRowBlocks:
     @pytest.mark.parametrize("dist", LAWS, ids=lambda dist: dist.tag)
     def test_same_bits_for_any_worker_count(self, dist, workers, monkeypatch):
         # blocks of a single entry allowed, so n = 37 splits into `workers`
-        # row blocks; their offsets 341, 231 and 456 put two boundaries inside
+        # row blocks; their offsets 495, 366 and 588 put two boundaries inside
         # a four-draw Philox block
         monkeypatch.setattr(hmt.ensembles, "_BLOCK_MIN", 1)
         monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: workers)
@@ -253,15 +270,22 @@ class TestRowBlocks:
             blocks = _row_blocks(n)
             assert len(blocks) == count
             assert blocks[0][:2] == (0, blocks[1][0]) and blocks[-1][1] == n - 1
-            sizes = []
+            cost = hmt.ensembles._ROW_COST
+            work = []
             for (first, end, offset), (following, _, next_offset) in zip(blocks, blocks[1:]):
                 assert end == following
                 assert next_offset - offset == sum(range(n - end, n - first))
-                sizes.append(next_offset - offset)
-            sizes.append(n * (n - 1) // 2 - blocks[-1][2])
-            # equal shares, each cut to within a row: none more than a row under the minimum
-            assert max(sizes) - min(sizes) < 2 * n
-            assert min(sizes) > hmt.ensembles._BLOCK_MIN - n
+                work.append(next_offset - offset + cost * (end - first))
+            first, end, offset = blocks[-1]
+            work.append(n * (n - 1) // 2 - offset + cost * (end - first))
+            # equal shares of entries plus _ROW_COST per row, each cut to
+            # within a row: none more than a row under the minimum
+            row = n + cost
+            assert max(work) - min(work) < 2 * row
+            assert min(work) > hmt.ensembles._BLOCK_MIN - row
+            # the later blocks, of shorter rows, hold fewer entries
+            entries = [w - cost * (e - f) for w, (f, e, _) in zip(work, blocks)]
+            assert entries == sorted(entries, reverse=True) and entries[0] > entries[-1] + row
 
 
 class TestMarkovQ:

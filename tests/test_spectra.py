@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from hmt.ensembles import (
     ENSEMBLES,
+    EnsembleSample,
     gaussian,
     markov_vertex_pairs,
     rademacher,
@@ -21,6 +23,9 @@ from hmt.ensembles import (
 from hmt.errors import CapacityError, InvalidArgumentError, NumericError
 from hmt.rng import mix
 from hmt.spectra import (
+    _checked_symmetric,
+    _frobenius,
+    _is_centrosymmetric,
     eigvalsh,
     empirical_spectrum,
     exact_trace_power,
@@ -81,10 +86,11 @@ class TestEigvalsh:
 
     @pytest.mark.parametrize("ensemble, n", [("hankel", 200), ("markov", 101), ("wigner", 150)])
     def test_full_solve_keeps_lapack_bits(self, ensemble, n, monkeypatch):
-        # an exactly symmetric matrix reaches LAPACK as the Fortran-ordered
-        # view a.T; a nearly symmetric one as itself.  Either way the
-        # eigenvalues are the bits of a solve on the C-ordered array.
-        a = sample_matrix(ensemble, n, gaussian(), mix(137, n)).matrix
+        # an exactly symmetric C-ordered matrix reaches LAPACK as the
+        # Fortran-ordered view a.T; a nearly symmetric one as itself.  Either
+        # way the eigenvalues are the bits of a solve on the C-ordered array.
+        # (A Hankel sample is a read-only window; its copy is C-ordered.)
+        a = sample_matrix(ensemble, n, gaussian(), mix(137, n)).matrix.copy()
         assert np.array_equal(a, a.T) and a.flags.c_contiguous
         near = a.copy()
         near[3, 7] += 1e-14 * np.abs(a).max()
@@ -111,13 +117,24 @@ class TestEigvalsh:
         assert owned[1].tobytes() == near.tobytes()  # solved on a copy
 
     def test_empirical_spectrum_passes_ownership_on(self):
-        sample = sample_matrix("hankel", 64, gaussian(), mix(139, 64))
+        sample = sample_matrix("markov", 64, gaussian(), mix(139, 64))
         kept = sample.matrix.copy()
         want = empirical_spectrum(sample)
         assert sample.matrix.tobytes() == kept.tobytes()
         got = empirical_spectrum(sample, overwrite_a=True)
         assert got.tobytes() == want.tobytes()
         assert sample.matrix.tobytes() != kept.tobytes()
+
+    @pytest.mark.parametrize("ensemble", ["hankel", "toeplitz"])
+    def test_empirical_spectrum_keeps_a_window(self, ensemble):
+        # a Hankel or Toeplitz sample is a read-only window: ownership lets
+        # the solve overwrite a copy or the half blocks, never the window
+        sample = sample_matrix(ensemble, 64, gaussian(), mix(139, 64))
+        kept = sample.matrix.tobytes()
+        want = empirical_spectrum(sample)
+        got = empirical_spectrum(sample, overwrite_a=True)
+        assert got.tobytes() == want.tobytes()
+        assert sample.matrix.tobytes() == kept
 
     def test_rejects_asymmetric(self):
         with pytest.raises(InvalidArgumentError):
@@ -214,7 +231,7 @@ class TestCentrosymmetricSplit:
         # all but (0, 1) leave the first and last rows centrosymmetric, so
         # only the full comparison sees them; at n = 300 only its third
         # block of 64 rows does
-        a = sample_matrix("toeplitz", n, gaussian(), 107).matrix
+        a = sample_matrix("toeplitz", n, gaussian(), 107).matrix.copy()
         a[i, j] = a[j, i] = np.nextafter(a[i, j], np.inf)
         got = eigvalsh(a)
         assert solved_sizes == [n]
@@ -284,6 +301,17 @@ class TestCentrosymmetricSplit:
         assert owned[:n // 2].tobytes() == t[:n // 2].tobytes()
         assert owned.tobytes() != t.tobytes()
 
+    @pytest.mark.parametrize("ensemble", ["toeplitz", "hankel"])
+    def test_read_only_matrix_is_never_written(self, ensemble):
+        # ownership of a C-ordered matrix that is read-only carves no block
+        # from it and solves it on a copy
+        a = sample_matrix(ensemble, 40, gaussian(), mix(149, 40)).matrix.copy()
+        want = eigvalsh(a)
+        a.flags.writeable = False
+        before = a.tobytes()
+        assert eigvalsh(a, overwrite_a=True).tobytes() == want.tobytes()
+        assert a.tobytes() == before
+
     def test_one_block_held_at_a_time(self):
         # each 1024 x 1024 block is 8.4 MB; holding both would peak near 17 MB
         a = sample_matrix("toeplitz", 2048, gaussian(), mix(131, 2048)).matrix
@@ -294,6 +322,98 @@ class TestCentrosymmetricSplit:
         finally:
             tracemalloc.stop()
         assert peak < 12e6
+
+    def test_window_solve_holds_one_copy(self):
+        # a Hankel window holds 2n - 1 entries: its guards read it where it
+        # lies, and its full solve works in one C-ordered copy, 8 MiB at
+        # n = 1024.  An n x n temporary in the guards, or a solve on a copy
+        # of that copy, would show
+        n = 1024
+        a = sample_matrix("hankel", n, gaussian(), mix(131, n)).matrix
+        tracemalloc.start()
+        try:
+            _checked_symmetric(a)
+            _frobenius(a)
+            _is_centrosymmetric(a)
+            guards = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            eigvalsh(a, overwrite_a=True)
+            solve = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert guards < 0.1 * n * n * 8
+        assert solve < 1.2 * n * n * 8
+
+
+class TestWindowSamples:
+    """Hankel and Toeplitz samples are read-only windows of their entry stream."""
+
+    @pytest.mark.parametrize("ensemble", ["hankel", "toeplitz"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 40, 41, 300, 301])
+    def test_same_bits_as_a_c_ordered_copy(self, ensemble, n):
+        sample = sample_matrix(ensemble, n, gaussian(), mix(151, n))
+        window = sample.matrix
+        kept = window.tobytes()
+        dense = np.ascontiguousarray(window)
+        assert eigvalsh(window).tobytes() == eigvalsh(dense).tobytes()
+        assert (eigvalsh(window, overwrite_a=True).tobytes()
+                == eigvalsh(dense.copy(), overwrite_a=True).tobytes())
+        owned = EnsembleSample(dense.copy(), ensemble, n)
+        assert (empirical_spectrum(sample, overwrite_a=True).tobytes()
+                == empirical_spectrum(owned, overwrite_a=True).tobytes())
+        assert spectral_norm(window) == spectral_norm(dense)
+        assert window.tobytes() == kept
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 65, 200])
+    def test_guards_decide_as_on_a_copy(self, n, solved_sizes):
+        # the guards read a window's 2n - 1 numbers only; every outcome (the
+        # error raised, or the sizes solved and the eigenvalue bits) is the
+        # one its C-ordered copy gets from the tiles.  Toeplitz-type windows
+        # of a stream that is not a palindrome are not symmetric
+        rng = np.random.default_rng(n)
+        half = rng.normal(size=n)
+        palindrome = np.concatenate([half[:0:-1], half])
+        ulp = palindrome.copy()
+        ulp[0] = np.nextafter(ulp[0], np.inf)
+        far = palindrome.copy()
+        far[-1] += 1e-6
+        nan = palindrome.copy()
+        nan[n] = np.nan
+        inf = palindrome.copy()
+        inf[0] = inf[-1] = np.inf
+
+        def outcome(m):
+            solved_sizes.clear()
+            try:
+                return eigvalsh(m).tobytes(), list(solved_sizes)
+            except (InvalidArgumentError, NumericError) as exc:
+                return type(exc)
+
+        split, full = [(n + 1) // 2, n // 2], [n]
+        want = {  # (stream, hankel outcome, toeplitz outcome)
+            "palindrome": (palindrome, split, split),
+            "one ulp off": (ulp, full, full),
+            "1e-6 off": (far, full, InvalidArgumentError),
+            "random": (rng.normal(size=2 * n - 1), full, InvalidArgumentError),
+            "nan": (nan, NumericError, NumericError),
+            "inf": (inf, NumericError, NumericError),
+        }
+        for case, (stream, *kinds) in want.items():
+            windows = [sliding_window_view(stream, n), sliding_window_view(stream, n)[::-1]]
+            for window, kind in zip(windows, kinds):
+                got = outcome(window)
+                assert got == outcome(np.ascontiguousarray(window)), case
+                assert (got[1] if isinstance(got, tuple) else got) == kind, case
+
+    @pytest.mark.parametrize("ensemble", ["hankel", "toeplitz"])
+    def test_frobenius_of_a_window(self, ensemble):
+        # the rows of a window are summed one at a time; the norm is that of
+        # its copy to rounding
+        n = 513
+        window = sample_matrix(ensemble, n, gaussian(), mix(157, n)).matrix
+        dense = np.ascontiguousarray(window)
+        assert _frobenius(window) == pytest.approx(_frobenius(dense), rel=1e-14)
+        assert _frobenius(dense) == pytest.approx(np.sqrt((dense ** 2).sum()), rel=1e-14)
 
 
 class TestSpectralNorm:
