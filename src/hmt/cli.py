@@ -2,14 +2,19 @@
 
 Every run is reproducible: all randomness flows from the --seed flag
 through documented stream derivation, identical invocations write
-byte-identical artifacts for a fixed BLAS thread count, and JSON outputs
-follow the schema shipped in hmt/schemas/artifact.schema.json.  Another
-BLAS thread count (OPENBLAS_NUM_THREADS) can move `simulate` and
-`norm-scan` outputs in the last digits, since the threaded BLAS then
-rounds differently; eigenvalues and norms agree to about 1e-14 relative.
+byte-identical artifacts, and JSON outputs follow the schema shipped in
+hmt/schemas/artifact.schema.json.  `simulate` runs every eigensolve on one
+BLAS thread (hmt.spectra.one_blas_thread), so its bytes are the same for
+any OPENBLAS_NUM_THREADS; a threaded BLAS would round differently.
+`norm-scan` keeps the BLAS thread count it is given, and another count can
+move its norms in the last digits (about 1e-14 relative).
 
 `--threads T` sets how many replicates, and so how many sampled matrices,
-`simulate` and `norm-scan` hold at once.  Monte Carlo word volumes (`words`
+`simulate` and `norm-scan` hold at once.  `simulate` solves them side by
+side, since its LAPACK call releases the GIL; by default it runs one per
+usable CPU, at most --replicates and as many as MATRIX_ENTRY_BUDGET holds.
+In `norm-scan` only the sampling overlaps, as ARPACK holds the GIL, and
+T defaults to 1.  Monte Carlo word volumes (`words`
 and `moments` with `--method mc`, `words --method auto` above the exact
 cap) run on one thread per usable CPU once each word draws at least
 limits.MC_POOL_MIN_DRAWS coordinates, whatever `--threads` says, and so
@@ -98,7 +103,9 @@ DEFAULT_MC_SAMPLES = 100_000
 # its window one at a time.  At n = 4096, `--replicates 1` peaks at 192 MB
 # RSS for Hankel (61 MB interpreter + 128 MB) and 95 MB for Toeplitz
 # (+ 32 MB); at n = 8192 a Hankel, Markov or Wigner replicate needs about
-# 512 MB, and two threads are refused.  The budget charges every ensemble n^2.
+# 512 MB, and two threads are refused.  The budget charges every ensemble n^2,
+# and simulate's default thread count, min(usable CPUs, replicates,
+# budget // n^2), stays within it.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
@@ -271,7 +278,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidArgumentError(f"--bins must be >= 1, got {args.bins}")
     if args.max_order % 2 != 0 or args.max_order < 0:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {args.max_order}")
-    _check_budget(min(args.threads, args.replicates) * args.n**2, MATRIX_ENTRY_BUDGET,
+    # the default thread count is at most budget // n^2, so it counts as one here
+    _check_budget(min(args.threads or 1, args.replicates) * args.n**2, MATRIX_ENTRY_BUDGET,
                   "matrix entries in flight min(threads, replicates) * n^2")
     _check_budget(args.replicates * max(args.n**3, SIMULATE_REPLICATE_FLOOR),
                   SIMULATE_WORK_BUDGET, "replicates * max(n^3, 2^21)")
@@ -281,7 +289,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     _check_budget(args.bins, HISTOGRAM_BIN_BUDGET, "histogram bins")
     import numpy as np
 
-    from .parallel import ordered_map
+    from .parallel import ordered_map, usable_cpus
+    from .spectra import one_blas_thread
 
     _load_numeric()
     dist = distribution_from_tag(args.dist, args.mean)
@@ -291,7 +300,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         # the matrix is this replicate's alone, so the solve may overwrite it
         return empirical_spectrum(sample, scale=args.scale, overwrite_a=True)
 
-    spectra = ordered_map(one, args.replicates, args.threads)
+    # every solve on one BLAS thread: the bytes depend on neither
+    # OPENBLAS_NUM_THREADS nor how many replicates are solved at once
+    with one_blas_thread() as pinned:
+        workers = args.threads or (
+            min(usable_cpus(), args.replicates, MATRIX_ENTRY_BUDGET // args.n**2) if pinned else 1)
+        spectra = ordered_map(one, args.replicates, workers)
     rows = []
     # e**order overflows for a high enough order; refuse before writing any file
     with np.errstate(over="ignore", invalid="ignore"):
@@ -373,7 +387,7 @@ def _check_args(args: argparse.Namespace) -> None:
             args.ns = [int(part) for part in args.ns.split(",") if part]
         except ValueError as exc:
             raise InvalidArgumentError(f"bad --ns list: {exc}") from exc
-    if args.threads < 1:
+    if args.threads is not None and args.threads < 1:
         raise InvalidArgumentError(f"--threads must be >= 1, got {args.threads}")
     # every artifact echoes --mean, and JSON has no NaN or infinity
     mean = vars(args).get("mean")
@@ -404,20 +418,17 @@ _SAMPLES = _arg("--samples", type=int, default=DEFAULT_MC_SAMPLES,
                 help="Monte Carlo samples per word")
 _DIST = _arg("--dist", choices=DISTRIBUTIONS, default="gaussian")
 _MEAN = _arg("--mean", type=float, default=0.0, help="entry mean (shifted_gaussian only)")
-_SEED_THREADS = (
-    _arg("--seed", type=int, default=DEFAULT_SEED,
-         help="master seed; all randomness derives from it"),
-    _arg("--threads", type=int, default=1,
-         help="replicates (and matrices) simulate and norm-scan hold at "
-              "once; only sampling overlaps, as eigensolves hold the GIL: "
-              "on 2 cores, 2 threads cut norm-scan by about 12%% and a "
-              "markov simulate by 5%%, not hankel or toeplitz, and hold a "
-              "matrix per thread; words and moments ignore it.  Monte "
-              "Carlo word volumes and each Markov or Wigner draw of 2^20 "
-              "or more entries use every usable CPU (outputs depend on "
-              "neither)"),
-)
-_SHARED = (*_SEED_THREADS,
+_SEED = _arg("--seed", type=int, default=DEFAULT_SEED,
+             help="master seed; all randomness derives from it")
+_THREADS = _arg("--threads", type=int, default=1,
+                help="replicates (and matrices) norm-scan holds at once; only "
+                     "sampling overlaps, as ARPACK's Lanczos iteration holds "
+                     "the GIL: on 2 cores 2 threads cut norm-scan by about "
+                     "12%% and hold a matrix per thread; words and moments "
+                     "ignore it.  Monte Carlo word volumes and each Markov or "
+                     "Wigner draw of 2^20 or more entries use every usable "
+                     "CPU (outputs depend on neither)")
+_SHARED = (_SEED, _THREADS,
            _arg("-o", "--output", default=None, help="output path (default: stdout)"),
            _arg("--format", choices=("csv", "json"), default="csv", help="artifact format"))
 
@@ -449,7 +460,14 @@ COMMANDS = {
         _arg("--output-prefix", dest="output_prefix", required=True,
              help="artifact path prefix; writes <prefix>_eigenvalues.csv, "
                   "<prefix>_histogram.csv, <prefix>_moments.json"),
-        *_SEED_THREADS)),
+        _SEED,
+        _arg("--threads", type=int, default=None,
+             help="replicates solved at once, each eigensolve on one BLAS "
+                  "thread whatever OPENBLAS_NUM_THREADS says, and each with "
+                  "its own matrix; None means one per usable CPU, at most "
+                  "--replicates and as many n x n matrices as 2^26 entries "
+                  "hold.  Outputs do not depend on it.  Each Markov or "
+                  "Wigner draw of 2^20 or more entries uses every usable CPU"))),
     "norm-scan": ("spectral-norm ratios of Markov matrices over sizes", cmd_norm_scan, (
         _arg("--ns", type=str, default="256,1024,4096", help="comma-separated matrix sizes"),
         _arg("--replicates", type=int, default=3),

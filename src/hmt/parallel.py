@@ -5,8 +5,9 @@ runs on worker i mod W, W = min(workers, count), and the results come back
 in item order.  A caller that folds them in that order gets the same bits
 for any W, provided fn(i) depends on i alone (each item on its own
 counter-based stream).  Threads speed work up only where it releases the
-GIL: numpy's Philox fills and array products do, pure-Python recursion and
-scipy's eigh do not.
+GIL: numpy's Philox fills and array products do, and so does the LAPACK
+`dsyev` call of hmt.spectra, which goes through ctypes; pure-Python
+recursion, scipy.linalg.eigh and ARPACK's Lanczos iteration do not.
 """
 
 from __future__ import annotations

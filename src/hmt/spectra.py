@@ -3,6 +3,12 @@
 Full spectra come from the LAPACK symmetric solver (Householder
 tridiagonalization followed by implicitly shifted QL/QR iteration, the
 'ev' driver); moments, histograms and distances are computed from them.
+The solver is `dsyev` of the LAPACK scipy.linalg links, called through
+the function pointer scipy.linalg.cython_lapack publishes, with the
+workspace size scipy's own query gives: the eigenvalues are the bits of
+scipy.linalg.eigh(..., driver="ev"), and the call releases the GIL, so
+replicates solved on several threads run at once (one_blas_thread gives
+each solve one BLAS thread while they do).
 A symmetric matrix that is also centrosymmetric (a == J a J for the
 exchange matrix J, as every symmetric Toeplitz matrix is) splits under an
 orthogonal change of basis into two blocks of about half its size, and
@@ -48,14 +54,18 @@ while, taking cores from the next LAPACK solve.  On a 2-core VM one
 
 from __future__ import annotations
 
+import ctypes
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import cython_lapack
 from scipy.linalg.blas import ddot, dgemv, dsymv
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .ensembles import EnsembleSample, markov_t, markov_vertex_pairs
 from .errors import CapacityError, InvalidArgumentError, NumericError
@@ -187,12 +197,90 @@ def _centrosymmetric_block(a: np.ndarray, plus: bool, in_place: bool) -> np.ndar
     return block
 
 
+def _capsule_function(capsule, prototype):
+    """The C function that a Cython `__pyx_capi__` capsule holds, as a ctypes
+    foreign function of the given prototype."""
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return prototype(pointer(capsule, name(capsule)))
+
+
+# scipy's dsyev workspace query, typed as eigh's, which _compute_lwork reads
+_DSYEV_LWORK = get_lapack_funcs("syev_lwork", dtype=np.float64)
+_INT = ctypes.POINTER(ctypes.c_int)
+# dsyev(jobz, uplo, n, a, lda, w, work, lwork, info) of the LAPACK scipy.linalg
+# links; a CFUNCTYPE call releases the GIL while it runs
+_DSYEV = _capsule_function(
+    cython_lapack.__pyx_capi__["dsyev"],
+    ctypes.CFUNCTYPE(None, ctypes.c_char_p, ctypes.c_char_p, _INT, ctypes.c_void_p, _INT,
+                     ctypes.c_void_p, ctypes.c_void_p, _INT, _INT))
+
+
 def _solve(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of symmetric a, from its lower triangle read in
+    Fortran order (the upper triangle of a C-ordered a): LAPACK `dsyev`
+    with jobz='N' and uplo='L', the routine, library and workspace size
+    scipy.linalg.eigh(a, eigvals_only=True, driver="ev") uses, so the
+    eigenvalues are its bits.
+
+    With `overwrite`, a writable Fortran-ordered float64 a is solved in
+    place and destroyed; any other a is copied once, Fortran-ordered, as
+    eigh copies it.  The call releases the GIL, so solves on several
+    threads run at once.
+    """
+    if not (overwrite and a.dtype == np.float64 and a.flags.f_contiguous and a.flags.writeable):
+        a = np.array(a, dtype=np.float64, order="F")
+    n = a.shape[0]
+    lwork = _compute_lwork(_DSYEV_LWORK, n, lower=1)
+    eigs, work = np.empty(n), np.empty(lwork)
+    size, info = ctypes.c_int(n), ctypes.c_int()
+    _DSYEV(b"N", b"L", size, a.ctypes.data, size, eigs.ctypes.data, work.ctypes.data,
+           ctypes.c_int(lwork), info)
+    if info.value != 0:  # pragma: no cover - LAPACK failure
+        raise NumericError(f"symmetric eigensolver failed to converge: dsyev info {info.value}")
+    return eigs
+
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) for the thread count of the OpenBLAS that scipy.linalg
+    links, or None where that library exports neither under a known name.
+    scipy's wheels prefix OpenBLAS's symbols with `scipy_`."""
+    lib = ctypes.CDLL(scipy.linalg._flapack.__file__)
+    for prefix in ("scipy_openblas", "openblas"):
+        try:
+            get = ctypes.CFUNCTYPE(ctypes.c_int)((f"{prefix}_get_num_threads", lib))
+            set_ = ctypes.CFUNCTYPE(None, ctypes.c_int)((f"{prefix}_set_num_threads", lib))
+        except AttributeError:
+            continue
+        return get, set_
+    return None
+
+
+@contextmanager
+def one_blas_thread() -> Iterator[bool]:
+    """Run the block with scipy's OpenBLAS on one thread, whatever
+    OPENBLAS_NUM_THREADS says, and restore the count it had on the way out,
+    also when the block raises.  Yields whether the count could be set;
+    where scipy's BLAS has no thread setter nothing changes (False).
+
+    Every BLAS and LAPACK call in the block then rounds as it does on one
+    thread, and calls made from several threads at once share the cores
+    instead of each starting BLAS workers.  The count is process-wide: no
+    other thread should call scipy's BLAS while the block starts or ends.
+    """
+    functions = _openblas_threads()
+    if functions is None:
+        yield False
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
     try:
-        return scipy.linalg.eigh(a, eigvals_only=True, driver="ev", overwrite_a=overwrite,
-                                 check_finite=False)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericError(f"symmetric eigensolver failed to converge: {exc}") from exc
+        yield True
+    finally:
+        set_(before)
 
 
 def _frobenius(x: np.ndarray) -> float:

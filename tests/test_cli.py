@@ -17,6 +17,8 @@ import pytest
 import hmt
 import hmt.cli
 import hmt.limits
+import hmt.parallel
+import hmt.spectra
 from hmt.cli import (
     DEFAULT_SEED,
     EIGENVALUE_BUDGET,
@@ -29,6 +31,7 @@ from hmt.cli import (
     build_parser,
     main,
 )
+from hmt.errors import NumericError
 from hmt.limits import MC_DRAW_BUDGET, MC_ENUM_CHARGE, MC_WORD_CHARGE
 
 
@@ -320,6 +323,8 @@ class TestSimulateCommand:
             raise Sampled
 
         monkeypatch.setattr(hmt.cli, "sample_matrix", stub)
+        # one replicate in flight by default, so each run reaches the stub once
+        monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: 1)
         prefix = str(tmp_path / "x")
 
         def simulate(n, replicates):
@@ -455,6 +460,89 @@ class TestSimulateCommand:
         payload = json.loads((tmp_path / "big_moments.json").read_text())
         m2 = next(r for r in payload["results"] if r["order"] == 2)
         assert abs(m2["mean"] - 1.0) <= 0.02
+
+
+@pytest.fixture
+def blas_threads():
+    """(get, set) of scipy's OpenBLAS thread count, set to 2 for the test
+    and put back after it; skips where scipy's BLAS has no thread setter."""
+    functions = hmt.spectra._openblas_threads()
+    if functions is None:
+        pytest.skip("scipy's BLAS exports no thread setter")
+    get, set_ = functions
+    before = get()
+    set_(2)
+    yield get, set_
+    set_(before)
+
+
+class TestSimulateThreads:
+    """simulate solves replicates side by side, each on one BLAS thread."""
+
+    def argv(self, tmp_path, n=16, replicates=4):
+        return ["simulate", "--ensemble", "hankel", "--n", str(n), "--replicates",
+                str(replicates), "--output-prefix", str(tmp_path / "x")]
+
+    def test_blas_thread_count_restored(self, blas_threads, capsys, monkeypatch, tmp_path):
+        get, _ = blas_threads
+        seen = []
+        solve = hmt.cli.empirical_spectrum
+
+        def spy(*args, **kwargs):
+            seen.append(get())
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hmt.cli, "empirical_spectrum", spy)
+        for threads in ([], ["--threads", "1"], ["--threads", "2"]):
+            assert main(self.argv(tmp_path) + threads) == EXIT_OK
+            assert get() == 2
+        assert seen == [1] * 12
+        capsys.readouterr()
+
+    def test_blas_thread_count_restored_when_a_replicate_raises(self, blas_threads, capsys,
+                                                                monkeypatch, tmp_path):
+        get, _ = blas_threads
+        calls = []
+        solve = hmt.cli.empirical_spectrum
+
+        def fails_once(*args, **kwargs):
+            calls.append(get())
+            if len(calls) == 2:
+                raise NumericError("planted")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(hmt.cli, "empirical_spectrum", fails_once)
+        for threads in ("1", "2"):
+            calls.clear()
+            code, _, err = run(self.argv(tmp_path) + ["--threads", threads], capsys)
+            assert code == EXIT_NUMERIC and "planted" in err
+            assert calls[0] == 1 and get() == 2
+
+    @pytest.mark.parametrize("n, replicates, workers", [
+        (8192, 2, 1), (5793, 4, 1), (5792, 4, 2), (4096, 8, 4), (1024, 3, 3), (16, 20, 6)])
+    def test_default_workers(self, n, replicates, workers, blas_threads, monkeypatch,
+                             tmp_path):
+        # min(usable CPUs, replicates, 2^26 // n^2): at n = 8192 one n x n
+        # matrix fills the matrix budget, so one replicate is solved at a time
+        class Pooled(Exception):
+            pass
+
+        asked = []
+
+        def pool(fn, count, w):
+            asked.append((count, w))
+            raise Pooled
+
+        monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: 6)
+        monkeypatch.setattr(hmt.parallel, "ordered_map", pool)
+        with pytest.raises(Pooled):
+            main(self.argv(tmp_path, n, replicates))
+        assert asked == [(replicates, workers)]
+
+    def test_two_threads_at_8192_refused(self, capsys, tmp_path):
+        code, _, err = run(self.argv(tmp_path, 8192, 2) + ["--threads", "2"], capsys)
+        assert code == EXIT_CAPACITY and "matrix entries in flight" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNormScanCommand:
@@ -656,8 +744,7 @@ class TestConfigEcho:
         assert payload["config"] == {
             "subcommand": "simulate", "ensemble": "markov", "n": 8, "replicates": 2,
             "dist": "shifted_gaussian", "mean": 0.5, "bins": 60, "scale": "sqrt_n",
-            "max_order": 8, "output_prefix": prefix, "seed": DEFAULT_SEED, "threads": 1,
-            "format": "csv"}
+            "max_order": 8, "output_prefix": prefix, "seed": DEFAULT_SEED, "format": "csv"}
 
 
 class TestJsonRows:
@@ -724,26 +811,35 @@ class TestReproducibility:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
-    def test_simulate_blas_thread_count_agrees_to_rounding(self, tmp_path):
-        # bytes are fixed only for a fixed BLAS thread count: at n = 256 the
-        # blocked LAPACK reduction rounds differently on one and on two threads
+    def test_simulate_bytes_ignore_blas_and_worker_threads(self, tmp_path):
+        # every simulate solve runs on one BLAS thread: at n = 256 the
+        # blocked LAPACK reduction rounds differently on one and on two
+        # threads, yet the artifacts are the same bytes for any
+        # OPENBLAS_NUM_THREADS and any --threads
         src = str(Path(hmt.__file__).resolve().parents[1])
-        spectra = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            prefix = tmp_path / f"blas{threads}"
-            proc = subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from hmt.cli import main; sys.exit(main(sys.argv[1:]))",
-                 "simulate", "--ensemble", "hankel", "--n", "256", "--replicates", "2",
-                 "--output-prefix", str(prefix)],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
-            assert proc.returncode == EXIT_OK, proc.stderr
-            spectra.append(np.loadtxt(f"{prefix}_eigenvalues.csv", skiprows=1))
-        assert spectra[0].shape == spectra[1].shape == (2 * 256,)
-        assert np.max(np.abs(spectra[0] - spectra[1])) <= 1e-12 * np.max(np.abs(spectra[0]))
+        base = dict(os.environ,
+                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        base.pop("OPENBLAS_NUM_THREADS", None)
+        outputs = {}
+        for blas in (None, "1", "2"):
+            env = base if blas is None else dict(base, OPENBLAS_NUM_THREADS=blas)
+            for threads in (None, "1", "2"):
+                prefix = tmp_path / f"blas{blas}_threads{threads}"
+                proc = subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from hmt.cli import main; sys.exit(main(sys.argv[1:]))",
+                     "simulate", "--ensemble", "hankel", "--n", "256", "--replicates", "2",
+                     "--output-prefix", str(prefix)]
+                    + ([] if threads is None else ["--threads", threads]),
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == EXIT_OK, proc.stderr
+                outputs[blas, threads] = [Path(f"{prefix}_{kind}").read_bytes()
+                                          for kind in ("eigenvalues.csv", "histogram.csv")]
+        first = outputs[None, None]
+        assert len(first[0].split()) == 1 + 2 * 256
+        assert all(got == first for got in outputs.values()), sorted(
+            key for key, got in outputs.items() if got != first)
 
     def test_seed_changes_output(self, capsys):
         _, out1, _ = run(

@@ -102,13 +102,13 @@ PARSER_TEXT = {
     "-h": (0, "c2aefbc7e92197c85c7725655d34686754a639215b93dc59ee753039ecf752c0", EMPTY),
     "--version": (0, "0ebf304b7cf3021de79fec6c0ba443b51244d5c04a2a55938444db7d0c8c01ea", EMPTY),
     "words --help":
-        (0, "e7d40a614f8895cc5bed9b4cdbbebba325aae80692430d5fcaab5f6fdd984a71", EMPTY),
+        (0, "55e061212d0e1f23f04e65c9c00aec620a95d86eb079edf00fb858ae3e2b160f", EMPTY),
     "moments --help":
-        (0, "2b92d511149135f51227ae00ba452bcff0fa3613ae4fdd56e22808e9874513c8", EMPTY),
+        (0, "edb43b72ac9104a7a328303af4d2f76de7a887fccba4096dc38e780377029148", EMPTY),
     "simulate --help":
-        (0, "fed21adc01eb2bd7b01190756d7c6b2cdefe459bc4fba9481a4780c29f139966", EMPTY),
+        (0, "6a4e593c82e6622ff3d26abfd964d44de1f0e194bc1cc480f4b51ffc7455e230", EMPTY),
     "norm-scan --help":
-        (0, "3392eb2fcb1fa5ac9500ff191752a8063b4b527cbbc907a8d11bb852b75f1b8b", EMPTY),
+        (0, "d99171296e2c88c9a6b362c7591e87187412fab03947a9054881a739beb22b0a", EMPTY),
     "": (2, EMPTY, "b375597f8610190206c7b227797ae8cca1647f36a3759deb4a4a8811a2443d96"),
     "mom": (2, EMPTY, "be9322443f511c68634795a95a4f651dd2c14d2b4c17f87ab2ca8050d34a70a4"),
     "moments": (2, EMPTY, "5c6a686a5fedaceade93aa4b927aaff2c6eee077fcbc6fafe8a7000922b1afc0"),
@@ -365,7 +365,7 @@ SIMULATE_SHA256 = {
     "markov_histogram.csv":
         "fef6ce9a74ab6b60c25a5469293f33eb824b36dcbf0982f3a010a20549a9248e",
     "markov_moments.json":
-        "c9b212f04e1f99424bf638842cf8d4660083f4ac19eee7e3cc92fab7a7070c51",
+        "2c3d5e868f0875174b93f47fb2fe17d9a8d2b9a78d468feae4d9a4ec000cd9a8",
 }
 
 
@@ -403,6 +403,33 @@ def test_simulate_hankel_threaded_hashes(tmp_path, monkeypatch, capsys):
     for name, digest in SIMULATE_HANKEL_SHA256.items():
         if name != "stdout":
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# `simulate --n 256 --replicates 2` at the default seed.  At n = 256 the
+# blocked LAPACK reduction rounds differently on one BLAS thread and on two;
+# these are the one-thread bytes, which every simulate solve now gives
+# whatever OPENBLAS_NUM_THREADS says, captured from the scipy.linalg.eigh path
+# with OPENBLAS_NUM_THREADS=1
+SIMULATE_N256_SHA256 = {
+    ("hankel", "triangular"): (
+        "75b001df03ee9800e9f3b7638c6b1a53b2b66ea21185b990bea272f611c539bf",
+        "8a22c33cb45be84a6278c596b83938ea1198652c2a0302a8fa0948558b428df5"),
+    ("toeplitz", "gaussian"): (
+        "05011a5f06bf2f7b05b4e86a780f66fe8e40533410574f8082b1d15646b6626d",
+        "0def6674032c38ef3c0cdd0950e80cbb69467a714afc6950a5007cbb349b4f7e"),
+}
+
+
+@pytest.mark.parametrize("ensemble, law", sorted(SIMULATE_N256_SHA256))
+def test_simulate_n256_hashes(ensemble, law, tmp_path, capsys):
+    prefix = tmp_path / ensemble
+    code = main(["simulate", "--ensemble", ensemble, "--dist", law, "--n", "256",
+                 "--replicates", "2", "--output-prefix", str(prefix)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    got = tuple(hashlib.sha256(Path(f"{prefix}_{kind}").read_bytes()).hexdigest()
+                for kind in ("eigenvalues.csv", "histogram.csv"))
+    assert got == SIMULATE_N256_SHA256[ensemble, law]
 
 
 # pooled eigenvalues and moments of full n x n solves, one command per key

@@ -1,6 +1,8 @@
 """Eigensolver contract, empirical statistics, and the circuit-trace oracle."""
 
 import math
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
+import hmt.spectra
 from hmt.ensembles import (
     ENSEMBLES,
     EnsembleSample,
@@ -96,13 +99,13 @@ class TestEigvalsh:
         near[3, 7] += 1e-14 * np.abs(a).max()
         want = [scipy.linalg.eigh(m, eigvals_only=True, driver="ev").tobytes() for m in (a, near)]
         handed = []
-        full = scipy.linalg.eigh
+        full = hmt.spectra._solve
 
         def spy(b, *args, **kwargs):
             handed.append(b)
             return full(b, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(hmt.spectra, "_solve", spy)
         for m, bits in zip((a, near), want):
             before = m.tobytes()
             assert eigvalsh(m).tobytes() == bits
@@ -165,21 +168,89 @@ class TestEigvalsh:
                 solver(a)
 
 
+class TestLapackSolve:
+    """hmt.spectra._solve calls LAPACK dsyev through ctypes, with eigh's bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 64, 200, 300])
+    def test_bits_of_scipy_eigh(self, n):
+        # an owned Fortran-ordered array is solved in place; any other input
+        # (nearly symmetric and C-ordered, or read-only) on one Fortran-ordered
+        # copy, the argument unchanged.  Either way the bits are eigh's
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, n))
+        a = a + a.T
+        want = scipy.linalg.eigh(a, eigvals_only=True, driver="ev").tobytes()
+        owned = a.copy()
+        assert hmt.spectra._solve(owned.T, overwrite=True).tobytes() == want
+        if n >= 3:
+            assert owned.tobytes() != a.tobytes()  # the reduction overwrote it
+        read_only = a.copy()
+        read_only.flags.writeable = False
+        near = a.copy()
+        near[-1, 0] += 1e-13 * np.abs(a).max()  # in the triangle LAPACK reads
+        assert n == 1 or not _checked_symmetric(near)[2]
+        for m in (a, read_only.T, near):
+            bits = scipy.linalg.eigh(m, eigvals_only=True, driver="ev").tobytes()
+            kept = m.tobytes()
+            for overwrite in (False, True):
+                if overwrite and m is a:
+                    continue  # solved in place above
+                assert hmt.spectra._solve(m, overwrite=overwrite).tobytes() == bits
+                assert m.tobytes() == kept
+
+    def test_solve_releases_the_gil(self):
+        # while one thread is inside dsyev, another keeps running Python:
+        # the longest stall of the main thread's loop stays far below the
+        # solve's time, which it would span if the call held the GIL
+        a = sample_matrix("markov", 1024, gaussian(), mix(141, 1024)).matrix.T
+        ticks = []
+        with hmt.spectra.one_blas_thread():
+            worker = threading.Thread(target=hmt.spectra._solve, args=(a,),
+                                      kwargs={"overwrite": True})
+            start = time.perf_counter()
+            worker.start()
+            while worker.is_alive():
+                ticks.append(time.perf_counter())
+            worker.join(timeout=60)
+        assert not worker.is_alive()
+        elapsed = ticks[-1] - start
+        assert elapsed > 0.02
+        assert np.max(np.diff([start] + ticks)) < 0.5 * elapsed
+
+    def test_one_blas_thread_restores_the_count(self):
+        functions = hmt.spectra._openblas_threads()
+        if functions is None:
+            pytest.skip("scipy's BLAS exports no thread setter")
+        get, set_ = functions
+        before = get()
+        try:
+            set_(2)
+            with hmt.spectra.one_blas_thread() as pinned:
+                assert pinned and get() == 1
+            assert get() == 2
+            with pytest.raises(ZeroDivisionError):
+                with hmt.spectra.one_blas_thread():
+                    1 / 0
+            assert get() == 2
+        finally:
+            set_(before)
+
+
 LAWS = [rademacher(), gaussian(), triangular(), shifted_gaussian(1), shifted_gaussian(F(-5, 2))]
 LAW_IDS = ["rademacher", "gaussian", "triangular", "shifted_gaussian_1", "shifted_gaussian_-5/2"]
 
 
 @pytest.fixture
 def solved_sizes(monkeypatch):
-    """Sizes of the matrices handed to LAPACK, in call order."""
+    """Sizes of the matrices handed to LAPACK (hmt.spectra._solve), in call order."""
     sizes = []
-    full = scipy.linalg.eigh
+    full = hmt.spectra._solve
 
     def spy(a, *args, **kwargs):
         sizes.append(a.shape[0])
         return full(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", spy)
+    monkeypatch.setattr(hmt.spectra, "_solve", spy)
     return sizes
 
 
@@ -257,14 +328,14 @@ class TestCentrosymmetricSplit:
     @pytest.mark.parametrize("n", [10, 11])
     def test_trace_guard_on_split(self, n, monkeypatch):
         a = sample_matrix("toeplitz", n, gaussian(), 113).matrix
-        full = scipy.linalg.eigh
+        full = hmt.spectra._solve
         sizes = []
 
         def drops_one(b, *args, **kwargs):
             sizes.append(b.shape[0])
             return full(b, *args, **kwargs)[1:]
 
-        monkeypatch.setattr(scipy.linalg, "eigh", drops_one)
+        monkeypatch.setattr(hmt.spectra, "_solve", drops_one)
         with pytest.raises(NumericError, match="trace"):
             eigvalsh(a)
         assert sizes == [(n + 1) // 2, n // 2]
@@ -288,13 +359,13 @@ class TestCentrosymmetricSplit:
         want = eigvalsh(t)
         owned = t.copy()
         handed = []
-        full = scipy.linalg.eigh
+        full = hmt.spectra._solve
 
         def spy(b, *args, **kwargs):
             handed.append(b)
             return full(b, *args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(hmt.spectra, "_solve", spy)
         assert eigvalsh(owned, overwrite_a=True).tobytes() == want.tobytes()
         assert [b.shape[0] for b in handed] == [(n + 1) // 2, n // 2]
         assert all(np.shares_memory(b, owned[n // 2:]) for b in handed)
@@ -503,7 +574,7 @@ class TestGuardsInScipyBlas:
     after a threaded numpy BLAS call and slow the next LAPACK solve."""
 
     def test_solvers_avoid_numpy_norm(self, solved_sizes, no_numpy_norm):
-        # numpy's own LAPACK is the oracle; scipy.linalg.eigh is spied on
+        # numpy's own LAPACK is the oracle; hmt.spectra._solve is spied on
         for ensemble, n, solved in (("hankel", 40, [40]), ("toeplitz", 41, [21, 20])):
             a = sample_matrix(ensemble, n, gaussian(), mix(137, n)).matrix
             solved_sizes.clear()
