@@ -90,22 +90,23 @@ def _load_numeric() -> None:
 DEFAULT_SEED = 314159
 DEFAULT_MC_SAMPLES = 100_000
 # Cap on the entries of the sampled matrices in flight, min(--threads,
-# --replicates) * n^2: at most 512 MB of float64.  Samplers write each row
-# of a matrix from draws of at most 2^13 entries (one run of them per row
-# block of a large Markov or Wigner triangle, each on its own thread) and
-# hold no second n x n array, and Lanczos reads it in place, so `norm-scan
-# --ns 512,2048,8192 --replicates 3` peaks at 580 MB RSS, the matrix plus the
-# interpreter (about 8 s on a 2-core VM).  `simulate` holds at most n^2
-# entries per replicate in flight: the full solve of a Markov or Wigner
-# matrix overwrites the matrix it drew, a Hankel sample is a window of
-# 2n - 1 entries whose one n^2 copy is made at solve time and overwritten
-# there, and the Toeplitz split forms its two n^2/4 half-size blocks from
-# its window one at a time.  At n = 4096, `--replicates 1` peaks at 192 MB
-# RSS for Hankel (61 MB interpreter + 128 MB) and 95 MB for Toeplitz
-# (+ 32 MB); at n = 8192 a Hankel, Markov or Wigner replicate needs about
-# 512 MB, and two threads are refused.  The budget charges every ensemble n^2,
-# and simulate's default thread count, min(usable CPUs, replicates,
-# budget // n^2), stays within it.
+# --replicates) times the entries one replicate holds: at most 512 MB of
+# float64.  Samplers write each row of a matrix from draws of at most 2^13
+# entries (one run of them per row block of a large Markov or Wigner
+# triangle, each on its own thread) and hold no second n x n array, and
+# Lanczos reads it in place, so `norm-scan --ns 512,2048,8192 --replicates 3`
+# peaks at 580 MB RSS, the matrix plus the interpreter (about 8 s on a 2-core
+# VM); norm-scan charges a replicate n^2.  `simulate` charges a replicate
+# the entries it holds: n^2 for Hankel, Markov and Wigner (the full solve of
+# a Markov or Wigner matrix overwrites the matrix it drew; a Hankel sample, a
+# window of 2n - 1 entries, is copied once at solve time and overwritten
+# there) and ceil(n/2)^2 for Toeplitz, whose split forms its two half-size
+# blocks from its window one at a time.  At n = 4096, `--replicates 1` peaks
+# at 192 MB RSS for Hankel (61 MB interpreter + 128 MB) and 95 MB for
+# Toeplitz (+ 32 MB); at n = 8192 a Hankel, Markov or Wigner replicate needs
+# about 512 MB, so two threads are refused, while two Toeplitz replicates
+# hold 256 MB of blocks.  simulate's default thread count, min(usable CPUs,
+# replicates, budget // entries per replicate), stays within the budget.
 MATRIX_ENTRY_BUDGET = 1 << 26
 # work caps, in the units each command's cost grows with.  A replicate is
 # charged at least its fixed cost (2-core x86-64 VM): a simulate replicate
@@ -278,9 +279,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise InvalidArgumentError(f"--bins must be >= 1, got {args.bins}")
     if args.max_order % 2 != 0 or args.max_order < 0:
         raise InvalidArgumentError(f"--max-order must be even and >= 0, got {args.max_order}")
-    # the default thread count is at most budget // n^2, so it counts as one here
-    _check_budget(min(args.threads or 1, args.replicates) * args.n**2, MATRIX_ENTRY_BUDGET,
-                  "matrix entries in flight min(threads, replicates) * n^2")
+    # a Toeplitz replicate holds one half block of its split at a time, the
+    # larger ceil(n/2)^2; the default thread count is at most budget // that,
+    # so it counts as one here
+    entries = ((args.n + 1) // 2)**2 if args.ensemble == "toeplitz" else args.n**2
+    _check_budget(min(args.threads or 1, args.replicates) * entries, MATRIX_ENTRY_BUDGET,
+                  "matrix entries in flight min(threads, replicates) * entries per replicate")
     _check_budget(args.replicates * max(args.n**3, SIMULATE_REPLICATE_FLOOR),
                   SIMULATE_WORK_BUDGET, "replicates * max(n^3, 2^21)")
     _check_budget(args.replicates * args.n, EIGENVALUE_BUDGET,
@@ -304,7 +308,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # OPENBLAS_NUM_THREADS nor how many replicates are solved at once
     with one_blas_thread() as pinned:
         workers = args.threads or (
-            min(usable_cpus(), args.replicates, MATRIX_ENTRY_BUDGET // args.n**2) if pinned else 1)
+            min(usable_cpus(), args.replicates, MATRIX_ENTRY_BUDGET // entries) if pinned else 1)
         spectra = ordered_map(one, args.replicates, workers)
     rows = []
     # e**order overflows for a high enough order; refuse before writing any file

@@ -21,20 +21,19 @@ about a quarter of one of size n.  The split is taken only when the input
 equals its own 180-degree rotation exactly, which an O(n) comparison of
 the first and the reversed last row rules out at once for Hankel, Markov
 and Wigner matrices; every other input takes the full solve.  LAPACK
-works on Fortran-ordered arrays, so it would get a transposed copy of a
-C-ordered matrix; one that equals its transpose exactly goes in as the view
-`a.T` instead, which a caller that owns the matrix (`overwrite_a`) lets the
-solve overwrite, so that the matrix is the only n x n array the solve holds;
-such a caller's centrosymmetric matrix holds the two blocks in its own
-bottom half, which they no longer need.  A Hankel or Toeplitz sample is a
-read-only view of its 2n - 1 entries (hmt.ensembles.sample_matrix).  The
-guards read those 2n - 1 numbers alone, with the outcome the tiles give on
-a copy: a Hankel window is symmetric, a Toeplitz one as far as its stream
-agrees with its own reversal, and either is centrosymmetric when its stream
-is a palindrome.  The
-split forms each half block straight from the window, and a full solve
-copies it once, C-ordered, into the array LAPACK overwrites; the
-eigenvalues are the bits of a solve on that copy.
+works on Fortran-ordered arrays.  A matrix that equals its transpose
+exactly goes in as `a.T`, a Fortran-ordered view of a C-ordered matrix,
+which a caller that owns the matrix (`overwrite_a`) lets the solve
+overwrite, so that the matrix is the only n x n array the solve holds.
+Every other input, and each half block of the split, is solved in one
+fresh array.  A Hankel or Toeplitz sample is a read-only view of its
+2n - 1 entries (hmt.ensembles.sample_matrix).  The guards read those
+2n - 1 numbers alone, with the outcome the tiles give on a copy: a Hankel
+window is symmetric, a Toeplitz one as far as its stream agrees with its
+own reversal, and either is centrosymmetric when its stream is a
+palindrome.  The split forms each half block straight from the window, and
+a full solve copies it once into the array LAPACK overwrites, laid out as a
+C-ordered copy is; the eigenvalues are the bits of a solve on that copy.
 The spectral norm needs one eigenvalue, the largest in magnitude, so it
 comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
 matrix-vector products rather than an O(n^3) tridiagonalization.  Each
@@ -169,31 +168,21 @@ def _is_centrosymmetric(a: np.ndarray) -> bool:
     return all(np.array_equal(a[i:i + t], rotated[i:i + t]) for i in range(0, (n + 1) // 2, t))
 
 
-def _centrosymmetric_block(a: np.ndarray, plus: bool, in_place: bool) -> np.ndarray:
-    """A + BJ (bordered for odd n) or A - BJ: the two symmetric blocks whose
-    spectra together make up a's.
+def _centrosymmetric_block(a: np.ndarray, plus: bool) -> np.ndarray:
+    """A + BJ (bordered for odd n) or A - BJ, as a fresh C-ordered array:
+    the two symmetric blocks whose spectra together make up a's.
 
     Both are read from a's top m = n // 2 rows and centre column, and the
-    bordered one from its centre entry too.  Each block is a fresh C-ordered
-    array, unless `in_place` says a is C-ordered, writable and its own to
-    destroy.  Then the blocks are carved from a's rows m to n - 1, whose
-    (n - m) * n entries hold both: A + BJ from their first entries,
-    overwriting the centre entry (which is read first), and A - BJ right
-    after it.
+    bordered one from its centre entry too.
     """
     n = a.shape[0]
     m, p = n // 2, n - n // 2
-    size, start = (p, 0) if plus else (m, p * p)
-    centre = a[m, m]
-    if in_place:
-        block = a[m:].reshape(-1)[start:start + size * size].reshape(size, size)
-    else:
-        block = np.empty((size, size))
+    block = np.empty((p, p) if plus else (m, m))
     combine = np.add if plus else np.subtract
     combine(a[:m, :m], a[:m, p:][:, ::-1], out=block[:m, :m])
-    if size > m:
+    if plus and p > m:
         block[:m, m] = block[m, :m] = math.sqrt(2.0) * a[:m, m]
-        block[m, m] = centre
+        block[m, m] = a[m, m]
     return block
 
 
@@ -301,31 +290,25 @@ def _eigh(a: np.ndarray, exact: bool = False, overwrite_a: bool = False) -> np.n
 
     A centrosymmetric matrix is solved as its two half-size blocks; the
     guard compares their pooled eigenvalues with the full matrix's trace.
-    The blocks are C-ordered and exactly symmetric, so LAPACK works in place
-    on their transposes, which are Fortran-ordered, instead of on copies.
-    Each block is made, solved and freed before the next, so one is held at
-    a time.  Any other matrix takes one full solve.  When `exact` says a
-    equals its transpose, LAPACK solves the Fortran-ordered view b.T, where
-    b is a if a is C-ordered and else a's one C-ordered copy, which the
-    solve overwrites (module docstring).  With `overwrite_a` a
-    writable C-ordered a is destroyed: the full solve works in it, and the
-    split carves its blocks from its bottom half, so neither allocates an
-    array of a's size or of a block's.  A nearly symmetric matrix is
-    copied, since the view would hand LAPACK a's other triangle.  The
-    guard's trace and Frobenius norm are read before any solve can
+    Each block is a fresh C-ordered array, exactly symmetric, so LAPACK
+    works in place on its Fortran-ordered transpose; one block is made,
+    solved and freed before the next, so one is held at a time.  Any other
+    matrix takes one full solve, of `a.T` when `exact` says a equals its
+    transpose and else of a, on one Fortran-ordered copy (_solve).  Only
+    with `overwrite_a` is a writable C-ordered exact a solved in place
+    instead, through the Fortran-ordered view a.T, destroying a.  A nearly
+    symmetric a is never handed over as a.T, whose triangle LAPACK reads is
+    a's other one.
+    The guard's trace and Frobenius norm are read before any solve can
     overwrite a.
     """
     fro = _frobenius(a)
     trace = float(np.trace(a))
-    in_place = overwrite_a and exact and a.flags.c_contiguous and a.flags.writeable
     if _is_centrosymmetric(a):
-        eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus, in_place).T, overwrite=True)
+        eigs = np.concatenate([_solve(_centrosymmetric_block(a, plus).T, overwrite=True)
                                for plus in (True, False)])
-    elif exact:
-        b = np.ascontiguousarray(a)
-        eigs = _solve(b.T, overwrite=in_place or b is not a)
     else:
-        eigs = _solve(a)
+        eigs = _solve(a.T if exact else a, overwrite=overwrite_a and exact)
     resid = abs(float(eigs.sum()) - trace)
     if not resid <= _TRACE_RTOL * max(fro, 1e-300):
         raise NumericError(
@@ -342,13 +325,13 @@ def eigvalsh(matrix: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     1e-10 * Frobenius norm.  The matrix is left unchanged unless
     `overwrite_a` is true, as in scipy.linalg.eigh: then a writable
     C-ordered float matrix that equals its transpose exactly is solved in
-    place, destroying it, and the solve holds no second n x n array; a
-    Toeplitz (centrosymmetric) one holds no half-size block beside it
-    either.  A read-only or strided matrix, such as a Hankel or Toeplitz
-    window from sample_matrix, is never written: the guards read a
-    window's 2n - 1 numbers, the split forms fresh half-size blocks from it
-    one at a time, and a full solve works in one C-ordered copy.  The
-    eigenvalues are the bits of the same call on
+    place, destroying it, and the solve holds no second n x n array.  A
+    centrosymmetric one (such as a symmetric Toeplitz matrix) is split into
+    fresh half-size blocks and left unchanged.  A read-only or strided
+    matrix, such as a Hankel or Toeplitz window from sample_matrix, is
+    never written: the guards read a window's 2n - 1 numbers, the split
+    forms fresh half-size blocks from it one at a time, and a full solve
+    works in one copy.  The eigenvalues are the bits of the same call on
     `np.ascontiguousarray(matrix)`, with or without `overwrite_a`.
     """
     a, _, exact = _checked_symmetric(matrix)
@@ -401,8 +384,9 @@ def empirical_spectrum(sample: EnsembleSample, scale: str = "sqrt_n",
     """Eigenvalues of the sample scaled by 1/sqrt(n), 1/n or 1 ("none"), sorted ascending.
 
     The sample's matrix is left unchanged unless `overwrite_a` is true, when
-    eigvalsh may solve it in place: a caller that has no further use for
-    the matrix then holds one n x n array for the solve, not two.  A Hankel
+    eigvalsh may solve it in place (a Markov or Wigner matrix that is not
+    centrosymmetric): a caller that has no further use for the matrix then
+    holds one n x n array for the solve, not two.  A Hankel
     or Toeplitz sample, a read-only window, is left unchanged either way;
     its solve holds one n x n copy (Hankel) or one half-size block at a
     time (Toeplitz).

@@ -334,10 +334,11 @@ class TestSimulateCommand:
         def norm_scan(ns, replicates):
             return ["norm-scan", "--ns", ns, "--replicates", str(replicates)]
 
-        # matrices in flight: min(threads, replicates) * n^2 <= 2^26; work budgets:
+        # matrices in flight: min(threads, replicates) * n^2 <= 2^26, ceil(n/2)^2
+        # for a Toeplitz simulate replicate; work budgets:
         # replicates * max(n^3, 2^21) <= 2^40 and replicates * sum(max(n^2, 2^17))
         # <= 2^31; replicates * n <= 2^20 pooled eigenvalues
-        for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8193",
+        for argv in (["simulate", "--ensemble", "hankel", "--n", "8193",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["simulate", "--ensemble", "markov", "--n", "100000",
                       "--replicates", "1", "--output-prefix", prefix],
@@ -364,7 +365,10 @@ class TestSimulateCommand:
         assert calls == []
         assert list(tmp_path.iterdir()) == []
         # one n = 8192 matrix (512 MB of float64) in flight is within the budget
-        # and reaches the sampler
+        # and reaches the sampler; so are two Toeplitz n = 8192 replicates, each
+        # charged its larger half block, 4096^2 entries.  That last run samples
+        # on two threads, and its second replicate may reach the stub before
+        # the first one's exception stops it
         for argv in (["simulate", "--ensemble", "toeplitz", "--n", "8192",
                       "--replicates", "1", "--output-prefix", prefix],
                      ["norm-scan", "--ns", "8192", "--replicates", "1"],
@@ -376,11 +380,14 @@ class TestSimulateCommand:
                      norm_scan("8192", 32), norm_scan("4096,8192", 25),
                      simulate(1, 2**19), simulate(16, EIGENVALUE_BUDGET // 16),
                      simulate(16, 1) + ["--max-order", str(SIMULATE_ORDER_CAP)],
-                     norm_scan("1", 2**14), norm_scan("64,1", 2**13)):
+                     norm_scan("1", 2**14), norm_scan("64,1", 2**13),
+                     ["simulate", "--ensemble", "toeplitz", "--n", "8192", "--replicates", "2",
+                      "--threads", "2", "--output-prefix", prefix]):
             with pytest.raises(Sampled):
                 main(argv)
         # norm-scan samples its largest size first, whatever the --ns order
-        assert calls == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 8192, 1, 16, 16, 1, 64]
+        assert calls[:13] == [8192, 8192, 8192, 1024, 8192, 8192, 8192, 8192, 1, 16, 16, 1, 64]
+        assert calls[13:] in ([8192], [8192, 8192])
 
     @staticmethod
     def simulate_peaks(tmp_path, ensemble: str) -> dict[int, int]:
@@ -479,8 +486,8 @@ def blas_threads():
 class TestSimulateThreads:
     """simulate solves replicates side by side, each on one BLAS thread."""
 
-    def argv(self, tmp_path, n=16, replicates=4):
-        return ["simulate", "--ensemble", "hankel", "--n", str(n), "--replicates",
+    def argv(self, tmp_path, n=16, replicates=4, ensemble="hankel"):
+        return ["simulate", "--ensemble", ensemble, "--n", str(n), "--replicates",
                 str(replicates), "--output-prefix", str(tmp_path / "x")]
 
     def test_blas_thread_count_restored(self, blas_threads, capsys, monkeypatch, tmp_path):
@@ -518,12 +525,15 @@ class TestSimulateThreads:
             assert code == EXIT_NUMERIC and "planted" in err
             assert calls[0] == 1 and get() == 2
 
-    @pytest.mark.parametrize("n, replicates, workers", [
-        (8192, 2, 1), (5793, 4, 1), (5792, 4, 2), (4096, 8, 4), (1024, 3, 3), (16, 20, 6)])
-    def test_default_workers(self, n, replicates, workers, blas_threads, monkeypatch,
+    @pytest.mark.parametrize("ensemble, n, replicates, workers", [
+        pytest.param("hankel", *case, id="-".join(map(str, case)))
+        for case in ((8192, 2, 1), (5793, 4, 1), (5792, 4, 2), (4096, 8, 4), (1024, 3, 3),
+                     (16, 20, 6))] + [("toeplitz", 8192, 2, 2)])
+    def test_default_workers(self, ensemble, n, replicates, workers, blas_threads, monkeypatch,
                              tmp_path):
-        # min(usable CPUs, replicates, 2^26 // n^2): at n = 8192 one n x n
-        # matrix fills the matrix budget, so one replicate is solved at a time
+        # min(usable CPUs, replicates, 2^26 // entries per replicate): at
+        # n = 8192 one n x n matrix fills the matrix budget, so one Hankel
+        # replicate is solved at a time; a Toeplitz one holds a 4096^2 block
         class Pooled(Exception):
             pass
 
@@ -536,7 +546,7 @@ class TestSimulateThreads:
         monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: 6)
         monkeypatch.setattr(hmt.parallel, "ordered_map", pool)
         with pytest.raises(Pooled):
-            main(self.argv(tmp_path, n, replicates))
+            main(self.argv(tmp_path, n, replicates, ensemble))
         assert asked == [(replicates, workers)]
 
     def test_two_threads_at_8192_refused(self, capsys, tmp_path):

@@ -420,16 +420,40 @@ SIMULATE_N256_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("ensemble, law", sorted(SIMULATE_N256_SHA256))
-def test_simulate_n256_hashes(ensemble, law, tmp_path, capsys):
-    prefix = tmp_path / ensemble
-    code = main(["simulate", "--ensemble", ensemble, "--dist", law, "--n", "256",
-                 "--replicates", "2", "--output-prefix", str(prefix)])
+def simulate_digests(prefix: Path, capsys, *flags: str) -> tuple[str, str]:
+    """SHA-256 of the eigenvalue and histogram files `simulate` writes."""
+    code = main(["simulate", *flags, "--output-prefix", str(prefix)])
     capsys.readouterr()
     assert code == EXIT_OK
-    got = tuple(hashlib.sha256(Path(f"{prefix}_{kind}").read_bytes()).hexdigest()
-                for kind in ("eigenvalues.csv", "histogram.csv"))
+    return tuple(hashlib.sha256(Path(f"{prefix}_{kind}").read_bytes()).hexdigest()
+                 for kind in ("eigenvalues.csv", "histogram.csv"))
+
+
+@pytest.mark.parametrize("ensemble, law", sorted(SIMULATE_N256_SHA256))
+def test_simulate_n256_hashes(ensemble, law, tmp_path, capsys):
+    got = simulate_digests(tmp_path / ensemble, capsys, "--ensemble", ensemble, "--dist", law,
+                           "--n", "256", "--replicates", "2")
     assert got == SIMULATE_N256_SHA256[ensemble, law]
+
+
+# `simulate --n 2 --replicates 3` at the default seed.  A 2 x 2 Markov or
+# Wigner matrix is centrosymmetric, so each is solved as two 1 x 1 blocks;
+# captured when those blocks were carved from the matrix's own bottom row
+SIMULATE_N2_SHA256 = {
+    "markov": (
+        "d38c6d10f660b12081324f43f037cb7d396198305edcb941fe9a0e291de83ad7",
+        "c6ece1dd892538ec55fb743a5e452a1c437bd68373603b28eb5131aedb07b611"),
+    "wigner": (
+        "d84ad68dda8136c4d97ff4e54ffc7336361bef5551a9087279019cfd6c4e46be",
+        "e95ba8c0613c51150c4f26f4be750688dd242434a7b8452a592c19efebeb093d"),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(SIMULATE_N2_SHA256))
+def test_simulate_n2_hashes(ensemble, tmp_path, capsys):
+    got = simulate_digests(tmp_path / ensemble, capsys, "--ensemble", ensemble, "--n", "2",
+                           "--replicates", "3")
+    assert got == SIMULATE_N2_SHA256[ensemble]
 
 
 # pooled eigenvalues and moments of full n x n solves, one command per key
