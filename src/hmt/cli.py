@@ -66,6 +66,7 @@ if TYPE_CHECKING:
 # (_load_numeric).  A name bound earlier, by a test or a tracer, is kept.
 _NUMERIC = {
     "distribution_from_tag": "ensembles",
+    "_sample_markov_upper": "ensembles",
     "sample_matrix": "ensembles",
     "empirical_spectrum": "spectra",
     "histogram": "spectra",
@@ -93,10 +94,13 @@ DEFAULT_MC_SAMPLES = 100_000
 # --replicates) times the entries one replicate holds: at most 512 MB of
 # float64.  Samplers write each row of a matrix from draws of at most 2^13
 # entries (one run of them per row block of a large Markov or Wigner
-# triangle, each on its own thread) and hold no second n x n array, and
-# Lanczos reads it in place, so `norm-scan --ns 512,2048,8192 --replicates 3`
-# peaks at 580 MB RSS, the matrix plus the interpreter (about 8 s on a 2-core
-# VM); norm-scan charges a replicate n^2.  `simulate` charges a replicate
+# triangle, each on its own thread) and hold no second n x n array.
+# norm-scan charges a replicate n^2, though it draws only the upper
+# triangle of its n x n array, which Lanczos reads in place: the pages
+# below the diagonal are never touched, so `norm-scan --ns 512,2048,8192
+# --replicates 3` peaks at 342 MB RSS (VmHWM), the 56% of the matrix that
+# the triangle's pages hold plus the interpreter (about 7.5 s on a 2-core
+# VM; the mirrored matrix peaked at 580 MB).  `simulate` charges a replicate
 # the entries it holds: n^2 for Hankel, Markov and Wigner (the full solve of
 # a Markov or Wigner matrix overwrites the matrix it drew; a Hankel sample, a
 # window of 2n - 1 entries, is copied once at solve time and overwritten
@@ -369,8 +373,8 @@ def cmd_norm_scan(args: argparse.Namespace) -> int:
     rows = {}
     for n in sorted(set(sizes), reverse=True):
         def one(rep: int, n=n):
-            sample = sample_matrix("markov", n, dist, mix(TAG_REPLICATE, args.seed, n, rep))
-            return spectral_norm(sample.matrix)
+            return spectral_norm(
+                _sample_markov_upper(n, dist, mix(TAG_REPLICATE, args.seed, n, rep)))
 
         norms = np.array(ordered_map(one, args.replicates, args.threads))
         denom = math.sqrt(2 * n * math.log(n)) if n > 1 else 1.0
@@ -428,10 +432,10 @@ _THREADS = _arg("--threads", type=int, default=1,
                 help="replicates (and matrices) norm-scan holds at once; only "
                      "sampling overlaps, as ARPACK's Lanczos iteration holds "
                      "the GIL: on 2 cores 2 threads cut norm-scan by about "
-                     "12%% and hold a matrix per thread; words and moments "
-                     "ignore it.  Monte Carlo word volumes and each Markov or "
-                     "Wigner draw of 2^20 or more entries use every usable "
-                     "CPU (outputs depend on neither)")
+                     "12%% and hold a matrix's upper triangle per thread; "
+                     "words and moments ignore it.  Monte Carlo word volumes "
+                     "and each Markov or Wigner draw of 2^20 or more entries "
+                     "use every usable CPU (outputs depend on neither)")
 _SHARED = (_SEED, _THREADS,
            _arg("-o", "--output", default=None, help="output path (default: stdout)"),
            _arg("--format", choices=("csv", "json"), default="csv", help="artifact format"))

@@ -3,12 +3,17 @@
 All samplers are deterministic functions of (ensemble, n, distribution,
 seed): entry streams come from the counter-based generator in hmt.rng and
 are consumed in a fixed documented order, so identical inputs reproduce
-bit-identical matrices.  The Markov ensemble's Q-decomposition over the
-overlap graph of vertex pairs is included as an exact structural oracle.
+bit-identical matrices.  norm-scan draws a Markov matrix as its upper
+triangle alone (_sample_markov_upper), the half of it that the spectral
+norm reads.  The Markov ensemble's Q-decomposition over the overlap graph of
+vertex pairs is included as an exact structural oracle.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -26,7 +31,8 @@ _SQRT6 = np.sqrt(6.0)
 # in cache until copied into their rows and leave little heap behind in the
 # thread of each row block
 _CHUNK = 1 << 13
-# side of the square tiles in which _symmetric_from_upper mirrors the triangle
+# side of the square tiles in which _symmetric_from_upper mirrors the triangle,
+# and rows per strip of _markov_diagonal
 _TILE = 64
 # the strict upper triangle is drawn in total // _BLOCK_MIN blocks of rows,
 # each on its own thread: below 2^20 entries (n <= 1448) it is one block
@@ -166,6 +172,34 @@ class EnsembleSample:
     n: int
 
 
+@dataclass(frozen=True)
+class _UpperTriangle:
+    """A symmetric n x n matrix held as its upper triangle (_sample_markov_upper).
+
+    `upper` is a C-ordered n x n array whose entries on and above the
+    diagonal are the matrix's; those below it are zeros, never written, so
+    their pages need not be resident.  `lo` and `hi` are the least and
+    greatest of the matrix's n^2 entries and `sumsq` the sum of their
+    squares, ||A||_F^2, each off-diagonal entry counted twice.
+    """
+
+    upper: np.ndarray
+    n: int
+    lo: float
+    hi: float
+    sumsq: float
+
+    def __len__(self) -> int:
+        # as for the n x n matrix it holds; perfbench/tracing.py counts the
+        # eigenvalues spectral_norm works over as len() of its argument
+        return self.n
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise InvalidArgumentError(f"matrix size must be >= 1, got {n}")
+
+
 def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> EnsembleSample:
     """Draw one symmetric n x n matrix of the given ensemble.
 
@@ -182,12 +216,12 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     2n - 1 float64s, and writing to it raises ValueError, so a caller that
     needs a writable or C-ordered matrix takes `.copy()`.  Its `.tobytes()`
     are those of that copy.  Markov and Wigner matrices are C-ordered
-    arrays of their own.
+    arrays of their own: the triangle that _sample_markov_upper draws,
+    mirrored into the lower one, with the same diagonal.
     """
     if ensemble not in ENSEMBLES:
         raise InvalidArgumentError(f"unknown ensemble {ensemble!r}; expected one of {ENSEMBLES}")
-    if n < 1:
-        raise InvalidArgumentError(f"matrix size must be >= 1, got {n}")
+    _check_size(n)
     gen = generator(mix(TAG_ENSEMBLE, seed))
 
     if ensemble == "hankel":
@@ -211,6 +245,66 @@ def sample_matrix(ensemble: str, n: int, dist: EntryDistribution, seed: int) -> 
     return EnsembleSample(matrix=matrix, ensemble=ensemble, n=n)
 
 
+def _sample_markov_upper(n: int, dist: EntryDistribution, seed: int) -> _UpperTriangle:
+    """The Markov matrix of sample_matrix("markov", n, dist, seed), with the
+    same bits, held as its upper triangle and diagonal.
+
+    The triangle is drawn as sample_matrix draws it and nothing is mirrored:
+    the array lives in an anonymous mapping of its own, advised
+    MADV_NOHUGEPAGE where mmap offers it, so only the pages the triangle
+    writes become resident, about 56% of the n^2 float64s at n = 4096.
+    numpy advises MADV_HUGEPAGE on large arrays of its own, and one write
+    into a 2 MB huge page makes all of it resident, so there the untouched
+    lower triangle would cost as much as the rest.
+    """
+    _check_size(n)
+    buffer = mmap.mmap(-1, n * n * 8)
+    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)
+    if advice is not None:
+        # a kernel built without transparent huge pages refuses it (EINVAL)
+        with suppress(OSError):
+            buffer.madvise(advice)
+    upper = np.frombuffer(buffer, dtype=np.float64).reshape(n, n)
+    _fill_upper(dist, generator(mix(TAG_ENSEMBLE, seed)), upper)
+    return _UpperTriangle(upper, n, *_markov_diagonal(upper))
+
+
+def _markov_diagonal(matrix: np.ndarray) -> tuple[float, float, float]:
+    """Write the Markov diagonal, each row's negated off-diagonal sum, into
+    a matrix whose strict upper triangle is drawn and whose diagonal is
+    still zero; return (lo, hi, sumsq) of the symmetric matrix (_UpperTriangle).
+
+    The rows are formed _TILE at a time in one strip buffer from the upper
+    triangle: the part left of the diagonal is the column above it, copied
+    one transposed _TILE x _TILE tile at a time, and the rest is the row
+    itself.  Each row then reads as the full symmetric matrix's row, so
+    np.sum over the strip gives the bits of `matrix.sum(axis=1)` on the
+    mirrored matrix.  With its diagonal entries put in, the strip also
+    gives the extremes and the squares.  Nothing below the diagonal is
+    read outside the _TILE x _TILE tiles on it.  A sum that overflows is
+    left to the solvers' non-finite check, without a warning; a NaN entry
+    or row sum makes lo and hi NaN (np.minimum and np.maximum keep it).
+    """
+    n, t = matrix.shape[0], _TILE
+    strips = np.empty((min(n, t), n))
+    lo, hi, sumsq = math.inf, -math.inf, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, n, t):
+            strip = strips[:n - i]
+            rows = np.arange(strip.shape[0])
+            for j in range(0, i, t):
+                strip[:, j:j + t] = matrix[j:j + t, i:i + t].T
+            strip[:, i:] = matrix[i:i + t, i:]
+            tile = strip[:, i:i + t]
+            lower = np.tril_indices(tile.shape[0], -1)
+            tile[lower] = tile.T[lower]
+            diagonal = -np.sum(strip, axis=1)
+            matrix[i + rows, i + rows] = tile[rows, rows] = diagonal
+            lo, hi = np.minimum(lo, strip.min()), np.maximum(hi, strip.max())
+            sumsq += float(np.einsum("ij,ij->", strip, strip))
+    return float(lo), float(hi), sumsq
+
+
 def _row_blocks(n: int) -> list[tuple[int, int, int]]:
     """(first row, end row, stream offset) of each block the strict upper
     triangle of an n x n matrix is drawn in.
@@ -232,8 +326,28 @@ def _row_blocks(n: int) -> list[tuple[int, int, int]]:
 
 def _symmetric_from_upper(dist: EntryDistribution, gen, n: int) -> np.ndarray:
     """Zero-diagonal symmetric n x n matrix whose strict upper triangle is one
-    `dist.draw(gen, n(n-1)/2)` call, row-major; gen is left where that call
-    leaves it.
+    `dist.draw(gen, n(n-1)/2)` call, row-major (_fill_upper); gen is left
+    where that call leaves it.
+
+    The strict upper triangle is mirrored into the lower one _TILE x _TILE
+    tiles at a time, each tile from its transposed partner, which stays in
+    cache.  Neither an n x n temporary nor the n(n-1)/2 stream is held.
+    """
+    matrix = np.zeros((n, n))
+    _fill_upper(dist, gen, matrix)
+    t = _TILE
+    for i in range(0, n, t):
+        diagonal = matrix[i:i + t, i:i + t]
+        lower = np.tril_indices(diagonal.shape[0], -1)
+        diagonal[lower] = diagonal.T[lower]
+        for j in range(i + t, n, t):
+            matrix[j:j + t, i:i + t] = matrix[i:i + t, j:j + t].T
+    return matrix
+
+
+def _fill_upper(dist: EntryDistribution, gen, matrix: np.ndarray) -> None:
+    """Write one `dist.draw(gen, n(n-1)/2)` call into the strict upper
+    triangle of the n x n matrix, row-major, and nothing else.
 
     The rows are cut into _row_blocks, each drawn on its own thread from gen
     skipped ahead by the block's offset (Philox is counter-based), with
@@ -241,12 +355,9 @@ def _symmetric_from_upper(dist: EntryDistribution, gen, n: int) -> np.ndarray:
     are those of one draw for any number of blocks, and a lone block draws
     from gen itself in the caller's thread.  Each block writes its row
     segments into their own rows as they are drawn, so every write is
-    contiguous, and gen resumes from the last block's stream.  The strict
-    upper triangle is then mirrored into the lower one _TILE x _TILE tiles
-    at a time, each tile from its transposed partner, which stays in cache.
-    Neither an n x n temporary nor the n(n-1)/2 stream is held.
+    contiguous, and gen resumes from the last block's stream.
     """
-    matrix = np.zeros((n, n))
+    n = matrix.shape[0]
     total = n * (n - 1) // 2
     blocks = _row_blocks(n)
     gens = [gen, *(_skipped(gen, offset) for _, _, offset in blocks[1:])]
@@ -259,14 +370,6 @@ def _symmetric_from_upper(dist: EntryDistribution, gen, n: int) -> np.ndarray:
 
     parallel.ordered_map(fill, len(blocks), len(blocks))
     gen.bit_generator.state = gens[-1].bit_generator.state
-    t = _TILE
-    for i in range(0, n, t):
-        diagonal = matrix[i:i + t, i:i + t]
-        lower = np.tril_indices(diagonal.shape[0], -1)
-        diagonal[lower] = diagonal.T[lower]
-        for j in range(i + t, n, t):
-            matrix[j:j + t, i:i + t] = matrix[i:i + t, j:j + t].T
-    return matrix
 
 
 def _check_pair(a, n: int) -> tuple[int, int]:

@@ -39,8 +39,13 @@ comes from ARPACK's implicitly restarted Lanczos iteration instead: O(n^2)
 matrix-vector products rather than an O(n^3) tridiagonalization.  Each
 product is a BLAS `dsymv` that reads one triangle of the matrix, half the
 bytes a general `gemv` reads; the residual guard on the returned pair
-multiplies by the full matrix.  Full `eigh` stays its test oracle.  The circuit-trace expansion over paths is
-kept as an exact rational oracle against direct matrix powers.
+multiplies by the full matrix.  A Markov matrix that norm-scan draws as
+that triangle alone (hmt.ensembles._UpperTriangle) takes the same Lanczos
+core: its guards read the extremes and the sum of squares the sampler
+took, its residual guard multiplies with `dsymv`, and there is no
+symmetry to check.  Full `eigh` stays the test oracle of both.  The
+circuit-trace expansion over paths is kept as an exact rational oracle
+against direct matrix powers.
 
 Every BLAS call on the eigvalsh and spectral_norm paths goes to scipy's
 BLAS, the library its LAPACK and `dsymv` already use: the guards take
@@ -66,7 +71,7 @@ from scipy.linalg import cython_lapack
 from scipy.linalg.blas import ddot, dgemv, dsymv
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
-from .ensembles import EnsembleSample, markov_t, markov_vertex_pairs
+from .ensembles import EnsembleSample, _UpperTriangle, markov_t, markov_vertex_pairs
 from .errors import CapacityError, InvalidArgumentError, NumericError
 from .rng import TAG_LANCZOS, generator, mix
 
@@ -338,7 +343,7 @@ def eigvalsh(matrix: np.ndarray, overwrite_a: bool = False) -> np.ndarray:
     return _eigh(a, exact, overwrite_a)
 
 
-def spectral_norm(matrix: np.ndarray) -> float:
+def spectral_norm(matrix: np.ndarray | _UpperTriangle) -> float:
     """max(lambda_max, -lambda_min): the largest absolute eigenvalue.
 
     For n >= 3 it is |lambda| of ARPACK's largest-magnitude Lanczos pair
@@ -349,7 +354,16 @@ def spectral_norm(matrix: np.ndarray) -> float:
     other layout is copied once).  The input guards are those of
     `eigvalsh`, and the result must satisfy ||A v - lambda v|| <= 1e-10 *
     ||A||_F with the full matrix.  Smaller matrices use `eigh`.
+
+    A Markov matrix held as its upper triangle (hmt.ensembles._UpperTriangle,
+    as norm-scan draws it) gives the bits of its mirrored matrix: nothing
+    below the diagonal is read, and nothing is checked for symmetry, since
+    the triangle is all there is.  The finiteness guard and the zero matrix
+    read the triangle's extremes, the residual guard takes ||A||_F from its
+    sum of squares and A v from `dsymv`.
     """
+    if isinstance(matrix, _UpperTriangle):
+        return _triangle_norm(matrix)
     a, top, _ = _checked_symmetric(matrix)
     n = a.shape[0]
     if n < 3:
@@ -357,11 +371,38 @@ def spectral_norm(matrix: np.ndarray) -> float:
         return float(max(eigs[-1], -eigs[0]))
     if top == 0.0:
         return 0.0  # A v0 = 0: Lanczos has no Krylov space to build
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     # a symmetric matrix is its own transpose, so a.T is a Fortran-ordered
     # view of it; dsymv reads f's lower triangle, a's upper one for C order
     f = a.T if a.flags.c_contiguous else np.asfortranarray(a)
+    return _lanczos_norm(f, _frobenius(f), lambda v: dgemv(1.0, f, v, trans=1))
+
+
+def _triangle_norm(triangle: _UpperTriangle) -> float:
+    """spectral_norm of the matrix `triangle` holds; for n < 3 the matrix
+    is mirrored and goes to the full path."""
+    if not (math.isfinite(triangle.lo) and math.isfinite(triangle.hi)):
+        raise NumericError("matrix has non-finite entries")
+    upper = triangle.upper
+    if triangle.n < 3:
+        return spectral_norm(np.where(np.tri(triangle.n, k=-1, dtype=bool), upper.T, upper))
+    if max(-triangle.lo, triangle.hi) == 0.0:
+        return 0.0
+    f = upper.T
+    return _lanczos_norm(f, math.sqrt(triangle.sumsq), lambda v: dsymv(1.0, f, v, lower=1))
+
+
+def _lanczos_norm(f: np.ndarray, fro: float, product: Callable[[np.ndarray], np.ndarray]
+                  ) -> float:
+    """|lambda| of ARPACK's largest-magnitude Lanczos pair (v, lambda) of the
+    symmetric matrix in the lower triangle of Fortran-ordered f, n >= 3,
+    each Lanczos product a `dsymv`, from a start vector fixed by n.
+
+    The pair must satisfy ||product(v) - lambda v|| <= 1e-10 * fro, with
+    `product` the matrix's A v and fro its ||A||_F.
+    """
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
+
+    n = f.shape[0]
     op = LinearOperator((n, n), matvec=lambda x: dsymv(1.0, f, x, lower=1), dtype=float)
     gen = generator(mix(TAG_LANCZOS, n))
     v0 = gen.random(n) - 0.5
@@ -370,8 +411,7 @@ def spectral_norm(matrix: np.ndarray) -> float:
     except ArpackError as exc:
         raise NumericError(f"Lanczos norm solve failed: {exc}") from exc
     lam, v = float(vals[0]), vecs[:, 0]
-    resid = _frobenius(dgemv(1.0, f, v, trans=1) - lam * v)
-    fro = _frobenius(f)
+    resid = _frobenius(product(v) - lam * v)
     if not resid <= _RESIDUAL_RTOL * fro:
         raise NumericError(
             f"Lanczos residual ||A v - lambda v|| = {resid:.3g} (> 1e-10 * ||A||_F)"

@@ -1,6 +1,7 @@
 """CLI subcommands: artifacts, schema validity, reproducibility, exit codes."""
 
 import argparse
+import importlib.util
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import hmt
 import hmt.cli
@@ -33,6 +35,7 @@ from hmt.cli import (
 )
 from hmt.errors import NumericError
 from hmt.limits import MC_DRAW_BUDGET, MC_ENUM_CHARGE, MC_WORD_CHARGE
+from hmt.rng import TAG_REPLICATE, mix
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +326,8 @@ class TestSimulateCommand:
             raise Sampled
 
         monkeypatch.setattr(hmt.cli, "sample_matrix", stub)
+        # norm-scan draws its Markov matrices as upper triangles
+        monkeypatch.setattr(hmt.cli, "_sample_markov_upper", lambda n, *args: stub("markov", n))
         # one replicate in flight by default, so each run reaches the stub once
         monkeypatch.setattr(hmt.parallel, "usable_cpus", lambda: 1)
         prefix = str(tmp_path / "x")
@@ -392,7 +397,15 @@ class TestSimulateCommand:
     @staticmethod
     def simulate_peaks(tmp_path, ensemble: str) -> dict[int, int]:
         """VmHWM in bytes of `simulate --replicates 1` at n = 16 and 2048, each
-        run in a fresh interpreter.  The child reads its peak as VmHWM, not
+        run in a fresh interpreter (command_peaks)."""
+        return TestSimulateCommand.command_peaks(lambda n: [
+            "simulate", "--ensemble", ensemble, "--n", str(n), "--replicates", "1",
+            "--output-prefix", str(tmp_path / f"{ensemble}{n}")])
+
+    @staticmethod
+    def command_peaks(argv) -> dict[int, int]:
+        """VmHWM in bytes of the command argv(n) at n = 16 and 2048, each run
+        in a fresh interpreter.  The child reads its peak as VmHWM, not
         ru_maxrss: Linux keeps ru_maxrss across execve, so a child would
         report at least the RSS of this process."""
         src = str(Path(hmt.__file__).resolve().parents[1])
@@ -403,11 +416,8 @@ class TestSimulateCommand:
                  "sys.exit(code)")
         peaks = {}
         for n in (16, 2048):
-            proc = subprocess.run(
-                [sys.executable, "-c", child, "simulate", "--ensemble", ensemble, "--n", str(n),
-                 "--replicates", "1", "--output-prefix", str(tmp_path / f"{ensemble}{n}")],
-                env=env, capture_output=True, text=True, timeout=300,
-            )
+            proc = subprocess.run([sys.executable, "-c", child, *argv(n)], env=env,
+                                  capture_output=True, text=True, timeout=300)
             assert proc.returncode == EXIT_OK, proc.stderr
             peaks[n] = int(proc.stdout.split()[-1]) * 1024
         return peaks
@@ -433,6 +443,16 @@ class TestSimulateCommand:
         peaks = self.simulate_peaks(tmp_path, "markov")
         matrix_bytes = 2048 * 2048 * 8
         assert peaks[2048] - peaks[16] < 1.1 * matrix_bytes, peaks
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
+    def test_norm_scan_holds_the_upper_triangle(self):
+        # norm-scan draws each Markov matrix into the upper triangle of a
+        # mapping of 4 KiB pages and mirrors nothing: at n = 2048 the child
+        # peaks about 0.66 x 32 MiB above an n = 16 twin, the pages the
+        # triangle writes.  The mirrored matrix peaked about 1.04 x
+        peaks = self.command_peaks(lambda n: ["norm-scan", "--ns", str(n), "--replicates", "1"])
+        matrix_bytes = 2048 * 2048 * 8
+        assert peaks[2048] - peaks[16] < 0.8 * matrix_bytes, peaks
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc VmHWM")
     def test_toeplitz_split_holds_one_matrix(self, tmp_path):
@@ -577,13 +597,13 @@ class TestNormScanCommand:
             return json.loads(out)["results"]
 
         calls = []
-        sample = hmt.cli.sample_matrix
+        sample = hmt.cli._sample_markov_upper
 
-        def spy(ensemble, n, *args):
+        def spy(n, *args):
             calls.append(n)
-            return sample(ensemble, n, *args)
+            return sample(n, *args)
 
-        monkeypatch.setattr(hmt.cli, "sample_matrix", spy)
+        monkeypatch.setattr(hmt.cli, "_sample_markov_upper", spy)
         scan = rows("256,64,256")
         assert calls == [256, 256, 64, 64]
         assert [row["n"] for row in scan] == [256, 64, 256]
@@ -634,6 +654,39 @@ class TestNormScanCommand:
             assert [str(w.message) for w in caught] == []
             assert err == "hmt: numerical failure: matrix has non-finite entries\n"
 
+    def test_residual_guard(self, capsys, monkeypatch):
+        # the pair Lanczos returns is checked against the triangle it read:
+        # the true top eigenpair passes, and lambda (1 + 1e-6) fails (exit 4)
+        n, seed = 64, 5
+        dist = hmt.cli.distribution_from_tag("gaussian")
+        matrix = hmt.cli.sample_matrix("markov", n, dist, mix(TAG_REPLICATE, seed, n, 0)).matrix
+        eigs, vecs = np.linalg.eigh(matrix)
+        top = int(np.argmax(np.abs(eigs)))
+        argv = ["norm-scan", "--ns", str(n), "--replicates", "1", "--seed", str(seed)]
+        for value, want in ((eigs[top], EXIT_OK), (eigs[top] * (1 + 1e-6), EXIT_NUMERIC)):
+            def pair(*args, value=value, **kwargs):
+                return np.array([value]), vecs[:, [top]]
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", pair)
+            code, out, err = run(argv, capsys)
+            assert code == want, err
+        assert out == "" and "Lanczos residual" in err
+
+    def test_traced_norms(self, capsys, monkeypatch):
+        # perfbench/tracing.py wraps hmt.cli.spectral_norm: each replicate's
+        # norm is one span, and its counter reads len() of the triangle
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        monkeypatch.setattr(hmt.cli, "spectral_norm",
+                            tracer.wrap(hmt.cli.spectral_norm, "spectra.spectral_norm"))
+        code, _, err = run(["norm-scan", "--ns", "16,32", "--replicates", "2"], capsys)
+        assert code == EXIT_OK, err
+        assert tracing.summarize(tracer.spans)["spectra.spectral_norm"]["calls"] == 4
+        assert tracer.counters["spectra.norm_eigenvalues_computed"] == 2 * 16 + 2 * 32
+
     def test_zero_replicates_rejected(self, capsys):
         code, out, _ = run(["norm-scan", "--ns", "16", "--replicates", "0"], capsys)
         assert code == EXIT_INVALID and out == ""
@@ -657,7 +710,8 @@ class TestOutputPaths:
         def stub(*args, **kwargs):
             raise self.Computed
 
-        for name in ("word_volumes", "limit_moment", "moment_table", "sample_matrix"):
+        for name in ("word_volumes", "limit_moment", "moment_table", "sample_matrix",
+                     "_sample_markov_upper"):
             monkeypatch.setattr(hmt.cli, name, stub)
 
     def refused(self, argv, capsys):

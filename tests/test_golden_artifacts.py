@@ -102,13 +102,13 @@ PARSER_TEXT = {
     "-h": (0, "c2aefbc7e92197c85c7725655d34686754a639215b93dc59ee753039ecf752c0", EMPTY),
     "--version": (0, "0ebf304b7cf3021de79fec6c0ba443b51244d5c04a2a55938444db7d0c8c01ea", EMPTY),
     "words --help":
-        (0, "55e061212d0e1f23f04e65c9c00aec620a95d86eb079edf00fb858ae3e2b160f", EMPTY),
+        (0, "cf4486a2b7edd42311f5192f717fb7681c0a0eb703d6e903f8b3f09121302087", EMPTY),
     "moments --help":
-        (0, "edb43b72ac9104a7a328303af4d2f76de7a887fccba4096dc38e780377029148", EMPTY),
+        (0, "208e969aafcbd7a4f80898a17b5abaafa57215e7eb3474e231b4a2a2a980641f", EMPTY),
     "simulate --help":
         (0, "6a4e593c82e6622ff3d26abfd964d44de1f0e194bc1cc480f4b51ffc7455e230", EMPTY),
     "norm-scan --help":
-        (0, "d99171296e2c88c9a6b362c7591e87187412fab03947a9054881a739beb22b0a", EMPTY),
+        (0, "aa0dd3b0a0af822892904569f2e4e6183fa6fb77db1189c740e44aa6a44f8bf5", EMPTY),
     "": (2, EMPTY, "b375597f8610190206c7b227797ae8cca1647f36a3759deb4a4a8811a2443d96"),
     "mom": (2, EMPTY, "be9322443f511c68634795a95a4f651dd2c14d2b4c17f87ab2ca8050d34a70a4"),
     "moments": (2, EMPTY, "5c6a686a5fedaceade93aa4b927aaff2c6eee077fcbc6fafe8a7000922b1afc0"),

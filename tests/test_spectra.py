@@ -1,6 +1,7 @@
 """Eigensolver contract, empirical statistics, and the circuit-trace oracle."""
 
 import math
+import mmap
 import threading
 import time
 import tracemalloc
@@ -18,6 +19,9 @@ from hmt.ensembles import (
     EnsembleSample,
     gaussian,
     markov_vertex_pairs,
+    EntryDistribution,
+    _sample_markov_upper,
+    _UpperTriangle,
     rademacher,
     sample_matrix,
     shifted_gaussian,
@@ -489,6 +493,95 @@ class TestWindowSamples:
         dense = np.ascontiguousarray(window)
         assert _frobenius(window) == pytest.approx(_frobenius(dense), rel=1e-14)
         assert _frobenius(dense) == pytest.approx(np.sqrt((dense ** 2).sum()), rel=1e-14)
+
+
+# norm-scan's --dist laws, shifted_gaussian at --mean 1
+NORM_SCAN_LAWS = [rademacher(), gaussian(), triangular(), shifted_gaussian(1)]
+
+
+class NaNAt(EntryDistribution):
+    """The gaussian law with a NaN at one place of the stream, which may be
+    drawn in several calls (one thread, so in order)."""
+
+    def __init__(self, index: int):
+        super().__init__("gaussian")
+        object.__setattr__(self, "drawn", [0])
+        object.__setattr__(self, "index", index)
+
+    def draw(self, gen, count):
+        draws = super().draw(gen, count)
+        start = self.drawn[0]
+        self.drawn[0] += count
+        if start <= self.index < start + count:
+            draws[self.index - start] = np.nan
+        return draws
+
+
+class TestUpperTriangle:
+    """norm-scan's Markov matrices: the upper triangle alone, same bits."""
+
+    @pytest.mark.parametrize("dist", NORM_SCAN_LAWS, ids=lambda dist: dist.tag)
+    def test_same_bits_as_the_full_matrix(self, dist):
+        # 1449 is the first size whose triangle is drawn in two row blocks
+        for n in (3, 4, 63, 64, 65, 130, 1449, 2049):
+            seed = mix(167, n)
+            triangle = _sample_markov_upper(n, dist, seed)
+            full = sample_matrix("markov", n, dist, seed).matrix
+            assert np.array_equal(np.diag(triangle.upper), np.diag(full)), n
+            if n <= 130:  # larger triangles are read whole by Lanczos below
+                assert np.array_equal(np.triu(triangle.upper), np.triu(full)), n
+                assert not np.tril(triangle.upper, -1).any(), n
+            assert (triangle.lo, triangle.hi) == (full.min(), full.max()), n
+            assert triangle.sumsq == pytest.approx(_frobenius(full) ** 2, rel=1e-13), n
+            assert spectral_norm(triangle) == spectral_norm(full), n
+
+    def test_small_sizes_through_the_full_matrix(self):
+        for n in (1, 2):
+            for dist in NORM_SCAN_LAWS:
+                seed = mix(173, n)
+                got = spectral_norm(_sample_markov_upper(n, dist, seed))
+                want = spectral_norm(sample_matrix("markov", n, dist, seed).matrix)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_without_madv_nohugepage(self, monkeypatch):
+        # where mmap offers no MADV_NOHUGEPAGE the mapping is not advised,
+        # and the norms keep their bits
+        want = {n: spectral_norm(_sample_markov_upper(n, gaussian(), mix(179, n)))
+                for n in (64, 130)}
+        monkeypatch.delattr(mmap, "MADV_NOHUGEPAGE", raising=False)
+        for n, norm in want.items():
+            assert spectral_norm(_sample_markov_upper(n, gaussian(), mix(179, n))) == norm
+
+    def test_nan_in_a_later_strip(self):
+        # a NaN entry in row 100, past the first strip of 64 rows, and the
+        # NaN row sums it makes, must reach the finiteness guard
+        n = 130
+        index = sum(n - 1 - row for row in range(100)) + 5  # (100, 106)
+        triangle = _sample_markov_upper(n, NaNAt(index), 181)
+        assert np.isnan(triangle.upper[100, 106])
+        assert math.isnan(triangle.lo) and math.isnan(triangle.hi)
+        with pytest.raises(NumericError, match="non-finite"):
+            spectral_norm(triangle)
+
+    def test_guards(self, monkeypatch):
+        # non-finite extremes, the zero matrix and the residual of the pair
+        triangle = _sample_markov_upper(64, gaussian(), 181)
+        for bad in (np.nan, np.inf, -np.inf):
+            for field in ("lo", "hi"):
+                with pytest.raises(NumericError, match="non-finite"):
+                    spectral_norm(_UpperTriangle(**{**vars(triangle), field: bad}))
+        zero = _UpperTriangle(np.zeros((5, 5)), 5, 0.0, -0.0, 0.0)
+        assert spectral_norm(zero) == 0.0
+        full = sample_matrix("markov", 64, gaussian(), 181).matrix
+        eigs, vecs = np.linalg.eigh(full)
+        top = int(np.argmax(np.abs(eigs)))
+        for value in (eigs[top] * (1 + 1e-6), np.nan):
+            def wrong_pair(*args, value=value, **kwargs):
+                return np.array([value]), vecs[:, [top]]
+
+            monkeypatch.setattr(scipy.sparse.linalg, "eigsh", wrong_pair)
+            with pytest.raises(NumericError, match="residual"):
+                spectral_norm(triangle)
 
 
 class TestSpectralNorm:
